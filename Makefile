@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race race-short chaos chaos-short dist-chaos shard-check dynamic-check load-check precision-check sparsify-check bench bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-precision bench-sparsify fuzz fuzz-smoke experiments examples clean
+.PHONY: all check build vet test test-race race race-short chaos chaos-short dist-chaos shard-check dynamic-check load-check precision-check sparsify-check benchmark-smoke loc bench bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-precision bench-sparsify fuzz fuzz-smoke experiments examples clean
 
 all: check
 
@@ -88,13 +88,14 @@ load-check:
 	$(GO) test ./internal/serve/ -run 'TestOptionsValidate|TestNewRejectsBadOptions|TestBatcher' -count=1
 
 # precision-check runs the float32 fast-path gates: the SIMD kernels
-# pinned bit-for-bit against their scalar references, f32 kernel
-# equivalence across thread counts and attention layouts, checkpoint
-# downcast round-trips, the f32-vs-f64 differential suite under the ULP
-# envelope, and the serve-side -precision f32 end-to-end tests (including
+# pinned bit-for-bit against their scalar references, the one generic
+# attention forward bit-identical to a naive reference at both precisions,
+# in both layouts and at every thread count, checkpoint downcast
+# round-trips, the f32-vs-f64 differential suite under the ULP envelope,
+# and the serve-side -precision f32 end-to-end tests (including
 # degraded-mode fallback to float64).
 precision-check:
-	$(GO) test ./internal/tensor/ -run 'TestSIMDKernelsMatchReference|TestULPDistance32|TestMeasureDivergence|TestKernels32MatchF64|TestFusedSegmentAttention32MatchesF64|TestAttention32LayoutsBitIdentical' -count=1
+	$(GO) test ./internal/tensor/ -run 'TestSIMDKernelsMatchReference|TestULPDistance32|TestMeasureDivergence|TestKernels32MatchF64|TestFusedSegmentAttention32MatchesF64|TestFusedAdditiveAttention32MatchesF64|TestFusedAttentionForwardMatchesReference' -count=1
 	$(GO) test ./internal/models/ -run 'F32' -count=1
 	$(GO) test ./internal/train/ -run 'TestCheckpointDowncast' -count=1
 	$(GO) test ./internal/serve/ -run 'TestOptionsPrecisionValidate|TestPrecision' -count=1
@@ -114,6 +115,23 @@ sparsify-check:
 	$(GO) test ./internal/train/ -run 'TestShardFallback' -count=1
 	$(GO) test ./internal/dynamic/ -run 'TestUnsupportedConfigurations' -count=1
 
+# benchmark-smoke runs the repo's one end-to-end benchmark (BENCHMARK.json,
+# benchmark/) in --quick mode: 2 seconds per workload, bounds not
+# enforced, but every in-run correctness check exits non-zero.
+benchmark-smoke:
+	bash benchmark/run.sh --quick
+
+# loc prints non-test Go lines per package, and for the two packages the
+# kernel-collapse work is measured on, so "fewer non-test lines" is a
+# number CI prints rather than a claim in a PR body.
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		n=$$(cat /dev/null $$(ls $$d/*.go | grep -v '_test\.go$$') | wc -l); \
+		printf '%6d  .%s\n' $$n "$${d#$(CURDIR)}"; \
+	done
+	@printf '%6d  ./internal/tensor + ./internal/models\n' \
+		$$(cat $$(ls internal/tensor/*.go internal/models/*.go | grep -v '_test\.go$$') | wc -l)
+
 # Benchmark records. Each BENCH_*.json in the repo root is regenerated by
 # exactly one target below, on demand — never by `make test` or CI PR
 # gates (numbers are machine-relative; every record carries its host):
@@ -126,13 +144,15 @@ sparsify-check:
 #   BENCH_precision.json  bench-precision  serve-side f32-vs-f64 speedup + ULP envelope
 #   BENCH_sparsify.json   bench-sparsify   effective-resistance keep-fraction matrix
 #
-# bench regenerates all of them.
+# bench regenerates all of them. The committed BENCH_tensor.json
+# (FusedAttention32Interleaved) and BENCH_precision.json ("layouts") still
+# carry rows for the f32 interleaved attention layout: historical, the
+# layout is deleted and a regenerated record drops them.
 bench: bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-precision bench-sparsify
 
 # bench-compute regenerates the tensor-kernel numbers recorded in
 # BENCH_tensor.json: serial-vs-parallel float64 baselines plus the float32
-# fast-path kernels in both attention scratch layouts (fixed iteration
-# count for comparable runs).
+# fast-path kernels (fixed iteration count for comparable runs).
 bench-compute:
 	BENCH_TENSOR_OUT=$(CURDIR)/BENCH_tensor.json $(GO) test ./internal/tensor/ -run TestWriteBenchTensor -count=1 -v -benchtime 5x
 
@@ -169,8 +189,8 @@ bench-serve:
 
 # bench-precision regenerates the float32 fast-path numbers recorded in
 # BENCH_precision.json: serve-side f32-vs-f64 throughput per workload
-# class (interleaved min-of-chunks timing), the attention-layout
-# comparison, and the measured ULP/relative-error divergence — asserted
+# class (interleaved min-of-chunks timing) and the measured
+# ULP/relative-error divergence — asserted
 # inside the envelope on every run, with the ≥1.5× acceptance bar on full
 # runs. BENCH_PRECISION_FAST=1 (the CI smoke) shrinks the timed rounds
 # and skips the speedup bar.

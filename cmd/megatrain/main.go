@@ -8,7 +8,7 @@
 //	          [-dim d] [-layers L] [-batch B] [-epochs E] [-lr r]
 //	          [-train n] [-val n] [-drop f] [-sparsify f] [-sparsify-seed s]
 //	          [-seed s] [-profile]
-//	          [-shards k] [-attention fused|staged] [-checkpoint model.ckpt]
+//	          [-shards k] [-checkpoint model.ckpt]
 //	          [-checkpoint-dir dir] [-checkpoint-every 1] [-resume]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -66,7 +66,6 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "seed")
 	profile := fs.Bool("profile", true, "attach the GPU simulator")
 	shards := fs.Int("shards", 0, "shard-parallel workers per batch (GT + mega engine; must divide 8; disables -profile)")
-	attention := fs.String("attention", "", "attention implementation: fused or staged (default: $MEGA_ATTENTION, then fused)")
 	ckpt := fs.String("checkpoint", "", "write the trained model here for megaserve")
 	ckptDir := fs.String("checkpoint-dir", "", "directory for periodic crash-safe checkpoints")
 	ckptEvery := fs.Int("checkpoint-every", 1, "epochs between periodic checkpoints (with -checkpoint-dir)")
@@ -127,7 +126,7 @@ func run(args []string) error {
 		Model: *model, Engine: kind,
 		Dim: *dim, Layers: *layers,
 		BatchSize: *batch, LR: *lr, Epochs: *epochs, Seed: *seed,
-		Profile: *profile, Attention: *attention,
+		Profile:       *profile,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
 		Shards: *shards,
 	}

@@ -134,6 +134,10 @@ type Maintainer struct {
 
 	numNodes int
 	g        *graph.Graph
+	// fp caches g's fingerprint (a full hash over the edge list) from the
+	// first Fingerprint call after a commit until the next commit.
+	fp      graph.Fingerprint
+	fpValid bool
 	// edgeSet maps canonical (low, high) endpoint pairs to live COO
 	// indices. Insertions append (existing IDs stable); deletions compact
 	// order-preservingly (IDs above the victim shift down by one).
@@ -245,6 +249,7 @@ func (a wlAdj) Neighbors(v int32) []int32 { return a.g.Neighbors(v) }
 
 func (m *Maintainer) commit(g *graph.Graph, rep *band.Rep, res *traverse.Result, target int) {
 	m.g = g
+	m.fpValid = false
 	m.rep = rep
 	m.res = res
 	m.target = target
@@ -262,7 +267,12 @@ func (m *Maintainer) Graph() *graph.Graph { return m.g }
 
 // Fingerprint returns the live graph's canonical topology hash — the cache
 // key under which the current representation may be published.
-func (m *Maintainer) Fingerprint() graph.Fingerprint { return m.g.Fingerprint() }
+func (m *Maintainer) Fingerprint() graph.Fingerprint {
+	if !m.fpValid {
+		m.fp, m.fpValid = m.g.Fingerprint(), true
+	}
+	return m.fp
+}
 
 // NumNodes returns the (fixed) vertex count.
 func (m *Maintainer) NumNodes() int { return m.numNodes }

@@ -225,6 +225,46 @@ func TestBatchAtomicity(t *testing.T) {
 	checkCanonical(t, fused)
 }
 
+// TestFingerprintTracksCommits pins the cached fingerprint against the live
+// graph's: asked before and after every kind of batch (and after a rejected
+// one), the maintainer must never hand out a stale hash.
+func TestFingerprintTracksCommits(t *testing.T) {
+	m := newMaintainer(t, graph.Cycle(10))
+	check := func(when string) {
+		t.Helper()
+		if got, want := m.Fingerprint(), m.Graph().Fingerprint(); got != want {
+			t.Fatalf("%s: maintainer fingerprint %s, live graph %s", when, got, want)
+		}
+	}
+	check("fresh")
+	steps := []struct {
+		name          string
+		removes, adds [][2]graph.NodeID
+	}{
+		{name: "add", adds: [][2]graph.NodeID{{0, 5}}},
+		{name: "remove", removes: [][2]graph.NodeID{{3, 4}}},
+		{name: "fused", removes: [][2]graph.NodeID{{0, 5}, {7, 8}}, adds: [][2]graph.NodeID{{1, 6}, {2, 9}, {3, 4}}},
+	}
+	for _, st := range steps {
+		before := m.Fingerprint()
+		if _, err := m.ApplyBatch(st.removes, st.adds); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		check(st.name)
+		if m.Fingerprint() == before {
+			t.Fatalf("%s: fingerprint did not change with the topology", st.name)
+		}
+	}
+	before := m.Fingerprint()
+	if _, err := m.ApplyBatch(nil, [][2]graph.NodeID{{1, 6}}); !errors.Is(err, ErrEdgeExists) {
+		t.Fatalf("duplicate add: %v, want ErrEdgeExists", err)
+	}
+	check("rejected batch")
+	if m.Fingerprint() != before {
+		t.Fatal("rejected batch changed the fingerprint")
+	}
+}
+
 func TestBatchRejectsRemoveOfBatchAdd(t *testing.T) {
 	g := graph.Cycle(8)
 	m := newMaintainer(t, g)

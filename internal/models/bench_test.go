@@ -154,7 +154,6 @@ func benchAttentionGT(b *testing.B, engine EngineKind, fused bool) {
 func benchAttentionGAT(b *testing.B, engine EngineKind, fused bool) {
 	ctx := benchAttentionContext(b, engine)
 	const d, heads = 64, 4
-	dk := d / heads
 	rng := rand.New(rand.NewSource(8))
 	wh := tensor.Randn(rng, ctx.NumRows, d, 0.5).RequireGrad()
 	aL := tensor.Randn(rng, 1, d, 0.1).RequireGrad()
@@ -168,21 +167,7 @@ func benchAttentionGAT(b *testing.B, engine EngineKind, fused bool) {
 		if fused {
 			att = ctx.FusedGATAttention(wh, aL, aR, heads)
 		} else {
-			sL := tensor.Mul(wh, broadcastRow(aL, wh.Rows()))
-			sR := tensor.Mul(wh, broadcastRow(aR, wh.Rows()))
-			whSend := ctx.GatherSend(wh)
-			sLr := ctx.GatherRecv(sL)
-			sRs := ctx.GatherSend(sR)
-			headOuts := make([]*tensor.Tensor, heads)
-			for a := 0; a < heads; a++ {
-				lhs := tensor.RowSum(tensor.NarrowCols(sLr, a*dk, dk))
-				rhs := tensor.RowSum(tensor.NarrowCols(sRs, a*dk, dk))
-				score := ctx.Act(leakyReLU, tensor.Add(lhs, rhs))
-				alpha := ctx.SegmentSoftmaxByRecv(score)
-				va := tensor.NarrowCols(whSend, a*dk, dk)
-				headOuts[a] = ctx.AggregateByRecv(tensor.MulColVec(va, alpha))
-			}
-			att = tensor.ConcatCols(headOuts...)
+			att = gatAttentionStaged(ctx, wh, aL, aR, heads)
 		}
 		tensor.Sum(att).Backward()
 	}

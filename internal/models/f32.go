@@ -35,21 +35,13 @@ type ModelF32 interface {
 	SnapshotParams() []float32
 }
 
-// PrepareF32 downcasts m's parameters into a frozen float32 model using
-// the head-major attention layout (the serving default).
+// PrepareF32 downcasts m's parameters into a frozen float32 model.
 func PrepareF32(m Model) (ModelF32, error) {
-	return PrepareF32Layout(m, tensor.LayoutHeadMajor)
-}
-
-// PrepareF32Layout is PrepareF32 with an explicit attention scratch
-// layout (the interleaved variant exists for the layout benchmark; both
-// produce bit-identical outputs).
-func PrepareF32Layout(m Model, layout tensor.AttnLayout) (ModelF32, error) {
 	switch t := m.(type) {
 	case *GT:
-		return newGTF32(t, layout), nil
+		return newGTF32(t), nil
 	case *GAT:
-		return newGATF32(t, layout), nil
+		return newGATF32(t), nil
 	default:
 		return nil, fmt.Errorf("models: no float32 inference path for %s (batch-dependent normalisation)", m.Name())
 	}
@@ -146,7 +138,6 @@ func readout32(ctx *Context, h *tensor.F32, arena *tensor.Arena) *tensor.F32 {
 // GTF32 is the frozen float32 Graph Transformer.
 type GTF32 struct {
 	cfg     Config
-	layout  tensor.AttnLayout
 	nodeTab *tensor.F32
 	edgeTab *tensor.F32
 	layers  []*gtLayerF32
@@ -166,10 +157,9 @@ type gtLayerF32 struct {
 	lnE1, lnE2 norm32
 }
 
-func newGTF32(m *GT, layout tensor.AttnLayout) *GTF32 {
+func newGTF32(m *GT) *GTF32 {
 	out := &GTF32{
 		cfg:     m.cfg,
-		layout:  layout,
 		nodeTab: tensor.Downcast(m.enc.node.Table),
 		edgeTab: tensor.Downcast(m.enc.edge.Table),
 		readout: downMLP(m.readout),
@@ -214,7 +204,7 @@ func (m *GTF32) Forward(ctx *Context, arena *tensor.Arena) *tensor.F32 {
 	h := tensor.GatherRows32(m.nodeTab, ctx.NodeTypeIDs, arena)
 	e := tensor.GatherRows32(m.edgeTab, ctx.EdgeTypeIDs, arena)
 	for _, l := range m.layers {
-		hn, en := l.forward(ctx, h, e, m.cfg.Heads, m.layout, arena)
+		hn, en := l.forward(ctx, h, e, m.cfg.Heads, arena)
 		arena.PutF32(h)
 		arena.PutF32(e)
 		h, e = hn, en
@@ -227,8 +217,7 @@ func (m *GTF32) Forward(ctx *Context, arena *tensor.Arena) *tensor.F32 {
 	return out
 }
 
-func (l *gtLayerF32) forward(ctx *Context, h, e *tensor.F32, heads int,
-	layout tensor.AttnLayout, arena *tensor.Arena) (hOut, eOut *tensor.F32) {
+func (l *gtLayerF32) forward(ctx *Context, h, e *tensor.F32, heads int, arena *tensor.Arena) (hOut, eOut *tensor.F32) {
 
 	qh := l.q.forward(h, arena)
 	kh := l.k.forward(h, arena)
@@ -236,7 +225,7 @@ func (l *gtLayerF32) forward(ctx *Context, h, e *tensor.F32, heads int,
 	eh := l.we.forward(e, arena)
 	att, eAvg := tensor.FusedSegmentAttention32(qh, kh, vh, eh,
 		ctx.RecvIdx, ctx.SendIdx, ctx.EdgeIdx,
-		ctx.recvSegments(), ctx.edgeSegments(), heads, layout, arena)
+		ctx.recvSegments(), ctx.edgeSegments(), heads, tensor.LayoutHeadMajor, arena)
 	arena.PutF32(qh)
 	arena.PutF32(kh)
 	arena.PutF32(vh)
@@ -286,7 +275,6 @@ func (l *gtLayerF32) forward(ctx *Context, h, e *tensor.F32, heads int,
 // GATF32 is the frozen float32 Graph Attention Network.
 type GATF32 struct {
 	cfg     Config
-	layout  tensor.AttnLayout
 	nodeTab *tensor.F32
 	layers  []*gatLayerF32
 	readout mlp32
@@ -300,10 +288,9 @@ type gatLayerF32 struct {
 	bn     norm32
 }
 
-func newGATF32(m *GAT, layout tensor.AttnLayout) *GATF32 {
+func newGATF32(m *GAT) *GATF32 {
 	out := &GATF32{
 		cfg:     m.cfg,
-		layout:  layout,
 		nodeTab: tensor.Downcast(m.enc.node.Table),
 		readout: downMLP(m.readout),
 	}
@@ -341,7 +328,7 @@ func (m *GATF32) SnapshotParams() []float32 {
 func (m *GATF32) Forward(ctx *Context, arena *tensor.Arena) *tensor.F32 {
 	h := tensor.GatherRows32(m.nodeTab, ctx.NodeTypeIDs, arena)
 	for _, l := range m.layers {
-		hn := l.forward(ctx, h, m.cfg.Heads, m.layout, arena)
+		hn := l.forward(ctx, h, m.cfg.Heads, arena)
 		arena.PutF32(h)
 		h = hn
 	}
@@ -352,12 +339,11 @@ func (m *GATF32) Forward(ctx *Context, arena *tensor.Arena) *tensor.F32 {
 	return out
 }
 
-func (l *gatLayerF32) forward(ctx *Context, h *tensor.F32, heads int,
-	layout tensor.AttnLayout, arena *tensor.Arena) *tensor.F32 {
+func (l *gatLayerF32) forward(ctx *Context, h *tensor.F32, heads int, arena *tensor.Arena) *tensor.F32 {
 
 	wh := l.w.forward(h, arena)
 	att := tensor.FusedAdditiveAttention32(wh, l.aL, l.aR,
-		ctx.RecvIdx, ctx.SendIdx, ctx.recvSegments(), heads, layout, arena)
+		ctx.RecvIdx, ctx.SendIdx, ctx.recvSegments(), heads, arena)
 	arena.PutF32(wh)
 	sum := tensor.Add32(h, att, arena)
 	arena.PutF32(att)

@@ -36,7 +36,7 @@ func TestPrepareF32Deterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PrepareF32Layout(m, tensor.LayoutInterleaved)
+	b, err := PrepareF32(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,33 +57,23 @@ func forwardPair(t *testing.T, m Model, ctx *Context) tensor.Divergence {
 	t.Helper()
 	ref := m.Forward(ctx)
 	arena := tensor.NewArena()
-	for _, layout := range []tensor.AttnLayout{tensor.LayoutHeadMajor, tensor.LayoutInterleaved} {
-		f32m, err := PrepareF32Layout(m, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := f32m.Forward(ctx, arena)
-		if got.Rows() != ref.Rows() || got.Cols() != ref.Cols() {
-			t.Fatalf("%v: f32 output %dx%d, f64 %dx%d",
-				layout, got.Rows(), got.Cols(), ref.Rows(), ref.Cols())
-		}
-		d := tensor.MeasureDivergence(got.Data, ref.Data, f32RelFloor)
-		arena.PutF32(got)
-		if layout == tensor.LayoutHeadMajor {
-			defer func() {
-				if s := arena.Stats(); s.F32.InUseBytes != 0 && !t.Failed() {
-					t.Errorf("f32 forward leaked %d arena bytes", s.F32.InUseBytes)
-				}
-			}()
-		}
-		if err := d.Within(f32MaxULP, f32MaxRelErr); err != nil {
-			t.Errorf("%v: %v (%+v)", layout, err, d)
-		}
-		if layout == tensor.LayoutInterleaved {
-			return d
-		}
+	f32m, err := PrepareF32(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	panic("unreachable")
+	got := f32m.Forward(ctx, arena)
+	if got.Rows() != ref.Rows() || got.Cols() != ref.Cols() {
+		t.Fatalf("f32 output %dx%d, f64 %dx%d", got.Rows(), got.Cols(), ref.Rows(), ref.Cols())
+	}
+	d := tensor.MeasureDivergence(got.Data, ref.Data, f32RelFloor)
+	arena.PutF32(got)
+	if s := arena.Stats(); s.F32.InUseBytes != 0 {
+		t.Errorf("f32 forward leaked %d arena bytes", s.F32.InUseBytes)
+	}
+	if err := d.Within(f32MaxULP, f32MaxRelErr); err != nil {
+		t.Errorf("%v (%+v)", err, d)
+	}
+	return d
 }
 
 func TestGTF32MatchesF64(t *testing.T) {

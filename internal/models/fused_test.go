@@ -30,19 +30,97 @@ func equivContexts(t *testing.T) map[string]*Context {
 	return map[string]*Context{"mega": megaCtx, "dgl": dglCtx}
 }
 
-// newAttnModel builds a GT or GAT with the given attention mode.
+// newAttnModel builds a GT or GAT running the fused kernel (the production
+// model) or, for "staged", the composed-op reference pipeline below over
+// the same parameters.
 func newAttnModel(t *testing.T, name, mode string) Model {
 	t.Helper()
 	cfg := smallConfig()
-	cfg.Attention = mode
-	switch name {
-	case "GT":
+	switch {
+	case name == "GT" && mode == "fused":
 		return NewGT(cfg)
-	case "GAT":
+	case name == "GT" && mode == "staged":
+		return stagedGT{NewGT(cfg)}
+	case name == "GAT" && mode == "fused":
 		return NewGAT(cfg)
+	case name == "GAT" && mode == "staged":
+		return stagedGAT{NewGAT(cfg)}
 	}
-	t.Fatalf("unknown model %q", name)
+	t.Fatalf("unknown model %q / mode %q", name, mode)
 	return nil
+}
+
+// stagedGT is the reference oracle for GT: the same parameters, with each
+// layer's attention block run as composed ops (forwardAttnStaged plus the
+// staged per-edge mean) instead of the fused kernel.
+type stagedGT struct{ *GT }
+
+func (m stagedGT) Forward(ctx *Context) *tensor.Tensor {
+	h, e := m.enc.forward(ctx)
+	for _, l := range m.layers {
+		ctx.Prof.LayerStart()
+		att, kmod := l.forwardAttnStaged(ctx, h, e, m.cfg.Heads)
+		hOut := l.nodeStream(ctx, h, att)
+		e = l.edgeStream(ctx, e, ctx.EdgeMean(kmod))
+		h = ctx.SyncDuplicates(hOut)
+	}
+	pooled := ctx.Readout(h)
+	ctx.Prof.Linear(pooled.Rows(), pooled.Cols(), m.cfg.OutDim)
+	return m.readout.Forward(pooled)
+}
+
+// stagedGAT is the reference oracle for GAT, likewise.
+type stagedGAT struct{ *GAT }
+
+func (m stagedGAT) Forward(ctx *Context) *tensor.Tensor {
+	h, _ := m.enc.forward(ctx)
+	for _, l := range m.layers {
+		ctx.Prof.LayerStart()
+		wh := ctx.Linear(l.w, h)
+		att := gatAttentionStaged(ctx, wh, l.aL, l.aR, m.cfg.Heads)
+		out := ctx.Act(tensor.ReLU, ctx.Norm(l.bn, tensor.Add(h, att)))
+		h = ctx.SyncDuplicates(out)
+	}
+	pooled := ctx.Readout(h)
+	ctx.Prof.Linear(pooled.Rows(), pooled.Cols(), m.cfg.OutDim)
+	return m.readout.Forward(pooled)
+}
+
+// gatAttentionStaged is GAT's attention block as composed ops: per-row
+// score halves sL[i] = a_l·(Wh)_i per head, computed densely then gathered
+// per pair — the neural-then-graph split of §II-A — leaky scores, segment
+// softmax, and aggregation per head.
+func gatAttentionStaged(ctx *Context, wh, aL, aR *tensor.Tensor, heads int) *tensor.Tensor {
+	dk := wh.Cols() / heads
+	sL := tensor.Mul(wh, broadcastRow(aL, wh.Rows()))
+	sR := tensor.Mul(wh, broadcastRow(aR, wh.Rows()))
+
+	whSend := ctx.GatherSend(wh)
+	sLr := ctx.GatherRecv(sL)
+	sRs := ctx.GatherSend(sR)
+
+	headOuts := make([]*tensor.Tensor, heads)
+	for a := 0; a < heads; a++ {
+		lhs := tensor.RowSum(tensor.NarrowCols(sLr, a*dk, dk))
+		rhs := tensor.RowSum(tensor.NarrowCols(sRs, a*dk, dk))
+		score := ctx.Act(leakyReLU, tensor.Add(lhs, rhs))
+		alpha := ctx.SegmentSoftmaxByRecv(score)
+		va := tensor.NarrowCols(whSend, a*dk, dk)
+		headOuts[a] = ctx.AggregateByRecv(tensor.MulColVec(va, alpha))
+	}
+	return tensor.ConcatCols(headOuts...)
+}
+
+// leakyReLU applies max(x, 0.2x), GAT's score nonlinearity.
+func leakyReLU(x *tensor.Tensor) *tensor.Tensor {
+	return tensor.Add(tensor.ReLU(x), tensor.Scale(tensor.Sub(x, tensor.ReLU(x)), 0.2))
+}
+
+// broadcastRow tiles a 1×d row vector to rows×d without gradient fan-in
+// surprises (the underlying tensor op handles accumulation).
+func broadcastRow(v *tensor.Tensor, rows int) *tensor.Tensor {
+	idx := make([]int32, rows)
+	return tensor.GatherRows(v, idx)
 }
 
 // stepExact runs steps forward+backward passes (simulating training by
@@ -158,19 +236,7 @@ func TestFusedOpCountsMatchStaged(t *testing.T) {
 		for engine, ctx := range ctxs {
 			staged := newAttnModel(t, model, "staged")
 			fused := newAttnModel(t, model, "fused")
-			var sc, fc OpCounts
-			switch m := staged.(type) {
-			case *GT:
-				sc = m.CountOps(ctx)
-			case *GAT:
-				sc = m.CountOps(ctx)
-			}
-			switch m := fused.(type) {
-			case *GT:
-				fc = m.CountOps(ctx)
-			case *GAT:
-				fc = m.CountOps(ctx)
-			}
+			sc, fc := countOps(staged, ctx), countOps(fused, ctx)
 			if sc != fc {
 				t.Fatalf("%s/%s op counts: staged %+v fused %+v", model, engine, sc, fc)
 			}
@@ -245,5 +311,28 @@ func TestFusedArenaReuseIsExact(t *testing.T) {
 	}
 	if arena.Buffered() == 0 {
 		t.Fatal("arena never reclaimed any scratch buffer")
+	}
+}
+
+// TestUnknownAttentionIsAConstructionError pins that naming a deleted
+// attention implementation never silently runs the fused one.
+func TestUnknownAttentionIsAConstructionError(t *testing.T) {
+	build := map[string]func(Config){
+		"GT":  func(c Config) { NewGT(c) },
+		"GAT": func(c Config) { NewGAT(c) },
+	}
+	for name, construct := range build {
+		for attention, ok := range map[string]bool{"": true, "fused": true, "staged": false} {
+			cfg := smallConfig()
+			cfg.Attention = attention
+			func() {
+				defer func() {
+					if panicked := recover() != nil; panicked == ok {
+						t.Errorf("%s with Attention=%q: panicked=%v", name, attention, panicked)
+					}
+				}()
+				construct(cfg)
+			}()
+		}
 	}
 }

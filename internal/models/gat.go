@@ -23,7 +23,6 @@ import (
 // directly into the DGL-vs-MEGA comparison.
 type GAT struct {
 	cfg     Config
-	fused   bool
 	enc     *encoder
 	layers  []*gatLayer
 	readout *nn.MLP
@@ -42,11 +41,11 @@ type gatLayer struct {
 
 // NewGAT constructs the model.
 func NewGAT(cfg Config) *GAT {
+	cfg.checkAttention()
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x6A7))
 	m := &GAT{
 		cfg:     cfg,
-		fused:   cfg.fusedAttention(),
 		enc:     newEncoder(rng, cfg),
 		readout: nn.NewMLP(rng, cfg.Dim, cfg.Dim/2, cfg.OutDim),
 	}
@@ -81,61 +80,21 @@ func (m *GAT) Params() []*tensor.Tensor {
 func (m *GAT) Forward(ctx *Context) *tensor.Tensor {
 	h, _ := m.enc.forward(ctx)
 	for _, l := range m.layers {
-		h = l.forward(ctx, h, m.cfg.Heads, m.fused)
+		h = l.forward(ctx, h, m.cfg.Heads)
 	}
 	pooled := ctx.Readout(h)
 	ctx.Prof.Linear(pooled.Rows(), pooled.Cols(), m.cfg.OutDim)
 	return m.readout.Forward(pooled)
 }
 
-// leakyReLU applies max(x, 0.2x), GAT's score nonlinearity.
-func leakyReLU(x *tensor.Tensor) *tensor.Tensor {
-	return tensor.Add(tensor.ReLU(x), tensor.Scale(tensor.Sub(x, tensor.ReLU(x)), 0.2))
-}
-
-// forward runs one GAT block.
-func (l *gatLayer) forward(ctx *Context, h *tensor.Tensor, heads int, fused bool) *tensor.Tensor {
+// forward runs one GAT block: one kernel for score halves, leaky scores,
+// softmax, and aggregation, then residual + batch norm + ReLU.
+func (l *gatLayer) forward(ctx *Context, h *tensor.Tensor, heads int) *tensor.Tensor {
 	ctx.Prof.LayerStart()
-	d := h.Cols()
-	dk := d / heads
-
 	wh := ctx.Linear(l.w, h)
-	var att *tensor.Tensor
-	if fused {
-		// One kernel for score halves, leaky scores, softmax, and
-		// aggregation; bit-identical to the staged pipeline below.
-		att = ctx.FusedGATAttention(wh, l.aL, l.aR, heads)
-	} else {
-		// Per-row score halves: sL[i] = a_l·(Wh)_i per head, computed
-		// densely then gathered per pair — the neural-then-graph split
-		// of §II-A.
-		sL := tensor.Mul(wh, broadcastRow(l.aL, wh.Rows()))
-		sR := tensor.Mul(wh, broadcastRow(l.aR, wh.Rows()))
-
-		whSend := ctx.GatherSend(wh)
-		sLr := ctx.GatherRecv(sL)
-		sRs := ctx.GatherSend(sR)
-
-		headOuts := make([]*tensor.Tensor, heads)
-		for a := 0; a < heads; a++ {
-			lhs := tensor.RowSum(tensor.NarrowCols(sLr, a*dk, dk))
-			rhs := tensor.RowSum(tensor.NarrowCols(sRs, a*dk, dk))
-			score := ctx.Act(leakyReLU, tensor.Add(lhs, rhs))
-			alpha := ctx.SegmentSoftmaxByRecv(score)
-			va := tensor.NarrowCols(whSend, a*dk, dk)
-			headOuts[a] = ctx.AggregateByRecv(tensor.MulColVec(va, alpha))
-		}
-		att = tensor.ConcatCols(headOuts...)
-	}
+	att := ctx.FusedGATAttention(wh, l.aL, l.aR, heads)
 	out := ctx.Act(tensor.ReLU, ctx.Norm(l.bn, tensor.Add(h, att)))
 	return ctx.SyncDuplicates(out)
-}
-
-// broadcastRow tiles a 1×d row vector to rows×d without gradient fan-in
-// surprises (the underlying tensor op handles accumulation).
-func broadcastRow(v *tensor.Tensor, rows int) *tensor.Tensor {
-	idx := make([]int32, rows)
-	return tensor.GatherRows(v, idx)
 }
 
 // CountOps reports operation statistics for this model over the context.

@@ -22,7 +22,6 @@ import (
 // normalised by softmax over each receiver's pairs.
 type GT struct {
 	cfg     Config
-	fused   bool
 	enc     *encoder
 	layers  []*gtLayer
 	readout *nn.MLP
@@ -43,11 +42,11 @@ type gtLayer struct {
 
 // NewGT constructs the model.
 func NewGT(cfg Config) *GT {
+	cfg.checkAttention()
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x67))
 	m := &GT{
 		cfg:     cfg,
-		fused:   cfg.fusedAttention(),
 		enc:     newEncoder(rng, cfg),
 		readout: nn.NewMLP(rng, cfg.Dim, cfg.Dim/2, cfg.OutDim),
 	}
@@ -94,54 +93,44 @@ func (m *GT) Params() []*tensor.Tensor {
 func (m *GT) Forward(ctx *Context) *tensor.Tensor {
 	h, e := m.enc.forward(ctx)
 	for _, l := range m.layers {
-		h, e = l.forward(ctx, h, e, m.cfg.Heads, m.fused)
+		h, e = l.forward(ctx, h, e, m.cfg.Heads)
 	}
 	pooled := ctx.Readout(h)
 	ctx.Prof.Linear(pooled.Rows(), pooled.Cols(), m.cfg.OutDim)
 	return m.readout.Forward(pooled)
 }
 
-// forward runs one GT block. It is composed from the three stages below so
-// the shard engine can run each stage on its own chunk-local context; the
-// recomposition preserves the exact op and profiler-emission order of the
-// original monolithic layer.
-func (l *gtLayer) forward(ctx *Context, h, e *tensor.Tensor, heads int, fused bool) (hOut, eOut *tensor.Tensor) {
+// forward runs one GT block: the q/k/v/ê projections, one fused kernel for
+// the whole attention block (plus the per-edge mean of k⊙ê the edge stream
+// consumes), then the node and edge streams. The streams are separate
+// stages so the shard engine can run each on its own chunk-local context.
+func (l *gtLayer) forward(ctx *Context, h, e *tensor.Tensor, heads int) (hOut, eOut *tensor.Tensor) {
 	ctx.Prof.LayerStart()
-	var att, edgeAvg, kmod *tensor.Tensor
-	if fused {
-		// One kernel for the whole attention block (plus the per-edge
-		// mean of k⊙ê consumed by the edge stream below); bit-identical
-		// to the staged pipeline it replaces.
-		qh := ctx.Linear(l.q, h)
-		kh := ctx.Linear(l.k, h)
-		vh := ctx.Linear(l.v, h)
-		eh := ctx.Linear(l.we, e)
-		att, edgeAvg = ctx.FusedGTAttention(qh, kh, vh, eh, heads)
-	} else {
-		att, kmod = l.forwardAttnStaged(ctx, h, e, heads)
-	}
+	qh := ctx.Linear(l.q, h)
+	kh := ctx.Linear(l.k, h)
+	vh := ctx.Linear(l.v, h)
+	eh := ctx.Linear(l.we, e)
+	att, edgeAvg := ctx.FusedGTAttention(qh, kh, vh, eh, heads)
 
 	hOut = l.nodeStream(ctx, h, att)
 
-	// The fused path computed the per-edge reduction already; account it
-	// here, at the staged emission point (the simulated L2 is
+	// The kernel computed the per-edge reduction already; account it here,
+	// at the staged pipeline's emission point (the simulated L2 is
 	// order-sensitive, so emission order is part of the contract).
-	if fused {
-		ctx.NoteEdgeMean(h.Cols())
-	} else {
-		edgeAvg = ctx.EdgeMean(kmod)
-	}
+	ctx.NoteEdgeMean(h.Cols())
 	eOut = l.edgeStream(ctx, e, edgeAvg)
 
 	hOut = ctx.SyncDuplicates(hOut)
 	return hOut, eOut
 }
 
-// forwardAttnStaged runs the staged attention block: q/k/v/ê projections,
-// per-pair gathers (the GT's five edge-indexed scatters of Table I), edge-
-// modulated per-head scaled dot-product attention. It returns the
-// aggregated attention output and the per-pair modulated keys k⊙ê, which
-// the edge stream reduces per edge.
+// forwardAttnStaged runs the attention block as composed ops: q/k/v/ê
+// projections, per-pair gathers (the GT's five edge-indexed scatters of
+// Table I), edge-modulated per-head scaled dot-product attention. It
+// returns the aggregated attention output and the per-pair modulated keys
+// k⊙ê, which the edge stream reduces per edge. The shard engine runs it
+// (it needs the per-pair k⊙ê); it is also the reference the fused kernel
+// is pinned against bit for bit.
 func (l *gtLayer) forwardAttnStaged(ctx *Context, h, e *tensor.Tensor, heads int) (att, kmod *tensor.Tensor) {
 	d := h.Cols()
 	dk := d / heads

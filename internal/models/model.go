@@ -1,8 +1,8 @@
 package models
 
 import (
+	"fmt"
 	"math/rand"
-	"os"
 
 	"mega/internal/nn"
 	"mega/internal/tensor"
@@ -34,26 +34,19 @@ type Config struct {
 	OutDim int
 	// Seed seeds parameter initialisation.
 	Seed int64
-	// Attention selects the attention implementation: "fused" (the
-	// single-pass kernel of internal/tensor/attention.go) or "staged"
-	// (the original composed-op pipeline). Empty consults the
-	// MEGA_ATTENTION environment variable, then defaults to fused. Both
-	// paths produce bit-identical outputs and gradients; staged remains
-	// as the reference the equivalence tests pin the kernel against.
+	// Attention names the attention implementation. There is one — the
+	// fused single-pass kernel of internal/tensor/attention.go — so the
+	// only accepted values are "" and "fused"; the field survives for
+	// callers and checkpoints that set it.
 	Attention string
 }
 
-// EnvAttention is the environment variable consulted when
-// Config.Attention is empty ("fused" or "staged").
-const EnvAttention = "MEGA_ATTENTION"
-
-// fusedAttention resolves the attention toggle at model construction.
-func (c Config) fusedAttention() bool {
-	v := c.Attention
-	if v == "" {
-		v = os.Getenv(EnvAttention)
+// checkAttention rejects a Config naming any attention implementation but
+// the fused one, instead of silently running the fused one.
+func (c Config) checkAttention() {
+	if c.Attention != "" && c.Attention != "fused" {
+		panic(fmt.Sprintf("models: unknown attention implementation %q (only \"fused\" exists)", c.Attention))
 	}
-	return v != "staged"
 }
 
 // withDefaults fills unset fields with the benchmark-suite defaults.

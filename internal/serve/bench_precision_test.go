@@ -170,12 +170,6 @@ func TestWriteBenchPrecision(t *testing.T) {
 			class.Name, class.Nodes, float64(r.F64NsOp)/1e6, float64(r.F32NsOp)/1e6, r.Speedup, r.MaxULP, r.MaxRelErr)
 	}
 
-	// Attention-layout comparison at the model level: the same frozen f32
-	// weights forwarded through head-major (the serving default) and
-	// interleaved scratch. Outputs are bit-identical; the delta is memory
-	// traffic.
-	layoutRows := benchLayouts(t, m, rows[len(rows)-1].Nodes, rounds)
-
 	best := 0.0
 	for _, r := range rows {
 		if r.Speedup > best {
@@ -196,8 +190,7 @@ func TestWriteBenchPrecision(t *testing.T) {
 			"alternates f64/f32 chunks and keeps each side's fastest chunk, rejecting the shared " +
 			"box's frequency and GC phase as common-mode noise. Divergence " +
 			"is measured over every warmup answer pair and asserted inside the ULP envelope on " +
-			"every run. The layout comparison forwards the same frozen weights through both " +
-			"attention scratch layouts (bit-identical outputs). Regenerate with `make bench-precision`.",
+			"every run. Regenerate with `make bench-precision`.",
 		"machine": map[string]any{
 			"goos":       runtime.GOOS,
 			"goarch":     runtime.GOARCH,
@@ -215,7 +208,6 @@ func TestWriteBenchPrecision(t *testing.T) {
 			"rel_floor":   benchPrecRelFloor,
 		},
 		"results": rows,
-		"layouts": layoutRows,
 		"arena": map[string]any{
 			"f32_borrows":      snap.Arena.F32.Borrows,
 			"f32_bucket_hits":  snap.Arena.F32.BucketHits,
@@ -239,69 +231,6 @@ func TestWriteBenchPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", out)
-}
-
-// benchLayouts times forward-only passes of the same frozen weights in
-// both attention scratch layouts over one largest-class graph.
-func benchLayouts(t *testing.T, m models.Model, nodes, rounds int) []map[string]any {
-	rng := rand.New(rand.NewSource(43))
-	g := graph.BarabasiAlbert(rng, nodes, 2)
-	nf := make([]int32, nodes)
-	ef := make([]int32, g.NumEdges())
-	for j := range nf {
-		nf[j] = int32(rng.Intn(28))
-	}
-	for j := range ef {
-		ef[j] = int32(rng.Intn(4))
-	}
-	insts := []datasets.Instance{{G: g, NodeFeat: nf, EdgeFeat: ef, Target: 1}}
-	ctx, err := models.NewMegaContext(insts, models.MegaOptions{}, nil, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arena := tensor.NewArena()
-	iters := 4 * rounds
-
-	layouts := []tensor.AttnLayout{tensor.LayoutHeadMajor, tensor.LayoutInterleaved}
-	fms := make([]models.ModelF32, len(layouts))
-	mins := make([]time.Duration, len(layouts))
-	for i, layout := range layouts {
-		fm, err := models.PrepareF32Layout(m, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fms[i] = fm
-		mins[i] = time.Duration(1 << 62)
-		o := fm.Forward(ctx, arena) // warm
-		arena.PutF32(o)
-	}
-	// Alternate layouts per chunk and keep the fastest chunk each, for the
-	// same common-mode noise rejection as the server timing.
-	const perChunk = 4
-	for i := 0; i < iters; i += perChunk {
-		for li, fm := range fms {
-			start := time.Now()
-			for c := 0; c < perChunk; c++ {
-				o := fm.Forward(ctx, arena)
-				arena.PutF32(o)
-			}
-			if d := time.Since(start); d < mins[li] {
-				mins[li] = d
-			}
-		}
-	}
-	var rows []map[string]any
-	for li, layout := range layouts {
-		nsOp := mins[li].Nanoseconds() / perChunk
-		rows = append(rows, map[string]any{
-			"layout":            layout.String(),
-			"nodes":             nodes,
-			"ns_per_forward":    nsOp,
-			"forwards_measured": iters,
-		})
-		t.Logf("layout %-11s n=%d  %7.2fms/forward", layout, nodes, float64(nsOp)/1e6)
-	}
-	return rows
 }
 
 func precCPUModel() string {

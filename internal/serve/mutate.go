@@ -215,8 +215,9 @@ func (s *Server) update(req UpdateRequest) (UpdateResponse, error) {
 	}
 	s.metrics.mutationsApplied.Add(uint64(len(removes) + len(adds)))
 
+	next := sess.m.Fingerprint()
 	resp := UpdateResponse{
-		Fingerprint: sess.m.Fingerprint().String(),
+		Fingerprint: next.String(),
 		NumNodes:    sess.m.NumNodes(),
 		NumEdges:    sess.m.NumEdges(),
 		PathLen:     len(sess.m.Result().Path),
@@ -241,7 +242,6 @@ func (s *Server) update(req UpdateRequest) (UpdateResponse, error) {
 	// cache hit, then re-home the session under the new fingerprint. The
 	// snapshot shares no mutable state with the session: repairs always
 	// build fresh reps and swap pointers.
-	next := sess.m.Fingerprint()
 	s.cache.Put(s.repKey(next), &models.PreparedRep{Rep: sess.m.Rep(), Res: sess.m.Result()})
 	s.mutators.put(next, sess)
 	return resp, nil

@@ -1,15 +1,21 @@
 package tensor
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+	"unsafe"
+)
 
 // Arena is a step-scoped pool of scratch buffers for the fused attention
 // path. Training steps and serve batches allocate the same buffer shapes
 // over and over; checking them out of a pool instead of the heap makes the
 // steady-state attention path allocation-free.
 //
-// Buffers are bucketed by exact length and precision (float64 for the
-// training/serving tape path, float32 for the inference fast path). Get
-// returns a zeroed buffer (the fused kernels accumulate into their
+// There is one bucket pool per precision (float64 for the training/serving
+// tape path, float32 for the inference fast path), both instances of the
+// same generic bucketPool. Buffers are bucketed by power-of-two capacity,
+// so batches of different shapes share buckets instead of each opening its
+// own. Get returns a zeroed buffer (the fused kernels accumulate into their
 // scratch, so a dirty buffer would be a correctness bug, not just noise).
 // Put zeroes before parking so the cost is paid off the critical Get path
 // of the next step. A dirty-buffer Get32 variant with kernel-side clears
@@ -21,15 +27,20 @@ import "sync"
 // parallel share one arena per server. A nil *Arena is valid and degrades
 // to plain make, so the staged path and tests pay nothing.
 type Arena struct {
-	mu      sync.Mutex
-	pools   map[int][][]float64
-	pools32 map[int][][]float32
-	f64     ArenaPrecisionStats
-	f32     ArenaPrecisionStats
+	f64 bucketPool[float64]
+	f32 bucketPool[float32]
 }
 
+// arenaParkFactor bounds what one precision keeps parked: a Put that would
+// take the parked capacity past arenaParkFactor × PeakBytes drops the
+// buffer for the GC instead. A steady workload parks about its own peak
+// working set (at most 2× it, from the power-of-two rounding), so the
+// bound only bites on a pool fed more than it ever lent out at once.
+const arenaParkFactor = 4
+
 // ArenaPrecisionStats are the occupancy counters for one precision's
-// buckets. All byte figures count buffer payload (len × element size).
+// buckets. InUseBytes and PeakBytes count buffer payload (len × element
+// size); ParkedBytes counts capacity.
 type ArenaPrecisionStats struct {
 	// Borrows counts Get calls served (hit or miss).
 	Borrows uint64 `json:"borrows"`
@@ -41,6 +52,9 @@ type ArenaPrecisionStats struct {
 	InUseBytes uint64 `json:"in_use_bytes"`
 	// PeakBytes is the high-water mark of InUseBytes.
 	PeakBytes uint64 `json:"peak_bytes"`
+	// ParkedBytes is the capacity currently parked for reuse, never more
+	// than arenaParkFactor × PeakBytes.
+	ParkedBytes uint64 `json:"parked_bytes"`
 }
 
 // ArenaStats is a point-in-time snapshot of both precisions' counters,
@@ -51,115 +65,124 @@ type ArenaStats struct {
 }
 
 // NewArena creates an empty arena.
-func NewArena() *Arena {
-	return &Arena{
-		pools:   make(map[int][][]float64),
-		pools32: make(map[int][][]float32),
-	}
+func NewArena() *Arena { return &Arena{} }
+
+// bucketPool is one precision's pool. free[c] parks buffers of capacity
+// exactly 1<<c; every parked buffer is zero over its whole capacity. A nil
+// pool degrades to plain make.
+type bucketPool[T float32 | float64] struct {
+	mu    sync.Mutex
+	free  [bits.UintSize][][]T
+	stats ArenaPrecisionStats
 }
 
-// borrow updates one precision's counters for a Get of payloadBytes.
-func (s *ArenaPrecisionStats) borrow(hit bool, payloadBytes uint64) {
-	s.Borrows++
-	if hit {
-		s.BucketHits++
-	} else {
-		s.BucketMisses++
-	}
-	s.InUseBytes += payloadBytes
-	if s.InUseBytes > s.PeakBytes {
-		s.PeakBytes = s.InUseBytes
-	}
+func (b *bucketPool[T]) elemSize() uint64 {
+	var z T
+	return uint64(unsafe.Sizeof(z))
 }
 
-// release updates one precision's counters for a Put of payloadBytes.
-// Foreign buffers (never borrowed here) clamp at zero instead of
-// underflowing.
-func (s *ArenaPrecisionStats) release(payloadBytes uint64) {
-	if s.InUseBytes >= payloadBytes {
-		s.InUseBytes -= payloadBytes
-	} else {
-		s.InUseBytes = 0
+// get checks out a zeroed buffer of length n.
+func (b *bucketPool[T]) get(n int) []T {
+	if b == nil || n == 0 {
+		return make([]T, n)
 	}
+	c := bits.Len(uint(n - 1))
+	var buf []T
+	b.mu.Lock()
+	if free := b.free[c]; len(free) > 0 {
+		buf = free[len(free)-1][:n]
+		b.free[c] = free[:len(free)-1]
+		b.stats.ParkedBytes -= b.elemSize() << c
+		b.stats.BucketHits++
+	} else {
+		b.stats.BucketMisses++
+	}
+	b.stats.Borrows++
+	b.stats.InUseBytes += uint64(n) * b.elemSize()
+	if b.stats.InUseBytes > b.stats.PeakBytes {
+		b.stats.PeakBytes = b.stats.InUseBytes
+	}
+	b.mu.Unlock()
+	if buf == nil {
+		buf = make([]T, n, 1<<c)
+	}
+	return buf
+}
+
+// put zeroes buf and parks it. Only the length is cleared: a buffer from
+// get is still zero past it. A foreign buffer (never borrowed here) parks
+// only when its capacity is a power of two and must be passed at full
+// length; its release clamps InUseBytes at zero instead of underflowing.
+func (b *bucketPool[T]) put(buf []T) {
+	if b == nil || len(buf) == 0 {
+		return
+	}
+	clear(buf)
+	payload := uint64(len(buf)) * b.elemSize()
+	c := bits.Len(uint(cap(buf) - 1))
+	parked := b.elemSize() << c
+	b.mu.Lock()
+	b.stats.InUseBytes -= min(payload, b.stats.InUseBytes)
+	if cap(buf) == 1<<c && b.stats.ParkedBytes+parked <= arenaParkFactor*b.stats.PeakBytes {
+		b.free[c] = append(b.free[c], buf)
+		b.stats.ParkedBytes += parked
+	}
+	b.mu.Unlock()
+}
+
+func (b *bucketPool[T]) buffered() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, free := range b.free {
+		n += len(free)
+	}
+	return n
+}
+
+func (b *bucketPool[T]) snapshot() ArenaPrecisionStats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.stats
+}
+
+// pool64 and pool32 hand the generic kernels their precision's pool; nil
+// for a nil arena.
+func (a *Arena) pool64() *bucketPool[float64] {
+	if a == nil {
+		return nil
+	}
+	return &a.f64
+}
+
+func (a *Arena) pool32() *bucketPool[float32] {
+	if a == nil {
+		return nil
+	}
+	return &a.f32
 }
 
 // Get checks out a zeroed float64 buffer of length n.
-func (a *Arena) Get(n int) []float64 {
-	if a == nil || n == 0 {
-		return make([]float64, n)
-	}
-	a.mu.Lock()
-	bucket := a.pools[n]
-	if len(bucket) == 0 {
-		a.f64.borrow(false, uint64(n)*8)
-		a.mu.Unlock()
-		return make([]float64, n)
-	}
-	buf := bucket[len(bucket)-1]
-	a.pools[n] = bucket[:len(bucket)-1]
-	a.f64.borrow(true, uint64(n)*8)
-	a.mu.Unlock()
-	return buf
-}
+func (a *Arena) Get(n int) []float64 { return a.pool64().get(n) }
 
 // Put zeroes buf and parks it for reuse. Putting a buffer twice, or using
 // it after Put, is a caller bug (the usual pool contract). A nil arena
 // drops the buffer for the GC.
-func (a *Arena) Put(buf []float64) {
-	if a == nil || len(buf) == 0 {
-		return
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	a.mu.Lock()
-	a.pools[len(buf)] = append(a.pools[len(buf)], buf)
-	a.f64.release(uint64(len(buf)) * 8)
-	a.mu.Unlock()
-}
+func (a *Arena) Put(buf []float64) { a.pool64().put(buf) }
 
 // Get32 checks out a zeroed float32 buffer of length n — the inference
 // fast path's counterpart of Get.
-func (a *Arena) Get32(n int) []float32 {
-	if a == nil || n == 0 {
-		return make([]float32, n)
-	}
-	a.mu.Lock()
-	bucket := a.pools32[n]
-	if len(bucket) == 0 {
-		a.f32.borrow(false, uint64(n)*4)
-		a.mu.Unlock()
-		return make([]float32, n)
-	}
-	buf := bucket[len(bucket)-1]
-	a.pools32[n] = bucket[:len(bucket)-1]
-	a.f32.borrow(true, uint64(n)*4)
-	a.mu.Unlock()
-	return buf
-}
+func (a *Arena) Get32(n int) []float32 { return a.pool32().get(n) }
 
 // Put32 zeroes buf and parks it, under the same contract as Put.
-func (a *Arena) Put32(buf []float32) {
-	if a == nil || len(buf) == 0 {
-		return
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	a.mu.Lock()
-	a.pools32[len(buf)] = append(a.pools32[len(buf)], buf)
-	a.f32.release(uint64(len(buf)) * 4)
-	a.mu.Unlock()
-}
+func (a *Arena) Put32(buf []float32) { a.pool32().put(buf) }
 
 // Stats snapshots the occupancy counters. A nil arena reports zeros.
 func (a *Arena) Stats() ArenaStats {
 	if a == nil {
 		return ArenaStats{}
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return ArenaStats{F64: a.f64, F32: a.f32}
+	return ArenaStats{F64: a.f64.snapshot(), F32: a.f32.snapshot()}
 }
 
 // Buffered reports how many buffers are currently parked across both
@@ -168,14 +191,5 @@ func (a *Arena) Buffered() int {
 	if a == nil {
 		return 0
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for _, b := range a.pools {
-		n += len(b)
-	}
-	for _, b := range a.pools32 {
-		n += len(b)
-	}
-	return n
+	return a.f64.buffered() + a.f32.buffered()
 }

@@ -86,3 +86,50 @@ func TestArenaConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestArenaParkedBytesBounded pins the two halves of the leak fix: buffers
+// of different lengths share power-of-two buckets (exact-length buckets
+// parked one buffer per distinct batch shape, forever), and what a pool
+// parks never exceeds arenaParkFactor × its peak payload.
+func TestArenaParkedBytesBounded(t *testing.T) {
+	a := NewArena()
+	for i := 0; i < 1000; i++ {
+		buf := a.Get32(50_000 + 61*i)
+		for j, v := range buf {
+			if v != 0 {
+				t.Fatalf("length %d: dirty at %d", len(buf), j)
+			}
+		}
+		buf[0], buf[len(buf)-1] = 1, 1
+		a.Put32(buf)
+	}
+	s := a.Stats().F32
+	if s.BucketHits < 990 {
+		t.Errorf("1000 distinct lengths hit only %d times; shapes are not sharing buckets", s.BucketHits)
+	}
+	if n := a.Buffered(); n > 4 {
+		t.Errorf("%d buffers parked after cycling one buffer at a time", n)
+	}
+	if s.ParkedBytes == 0 || s.ParkedBytes > arenaParkFactor*s.PeakBytes {
+		t.Errorf("parked %d bytes, bound %d×%d", s.ParkedBytes, arenaParkFactor, s.PeakBytes)
+	}
+
+	// A repeated shape is served from the pool.
+	a.Put32(a.Get32(50_000))
+	if got := a.Stats().F32.BucketHits; got != s.BucketHits+1 {
+		t.Errorf("repeated shape missed: hits %d → %d", s.BucketHits, got)
+	}
+
+	// Feeding the pool buffers it never lent out cannot grow it past the
+	// bound: the excess is dropped for the GC.
+	for i := 0; i < 64; i++ {
+		a.Put32(make([]float32, 1<<17))
+	}
+	s = a.Stats().F32
+	if s.ParkedBytes > arenaParkFactor*s.PeakBytes {
+		t.Errorf("parked %d bytes past the bound %d×%d", s.ParkedBytes, arenaParkFactor, s.PeakBytes)
+	}
+	if s.InUseBytes != 0 {
+		t.Errorf("foreign puts drove in-use to %d", s.InUseBytes)
+	}
+}

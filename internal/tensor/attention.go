@@ -10,10 +10,12 @@ import (
 // Fused banded attention. The staged pipeline materialises five pair-major
 // intermediates per head per layer (gathered q/k/v/e rows, scores, exps,
 // alphas, weighted values); this file computes the same arithmetic —
-// bit-identically — as one custom autograd node that sweeps the pair list
-// segment-by-segment and keeps only an [R,heads] max/denominator pair
-// between forward and backward. The backward recomputes scores and alphas
-// per segment instead of storing them.
+// bit-identically — in one sweep of the pair list, segment by segment. The
+// forward is written once, generic over float32|float64 and over the
+// operand layout; the float64 entry point wraps it as a custom autograd
+// node that keeps only an [R,heads] max/denominator pair between forward
+// and backward and recomputes scores and alphas per segment instead of
+// storing them. The float32 entry point is in attention32.go.
 //
 // Bit-exactness contract: every multi-term accumulation below replicates
 // the staged ops' accumulation order (ascending global pair index within
@@ -60,17 +62,207 @@ func BuildSegments(keys []int32, numKeys int) *Segments {
 // Len returns the number of pairs in segment k.
 func (s *Segments) Len(k int) int { return int(s.Start[k+1] - s.Start[k]) }
 
-// FusedSegmentAttention computes multi-head scaled dot-product attention
-// over a directed pair list in one pass: per pair p with receiver
-// r=recv[p], sender s=send[p], edge e=edgeIdx[p],
+// float is the element set the fused attention forwards are written over.
+type float interface{ float32 | float64 }
+
+// panels is the memory layout of a [n, heads·dk] attention operand: element
+// (row i, head a, lane j) lives at a·panel + i·row + j. The layout is data
+// to the one forward body, not a second code path.
+type panels struct{ panel, row int }
+
+// nodeMajor is the plain row-major [n, heads·dk] matrix.
+func nodeMajor(heads, dk int) panels { return panels{panel: dk, row: heads * dk} }
+
+// headMajor stores one contiguous [n, dk] panel per head, so a (receiver,
+// head) segment sweep reads one dense stream instead of a dk-wide stripe
+// of every d-wide sender row.
+func headMajor(n, dk int) panels { return panels{panel: n * dk, row: dk} }
+
+// axpy computes y[i] += alpha·x[i] for i < len(y) — the portable
+// aggregation micro-kernel, and the float64 one.
+func axpy[T float](alpha T, x, y []T) {
+	x = x[:len(y)]
+	for i := range y {
+		y[i] += alpha * x[i]
+	}
+}
+
+// checkPairs validates a fused attention call's pair list against its
+// [rows, d] node operand. Validation is hoisted before any parallel
+// region: a helper-goroutine panic cannot be recovered by the caller.
+func checkPairs(op string, rows, d, heads int, recv, send []int32, byRecv *Segments) {
+	if heads < 1 || d%heads != 0 {
+		panic(fmt.Sprintf("tensor: %s %d cols with %d heads", op, d, heads))
+	}
+	if len(send) != len(recv) {
+		panic(fmt.Sprintf("tensor: %s index lengths %d/%d", op, len(recv), len(send)))
+	}
+	if byRecv == nil || len(byRecv.Start) != rows+1 {
+		panic(fmt.Sprintf("tensor: %s missing/mis-sized recv segments", op))
+	}
+	for p := range recv {
+		if r := recv[p]; r < 0 || int(r) >= rows {
+			panic(fmt.Sprintf("tensor: %s recv %d out of %d rows", op, r, rows))
+		}
+		if s := send[p]; s < 0 || int(s) >= rows {
+			panic(fmt.Sprintf("tensor: %s send %d out of %d rows", op, s, rows))
+		}
+	}
+}
+
+// checkEdges validates the optional [numEdges, d] edge modulation of a
+// segment attention call.
+func checkEdges(op string, numEdges, ewCols, d int, edgeIdx []int32, byEdge *Segments) {
+	if ewCols != d {
+		panic(fmt.Sprintf("tensor: %s edge cols %d != %d", op, ewCols, d))
+	}
+	if byEdge == nil || len(byEdge.Start) != numEdges+1 {
+		panic(fmt.Sprintf("tensor: %s missing/mis-sized edge segments", op))
+	}
+	for _, e := range edgeIdx {
+		if e < 0 || int(e) >= numEdges {
+			panic(fmt.Sprintf("tensor: %s edge %d out of %d", op, e, numEdges))
+		}
+	}
+}
+
+// segmentAttentionFwd is the one forward of fused scaled dot-product
+// attention, for both precisions and both layouts: per pair p with
+// receiver r=recv[p], sender s=send[p], edge e=edgeIdx[p],
 //
 //	score_p^a = ( q_r^a · (k_s^a ⊙ w_e^a) ) / √dk
 //
 // softmax-normalised per receiver (numerically stable via the per-segment
-// max), aggregating alpha·v_s into att[r]. When ew is non-nil it also
-// returns the per-edge mean of k⊙w (the GT edge stream input); edgeOut's
-// gradient, if any, is folded into the single hand-written backward.
-// When ew is nil the keys are unmodulated and edgeOut is nil.
+// max), aggregating alpha·v_s into att[r]; with ew non-nil, edgeOut gets
+// the per-edge mean of k⊙w. q, k, v and att are laid out by node, ew by
+// edge; att and the node-major edgeOut must arrive zeroed. The only
+// per-type piece is axpy. It returns the [rows,heads] per-receiver max and
+// softmax denominator (scratch borrowed from pool — the caller puts them
+// back), which is all the float64 backward keeps.
+func segmentAttentionFwd[T float](q, k, v, ew, att, edgeOut []T, node, edge panels,
+	recv, send, edgeIdx []int32, byRecv, byEdge *Segments, rows, heads, dk int,
+	axpy func(T, []T, []T), pool *bucketPool[T]) (maxBuf, denomBuf []T) {
+
+	d := heads * dk
+	P := len(recv)
+	scale := T(1 / math.Sqrt(float64(dk)))
+
+	// Scores, sBuf[a·P + p], pair-parallel: each entry is owned by one
+	// chunk and the j-sum is a serial ascending register accumulation (the
+	// RowSum∘Mul order of the staged path).
+	sBuf := pool.get(P * heads)
+	compute.ParallelGrain(P, workGrain(d), func(lo, hi int) {
+		for a := 0; a < heads; a++ {
+			qa, ka := q[a*node.panel:], k[a*node.panel:]
+			var ewa []T
+			if ew != nil {
+				ewa = ew[a*edge.panel:]
+			}
+			sa := sBuf[a*P : (a+1)*P]
+			for p := lo; p < hi; p++ {
+				qr := qa[int(recv[p])*node.row:][:dk]
+				ks := ka[int(send[p])*node.row:][:len(qr)]
+				var sum T
+				if ew != nil {
+					we := ewa[int(edgeIdx[p])*edge.row:][:len(qr)]
+					for j := range qr {
+						sum += qr[j] * (ks[j] * we[j])
+					}
+				} else {
+					for j := range qr {
+						sum += qr[j] * ks[j]
+					}
+				}
+				sa[p] = sum * scale
+			}
+		}
+	})
+
+	// Softmax + aggregation, receiver-segment-parallel: each receiver row
+	// of att (and its max/denom) is owned by one chunk, so results are
+	// identical at any thread count. Within a segment pairs run in
+	// ascending global order — the ScatterAddRows order.
+	maxBuf = pool.get(rows * heads)
+	denomBuf = pool.get(rows * heads)
+	segGrain := workGrain(2 * d * (P/rows + 1))
+	compute.ParallelGrain(rows, segGrain, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			seg := byRecv.Order[byRecv.Start[r]:byRecv.Start[r+1]]
+			if len(seg) == 0 {
+				continue
+			}
+			for a := 0; a < heads; a++ {
+				va := v[a*node.panel:]
+				sa := sBuf[a*P : (a+1)*P]
+				mx := T(math.Inf(-1))
+				for _, p := range seg {
+					if sv := sa[p]; sv > mx {
+						mx = sv
+					}
+				}
+				maxBuf[r*heads+a] = mx
+				var denom T
+				for _, p := range seg {
+					ex := exp(sa[p] - mx)
+					sa[p] = ex
+					denom += ex
+				}
+				denomBuf[r*heads+a] = denom
+				recip := 1 / (denom + 1e-9)
+				o := a*node.panel + r*node.row
+				orow := att[o : o+dk]
+				for _, p := range seg {
+					s := int(send[p]) * node.row
+					axpy(sa[p]*recip, va[s:s+dk], orow)
+				}
+			}
+		}
+	})
+	pool.put(sBuf)
+
+	// Edge stream: per-edge mean of k⊙w, edge-segment-parallel. Sum in
+	// ascending pair order, then one 1/count scale — SegmentMean's order.
+	if ew != nil {
+		compute.ParallelGrain(len(byEdge.Start)-1, segGrain, func(lo, hi int) {
+			for e := lo; e < hi; e++ {
+				seg := byEdge.Order[byEdge.Start[e]:byEdge.Start[e+1]]
+				if len(seg) == 0 {
+					continue
+				}
+				orow := edgeOut[e*d : (e+1)*d]
+				for _, p := range seg {
+					s := int(send[p]) * node.row
+					for a := 0; a < heads; a++ {
+						oa := orow[a*dk : (a+1)*dk]
+						ka := k[a*node.panel+s:][:len(oa)]
+						ewa := ew[a*edge.panel+e*edge.row:][:len(oa)]
+						for j := range oa {
+							oa[j] += ka[j] * ewa[j]
+						}
+					}
+				}
+				inv := 1 / T(len(seg))
+				for j := range orow {
+					orow[j] *= inv
+				}
+			}
+		})
+	}
+	return maxBuf, denomBuf
+}
+
+// exp evaluates the exponential in float64 and rounds once to T — Go has
+// no float32 stdlib exp, and one correctly-rounded evaluation keeps the
+// float32 softmax the tightest that precision can represent.
+func exp[T float](x T) T { return T(math.Exp(float64(x))) }
+
+// FusedSegmentAttention is the float64, differentiable entry point of
+// segmentAttentionFwd: the forward above over node-major operands, plus a
+// single hand-written backward that recomputes scores and alphas per
+// segment from the saved [R,heads] max/denominator. When ew is non-nil it
+// also returns the per-edge mean of k⊙w (the GT edge stream input), whose
+// gradient, if any, is folded into that backward; when ew is nil the keys
+// are unmodulated and edgeOut is nil.
 //
 // q, k, v are node-major [R,d]; ew is [numEdges,d] or nil. byRecv/bySend
 // must group pair indices by recv/send; byEdge (required iff ew != nil)
@@ -81,42 +273,14 @@ func FusedSegmentAttention(q, k, v, ew *Tensor, recv, send, edgeIdx []int32,
 	rows, d := q.rows, q.cols
 	assertSameShape("fusedattn q/k", q, k)
 	assertSameShape("fusedattn q/v", q, v)
-	if heads < 1 || d%heads != 0 {
-		panic(fmt.Sprintf("tensor: fusedattn %d cols with %d heads", d, heads))
+	checkPairs("fusedattn", rows, d, heads, recv, send, byRecv)
+	if bySend == nil || len(bySend.Start) != rows+1 {
+		panic("tensor: fusedattn missing/mis-sized send segments")
 	}
-	P := len(recv)
-	if len(send) != P || len(edgeIdx) != P {
-		panic(fmt.Sprintf("tensor: fusedattn index lengths %d/%d/%d", len(recv), len(send), len(edgeIdx)))
-	}
-	numEdges := 0
-	if ew != nil {
-		if ew.cols != d {
-			panic(fmt.Sprintf("tensor: fusedattn edge cols %d != %d", ew.cols, d))
-		}
-		numEdges = ew.rows
-		if byEdge == nil || len(byEdge.Start) != numEdges+1 {
-			panic("tensor: fusedattn missing/mis-sized edge segments")
-		}
-	}
-	if byRecv == nil || len(byRecv.Start) != rows+1 || bySend == nil || len(bySend.Start) != rows+1 {
-		panic("tensor: fusedattn missing/mis-sized recv/send segments")
-	}
-	for p := 0; p < P; p++ {
-		if r := recv[p]; r < 0 || int(r) >= rows {
-			panic(fmt.Sprintf("tensor: fusedattn recv %d out of %d rows", r, rows))
-		}
-		if s := send[p]; s < 0 || int(s) >= rows {
-			panic(fmt.Sprintf("tensor: fusedattn send %d out of %d rows", s, rows))
-		}
-		if ew != nil {
-			if e := edgeIdx[p]; e < 0 || int(e) >= numEdges {
-				panic(fmt.Sprintf("tensor: fusedattn edge %d out of %d", e, numEdges))
-			}
-		}
+	if len(edgeIdx) != len(recv) {
+		panic(fmt.Sprintf("tensor: fusedattn index lengths %d/%d", len(recv), len(edgeIdx)))
 	}
 
-	dk := d / heads
-	scale := 1 / math.Sqrt(float64(dk))
 	// Parent order mirrors the staged graph's DFS order (value chain
 	// first, then query, key, edge modulation) so the reverse-topological
 	// backward visits every upstream node in exactly the staged order —
@@ -127,103 +291,19 @@ func FusedSegmentAttention(q, k, v, ew *Tensor, recv, send, edgeIdx []int32,
 		parents = append(parents, ew)
 	}
 	att = newResult(rows, d, parents...)
-
-	// Scores: sBuf[p*heads+a], pair-parallel (each entry owned by one
-	// chunk; the j-sum is a serial ascending register accumulation, the
-	// RowSum∘Mul order of the staged path).
-	sBuf := arena.Get(P * heads)
-	pairGrain := workGrain(d)
-	compute.ParallelGrain(P, pairGrain, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			r, s := int(recv[p])*d, int(send[p])*d
-			var eOff int
-			if ew != nil {
-				eOff = int(edgeIdx[p]) * d
-			}
-			for a := 0; a < heads; a++ {
-				base := a * dk
-				sum := 0.0
-				if ew != nil {
-					for j := base; j < base+dk; j++ {
-						sum += q.Data[r+j] * (k.Data[s+j] * ew.Data[eOff+j])
-					}
-				} else {
-					for j := base; j < base+dk; j++ {
-						sum += q.Data[r+j] * k.Data[s+j]
-					}
-				}
-				sBuf[p*heads+a] = sum * scale
-			}
-		}
-	})
-
-	// Softmax + aggregation, receiver-segment-parallel: each receiver row
-	// of att (and its max/denom) is owned by one chunk. Within a segment
-	// pairs run in ascending global order — the ScatterAddRows order.
-	maxBuf := arena.Get(rows * heads)
-	denomBuf := arena.Get(rows * heads)
-	segGrain := workGrain(2 * d * (P/rows + 1))
-	compute.ParallelGrain(rows, segGrain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			seg := byRecv.Order[byRecv.Start[r]:byRecv.Start[r+1]]
-			if len(seg) == 0 {
-				continue
-			}
-			for a := 0; a < heads; a++ {
-				mx := math.Inf(-1)
-				for _, p := range seg {
-					if sv := sBuf[int(p)*heads+a]; sv > mx {
-						mx = sv
-					}
-				}
-				maxBuf[r*heads+a] = mx
-				denom := 0.0
-				for _, p := range seg {
-					ex := math.Exp(sBuf[int(p)*heads+a] - mx)
-					sBuf[int(p)*heads+a] = ex
-					denom += ex
-				}
-				denomBuf[r*heads+a] = denom
-				recip := 1 / (denom + 1e-9)
-				base := a * dk
-				for _, p := range seg {
-					alpha := sBuf[int(p)*heads+a] * recip
-					s := int(send[p]) * d
-					o := r * d
-					for j := base; j < base+dk; j++ {
-						att.Data[o+j] += v.Data[s+j] * alpha
-					}
-				}
-			}
-		}
-	})
-	arena.Put(sBuf)
-
-	// Edge stream: per-edge mean of k⊙w, edge-segment-parallel. Sum in
-	// ascending pair order, then scale by 1/count — SegmentMean's order.
+	var ewData, edgeData []float64
 	if ew != nil {
-		edgeOut = newResult(numEdges, d, att)
+		checkEdges("fusedattn", ew.rows, ew.cols, d, edgeIdx, byEdge)
+		edgeOut = newResult(ew.rows, d, att)
 		edgeOut.backFn = func() {} // gradient consumed by att's backward
-		compute.ParallelGrain(numEdges, segGrain, func(lo, hi int) {
-			for e := lo; e < hi; e++ {
-				seg := byEdge.Order[byEdge.Start[e]:byEdge.Start[e+1]]
-				if len(seg) == 0 {
-					continue
-				}
-				o, eOff := e*d, e*d
-				for _, p := range seg {
-					s := int(send[p]) * d
-					for j := 0; j < d; j++ {
-						edgeOut.Data[o+j] += k.Data[s+j] * ew.Data[eOff+j]
-					}
-				}
-				inv := 1 / float64(len(seg))
-				for j := 0; j < d; j++ {
-					edgeOut.Data[o+j] *= inv
-				}
-			}
-		})
+		ewData, edgeData = ew.Data, edgeOut.Data
 	}
+
+	dk := d / heads
+	layout := nodeMajor(heads, dk)
+	maxBuf, denomBuf := segmentAttentionFwd(q.Data, k.Data, v.Data, ewData, att.Data, edgeData,
+		layout, layout, recv, send, edgeIdx, byRecv, byEdge, rows, heads, dk,
+		axpy[float64], arena.pool64())
 
 	if !att.requiresGrad {
 		arena.Put(maxBuf)
@@ -231,6 +311,7 @@ func FusedSegmentAttention(q, k, v, ew *Tensor, recv, send, edgeIdx []int32,
 		return att, edgeOut
 	}
 
+	scale := 1 / math.Sqrt(float64(dk))
 	att.backFn = func() {
 		fusedAttentionBackward(q, k, v, ew, att, edgeOut, recv, send, edgeIdx,
 			byRecv, bySend, byEdge, heads, dk, scale, maxBuf, denomBuf, arena)

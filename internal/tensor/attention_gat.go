@@ -7,62 +7,38 @@ import (
 	"mega/internal/compute"
 )
 
-// FusedAdditiveAttention is the GAT-style counterpart of
-// FusedSegmentAttention: per pair p with receiver r and sender s,
+// additiveAttentionFwd is the one forward of fused GAT-style attention, for
+// both precisions and both layouts: per pair p with receiver r and sender s,
 //
 //	score_p^a = LeakyReLU( a_l^a · w_r + a_r^a · w_s )   (slope 0.2)
 //
-// softmax-normalised per receiver, aggregating alpha·w_s per head. wh is
-// node-major [R,d]; aL/aR are the 1×d attention vectors (one dk block per
-// head). The node subsumes the staged path's broadcast row products,
-// per-pair gathers, row sums, leaky activation, softmax, and aggregation,
-// and its backward replicates that chain's accumulation orders exactly —
-// including the order the three staged consumers of wh (the aR product,
-// the aL product, then the value gather) accumulate into wh.Grad.
-func FusedAdditiveAttention(wh, aL, aR *Tensor, recv, send []int32,
-	byRecv, bySend *Segments, heads int, arena *Arena) *Tensor {
+// softmax-normalised per receiver, aggregating alpha·w_s per head into the
+// zeroed att. wh and att share one layout; aL/aR are the flat d-wide
+// attention vectors (one dk block per head). The only per-type piece is
+// axpy. It returns the [rows,heads] per-row score halves and per-receiver
+// max/denominator (scratch borrowed from pool — the caller puts them back),
+// which is what the float64 backward keeps.
+func additiveAttentionFwd[T float](wh, aL, aR, att []T, layout panels,
+	recv, send []int32, byRecv *Segments, rows, heads, dk int,
+	axpy func(T, []T, []T), pool *bucketPool[T]) (rsL, rsR, maxBuf, denomBuf []T) {
 
-	rows, d := wh.rows, wh.cols
-	if heads < 1 || d%heads != 0 {
-		panic(fmt.Sprintf("tensor: fusedattn %d cols with %d heads", d, heads))
-	}
-	if aL.rows != 1 || aL.cols != d || aR.rows != 1 || aR.cols != d {
-		panic(fmt.Sprintf("tensor: fusedattn attention vectors %dx%d/%dx%d for dim %d",
-			aL.rows, aL.cols, aR.rows, aR.cols, d))
-	}
+	d := heads * dk
 	P := len(recv)
-	if len(send) != P {
-		panic(fmt.Sprintf("tensor: fusedattn index lengths %d/%d", len(recv), len(send)))
-	}
-	if byRecv == nil || len(byRecv.Start) != rows+1 || bySend == nil || len(bySend.Start) != rows+1 {
-		panic("tensor: fusedattn missing/mis-sized recv/send segments")
-	}
-	for p := 0; p < P; p++ {
-		if r := recv[p]; r < 0 || int(r) >= rows {
-			panic(fmt.Sprintf("tensor: fusedattn recv %d out of %d rows", r, rows))
-		}
-		if s := send[p]; s < 0 || int(s) >= rows {
-			panic(fmt.Sprintf("tensor: fusedattn send %d out of %d rows", s, rows))
-		}
-	}
-
-	dk := d / heads
-	att := newResult(rows, d, wh, aL, aR)
 
 	// Per-row score halves rs[r,a] = Σ_j ascending wh[r,aj]·a[aj] — the
 	// same products and the same j-order the staged RowSum over the
-	// broadcast Mul accumulates per pair, hoisted node-major.
-	rsL := arena.Get(rows * heads)
-	rsR := arena.Get(rows * heads)
-	rowG := workGrain(d)
-	compute.ParallelGrain(rows, rowG, func(lo, hi int) {
+	// broadcast Mul accumulates per pair, hoisted to once per row.
+	rsL = pool.get(rows * heads)
+	rsR = pool.get(rows * heads)
+	compute.ParallelGrain(rows, workGrain(d), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for a := 0; a < heads; a++ {
-				base := a * dk
-				sl, sr := 0.0, 0.0
-				for j := base; j < base+dk; j++ {
-					sl += wh.Data[i*d+j] * aL.Data[j]
-					sr += wh.Data[i*d+j] * aR.Data[j]
+				w := wh[a*layout.panel+i*layout.row:][:dk]
+				al, ar := aL[a*dk:][:dk], aR[a*dk:][:dk]
+				var sl, sr T
+				for j := range w {
+					sl += w[j] * al[j]
+					sr += w[j] * ar[j]
 				}
 				rsL[i*heads+a] = sl
 				rsR[i*heads+a] = sr
@@ -72,8 +48,8 @@ func FusedAdditiveAttention(wh, aL, aR *Tensor, recv, send []int32,
 
 	// Softmax + aggregation, receiver-segment-parallel, ascending pair
 	// order within each segment (the staged ScatterAddRows order).
-	maxBuf := arena.Get(rows * heads)
-	denomBuf := arena.Get(rows * heads)
+	maxBuf = pool.get(rows * heads)
+	denomBuf = pool.get(rows * heads)
 	segGrain := workGrain(2 * d * (P/rows + 1))
 	compute.ParallelGrain(rows, segGrain, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
@@ -82,57 +58,86 @@ func FusedAdditiveAttention(wh, aL, aR *Tensor, recv, send []int32,
 				continue
 			}
 			for a := 0; a < heads; a++ {
-				mx := math.Inf(-1)
+				wa := wh[a*layout.panel:]
+				left := rsL[r*heads+a]
+				mx := T(math.Inf(-1))
 				for _, p := range seg {
-					if sv := gatScore(rsL[r*heads+a] + rsR[int(send[p])*heads+a]); sv > mx {
+					if sv := gatScore(left + rsR[int(send[p])*heads+a]); sv > mx {
 						mx = sv
 					}
 				}
 				maxBuf[r*heads+a] = mx
-				denom := 0.0
+				var denom T
 				for _, p := range seg {
-					denom += math.Exp(gatScore(rsL[r*heads+a]+rsR[int(send[p])*heads+a]) - mx)
+					denom += exp(gatScore(left+rsR[int(send[p])*heads+a]) - mx)
 				}
 				denomBuf[r*heads+a] = denom
 				recip := 1 / (denom + 1e-9)
-				base := a * dk
+				o := a*layout.panel + r*layout.row
+				orow := att[o : o+dk]
 				for _, p := range seg {
-					ex := math.Exp(gatScore(rsL[r*heads+a]+rsR[int(send[p])*heads+a]) - mx)
-					alpha := ex * recip
-					s := int(send[p]) * d
-					for j := base; j < base+dk; j++ {
-						att.Data[r*d+j] += wh.Data[s+j] * alpha
-					}
+					s := int(send[p])
+					ex := exp(gatScore(left+rsR[s*heads+a]) - mx)
+					axpy(ex*recip, wa[s*layout.row:][:dk], orow)
 				}
 			}
 		}
 	})
-
-	if !att.requiresGrad {
-		arena.Put(rsL)
-		arena.Put(rsR)
-		arena.Put(maxBuf)
-		arena.Put(denomBuf)
-		return att
-	}
-
-	att.backFn = func() {
-		fusedAdditiveBackward(wh, aL, aR, att, recv, send, byRecv, bySend,
-			heads, dk, rsL, rsR, maxBuf, denomBuf, arena)
-		arena.Put(rsL)
-		arena.Put(rsR)
-		arena.Put(maxBuf)
-		arena.Put(denomBuf)
-	}
-	return att
+	return rsL, rsR, maxBuf, denomBuf
 }
 
 // gatScore is LeakyReLU with slope 0.2, computed with the exact staged
 // decomposition relu + (x-relu)·0.2 (two ReLU nodes in the staged graph;
 // the formula reproduces their combined value bit-for-bit).
-func gatScore(x float64) float64 {
-	relu := math.Max(0, x)
+func gatScore[T float](x T) T {
+	relu := x
+	if relu < 0 {
+		relu = 0
+	}
 	return relu + (x-relu)*0.2
+}
+
+// FusedAdditiveAttention is the float64, differentiable entry point of
+// additiveAttentionFwd. wh is node-major [R,d]; aL/aR are the 1×d
+// attention vectors. The node subsumes the staged path's broadcast row
+// products, per-pair gathers, row sums, leaky activation, softmax, and
+// aggregation, and its backward replicates that chain's accumulation
+// orders exactly — including the order the three staged consumers of wh
+// (the aR product, the aL product, then the value gather) accumulate into
+// wh.Grad.
+func FusedAdditiveAttention(wh, aL, aR *Tensor, recv, send []int32,
+	byRecv, bySend *Segments, heads int, arena *Arena) *Tensor {
+
+	rows, d := wh.rows, wh.cols
+	checkPairs("fusedattn", rows, d, heads, recv, send, byRecv)
+	if bySend == nil || len(bySend.Start) != rows+1 {
+		panic("tensor: fusedattn missing/mis-sized send segments")
+	}
+	if aL.rows != 1 || aL.cols != d || aR.rows != 1 || aR.cols != d {
+		panic(fmt.Sprintf("tensor: fusedattn attention vectors %dx%d/%dx%d for dim %d",
+			aL.rows, aL.cols, aR.rows, aR.cols, d))
+	}
+
+	dk := d / heads
+	att := newResult(rows, d, wh, aL, aR)
+	rsL, rsR, maxBuf, denomBuf := additiveAttentionFwd(wh.Data, aL.Data, aR.Data, att.Data,
+		nodeMajor(heads, dk), recv, send, byRecv, rows, heads, dk, axpy[float64], arena.pool64())
+	release := func() {
+		arena.Put(rsL)
+		arena.Put(rsR)
+		arena.Put(maxBuf)
+		arena.Put(denomBuf)
+	}
+	if !att.requiresGrad {
+		release()
+		return att
+	}
+	att.backFn = func() {
+		fusedAdditiveBackward(wh, aL, aR, att, recv, send, byRecv, bySend,
+			heads, dk, rsL, rsR, maxBuf, denomBuf, arena)
+		release()
+	}
+	return att
 }
 
 // fusedAdditiveBackward recomputes the per-pair exps from the saved

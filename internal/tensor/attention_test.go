@@ -1,6 +1,13 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"mega/internal/compute"
+)
 
 // Fixture graph for the fused-attention tests: 5 nodes, 7 directed pairs,
 // 4 edges (pairs 5 and 6 share edge 3, modelling MEGA's duplicated
@@ -139,5 +146,301 @@ func TestFusedAttentionEmptyReceiver(t *testing.T) {
 				t.Fatalf("NaN gradient at %d", i)
 			}
 		}
+	}
+}
+
+// Naive node-major references for the two generic forwards: serial, one
+// head and one receiver at a time, no Segments, no panels, no micro-kernel
+// — the float64 kernels' original loop, written over T. The forwards must
+// reproduce them bit for bit at either precision, in either layout, at any
+// thread count.
+
+// pairsByReceiver lists each receiver's pair indices in ascending order.
+func pairsByReceiver(recv []int32, rows int) [][]int {
+	out := make([][]int, rows)
+	for p, r := range recv {
+		out[r] = append(out[r], p)
+	}
+	return out
+}
+
+func refSegmentAttention[T float](q, k, v, ew []T, rows, heads, dk, numEdges int,
+	recv, send, edge []int32) (att, edgeOut []T) {
+
+	d := heads * dk
+	scale := T(1 / math.Sqrt(float64(dk)))
+	att = make([]T, rows*d)
+	score := make([]T, len(recv))
+	for a := 0; a < heads; a++ {
+		base := a * dk
+		for p := range recv {
+			r, s, e := int(recv[p])*d, int(send[p])*d, int(edge[p])*d
+			var sum T
+			for j := base; j < base+dk; j++ {
+				if ew != nil {
+					sum += q[r+j] * (k[s+j] * ew[e+j])
+				} else {
+					sum += q[r+j] * k[s+j]
+				}
+			}
+			score[p] = sum * scale
+		}
+		for r, pairs := range pairsByReceiver(recv, rows) {
+			if len(pairs) == 0 {
+				continue
+			}
+			mx := T(math.Inf(-1))
+			for _, p := range pairs {
+				if score[p] > mx {
+					mx = score[p]
+				}
+			}
+			var denom T
+			for _, p := range pairs {
+				score[p] = T(math.Exp(float64(score[p] - mx)))
+				denom += score[p]
+			}
+			recip := 1 / (denom + 1e-9)
+			for _, p := range pairs {
+				alpha, s := score[p]*recip, int(send[p])*d
+				for j := base; j < base+dk; j++ {
+					att[r*d+j] += alpha * v[s+j]
+				}
+			}
+		}
+	}
+	if ew == nil {
+		return att, nil
+	}
+	edgeOut = make([]T, numEdges*d)
+	count := make([]int, numEdges)
+	for p := range recv {
+		e, s := int(edge[p]), int(send[p])*d
+		count[e]++
+		for j := 0; j < d; j++ {
+			edgeOut[e*d+j] += k[s+j] * ew[e*d+j]
+		}
+	}
+	for e, n := range count {
+		if n == 0 {
+			continue
+		}
+		inv := 1 / T(n)
+		for j := 0; j < d; j++ {
+			edgeOut[e*d+j] *= inv
+		}
+	}
+	return att, edgeOut
+}
+
+func refAdditiveAttention[T float](wh, aL, aR []T, rows, heads, dk int, recv, send []int32) []T {
+	d := heads * dk
+	att := make([]T, rows*d)
+	leaky := func(x T) T {
+		relu := x
+		if relu < 0 {
+			relu = 0
+		}
+		return relu + (x-relu)*0.2
+	}
+	score := make([]T, len(recv))
+	for a := 0; a < heads; a++ {
+		base := a * dk
+		half := func(i int, vec []T) T {
+			var sum T
+			for j := base; j < base+dk; j++ {
+				sum += wh[i*d+j] * vec[j]
+			}
+			return sum
+		}
+		for p := range recv {
+			score[p] = leaky(half(int(recv[p]), aL) + half(int(send[p]), aR))
+		}
+		for r, pairs := range pairsByReceiver(recv, rows) {
+			if len(pairs) == 0 {
+				continue
+			}
+			mx := T(math.Inf(-1))
+			for _, p := range pairs {
+				if score[p] > mx {
+					mx = score[p]
+				}
+			}
+			var denom T
+			for _, p := range pairs {
+				denom += T(math.Exp(float64(score[p] - mx)))
+			}
+			recip := 1 / (denom + 1e-9)
+			for _, p := range pairs {
+				alpha, s := T(math.Exp(float64(score[p]-mx)))*recip, int(send[p])*d
+				for j := base; j < base+dk; j++ {
+					att[r*d+j] += alpha * wh[s+j]
+				}
+			}
+		}
+	}
+	return att
+}
+
+// sameBits reports the first index where got and want differ as bit
+// patterns (so -0 vs +0 and NaN payloads count), or -1.
+func sameBits[T float](got, want []T) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for i := range got {
+		if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// attnShape is one pair-list geometry of the forward table.
+type attnShape struct {
+	name                      string
+	rows, heads, dk, numEdges int
+	recv, send, edge          []int32
+}
+
+func attnShapes() []attnShape {
+	rng := rand.New(rand.NewSource(29))
+	band := func(name string, rows, heads, dk, numEdges, pairs int) attnShape {
+		recv, send, edge := randomPairs(rng, rows, numEdges, pairs)
+		return attnShape{name, rows, heads, dk, numEdges, recv, send, edge}
+	}
+	// Every receiver has exactly one pair, every edge exactly one pair.
+	single := attnShape{name: "singlePair", rows: 24, heads: 2, dk: 16, numEdges: 24}
+	for p := 0; p < single.rows; p++ {
+		single.recv = append(single.recv, int32(p))
+		single.send = append(single.send, int32((p+5)%single.rows))
+		single.edge = append(single.edge, int32(p))
+	}
+	return []attnShape{
+		// Above the parallel grains (pairs/512, rows/51 chunks at d=64), so
+		// the thread axis genuinely splits the sweeps.
+		band("band/dk16", 1024, 4, 16, 1536, 4096),
+		band("band/dk1", 4096, 8, 1, 1024, 8192),
+		// Two receivers and two edges carry every pair; the rest of both
+		// segment lists are empty.
+		{name: "emptySegments", rows: 12, heads: 4, dk: 16, numEdges: 9,
+			recv: []int32{0, 5, 5, 0, 5}, send: []int32{3, 4, 11, 7, 5}, edge: []int32{2, 2, 7, 7, 2}},
+		single,
+	}
+}
+
+// TestFusedAttentionForwardMatchesReference is the one gate on the generic
+// forwards: {segment, additive} × {float32 head-major + SSE axpy, float64
+// node-major} × {edge modulation present, absent} × threads × pair-list
+// geometries, each bit-identical to the naive reference above. A variant
+// is a row of `variants`; a geometry is a row of attnShapes.
+func TestFusedAttentionForwardMatchesReference(t *testing.T) {
+	variants := []struct {
+		name          string
+		additive, f32 bool
+		withEW        bool
+	}{
+		{name: "segment/f64/ew", withEW: true},
+		{name: "segment/f64/noew"},
+		{name: "segment/f32/ew", f32: true, withEW: true},
+		{name: "segment/f32/noew", f32: true},
+		{name: "additive/f64", additive: true},
+		{name: "additive/f32", additive: true, f32: true},
+	}
+	arena := NewArena()
+	for _, sh := range attnShapes() {
+		rng := rand.New(rand.NewSource(31))
+		d := sh.heads * sh.dk
+		q64, q32 := randF32Pair(rng, sh.rows, d)
+		k64, k32 := randF32Pair(rng, sh.rows, d)
+		v64, v32 := randF32Pair(rng, sh.rows, d)
+		w64, w32 := randF32Pair(rng, sh.numEdges, d)
+		aL64, aL32 := randF32Pair(rng, 1, d)
+		aR64, aR32 := randF32Pair(rng, 1, d)
+		byRecv := BuildSegments(sh.recv, sh.rows)
+		bySend := BuildSegments(sh.send, sh.rows)
+		byEdge := BuildSegments(sh.edge, sh.numEdges)
+
+		for _, vr := range variants {
+			// The reference runs once per row; every thread count must hit it.
+			var want32, wantE32 []float32
+			var want64, wantE64 []float64
+			switch {
+			case vr.additive && vr.f32:
+				want32 = refAdditiveAttention(q32.Data, aL32.Data, aR32.Data, sh.rows, sh.heads, sh.dk, sh.recv, sh.send)
+			case vr.additive:
+				want64 = refAdditiveAttention(q64.Data, aL64.Data, aR64.Data, sh.rows, sh.heads, sh.dk, sh.recv, sh.send)
+			case vr.f32:
+				var ew []float32
+				if vr.withEW {
+					ew = w32.Data
+				}
+				want32, wantE32 = refSegmentAttention(q32.Data, k32.Data, v32.Data, ew,
+					sh.rows, sh.heads, sh.dk, sh.numEdges, sh.recv, sh.send, sh.edge)
+			default:
+				var ew []float64
+				if vr.withEW {
+					ew = w64.Data
+				}
+				want64, wantE64 = refSegmentAttention(q64.Data, k64.Data, v64.Data, ew,
+					sh.rows, sh.heads, sh.dk, sh.numEdges, sh.recv, sh.send, sh.edge)
+			}
+
+			for _, threads := range []int{1, 2, 4, 8} {
+				t.Run(fmt.Sprintf("%s/%s/threads=%d", sh.name, vr.name, threads), func(t *testing.T) {
+					prev := compute.SetMaxThreads(threads)
+					defer compute.SetMaxThreads(prev)
+					at, edgeAt := -1, -1
+					switch {
+					case vr.additive && vr.f32:
+						got := FusedAdditiveAttention32(q32, aL32.Data, aR32.Data, sh.recv, sh.send, byRecv, sh.heads, arena)
+						at = sameBits(got.Data, want32)
+						arena.PutF32(got)
+					case vr.additive:
+						got := FusedAdditiveAttention(q64, aL64, aR64, sh.recv, sh.send, byRecv, bySend, sh.heads, arena)
+						at = sameBits(got.Data, want64)
+					case vr.f32:
+						var ew *F32
+						if vr.withEW {
+							ew = w32
+						}
+						got, gotE := FusedSegmentAttention32(q32, k32, v32, ew, sh.recv, sh.send, sh.edge,
+							byRecv, byEdge, sh.heads, LayoutHeadMajor, arena)
+						at = sameBits(got.Data, want32)
+						if (gotE != nil) != vr.withEW {
+							t.Fatalf("edge output presence %v with ew %v", gotE != nil, vr.withEW)
+						}
+						if gotE != nil {
+							edgeAt = sameBits(gotE.Data, wantE32)
+						}
+						arena.PutF32(got)
+						arena.PutF32(gotE)
+					default:
+						var ew *Tensor
+						if vr.withEW {
+							ew = w64
+						}
+						got, gotE := FusedSegmentAttention(q64, k64, v64, ew, sh.recv, sh.send, sh.edge,
+							byRecv, bySend, byEdge, sh.heads, arena)
+						at = sameBits(got.Data, want64)
+						if (gotE != nil) != vr.withEW {
+							t.Fatalf("edge output presence %v with ew %v", gotE != nil, vr.withEW)
+						}
+						if gotE != nil {
+							edgeAt = sameBits(gotE.Data, wantE64)
+						}
+					}
+					if at >= 0 {
+						t.Errorf("attention output differs from the reference at %d", at)
+					}
+					if edgeAt >= 0 {
+						t.Errorf("edge output differs from the reference at %d", edgeAt)
+					}
+				})
+			}
+		}
+	}
+	if s := arena.Stats(); s.F32.InUseBytes != 0 || s.F64.InUseBytes != 0 {
+		t.Errorf("forwards leaked arena scratch: %+v", s)
 	}
 }

@@ -63,8 +63,7 @@ func TestWriteBenchTensor(t *testing.T) {
 	run("MatMul32Parallel512", func(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 512) })
 
 	run("FusedAttention64", func(b *testing.B) { BenchmarkFusedAttention64(b) })
-	run("FusedAttention32HeadMajor", func(b *testing.B) { benchFusedAttention32(b, LayoutHeadMajor) })
-	run("FusedAttention32Interleaved", func(b *testing.B) { benchFusedAttention32(b, LayoutInterleaved) })
+	run("FusedAttention32HeadMajor", func(b *testing.B) { BenchmarkFusedAttention32(b) })
 
 	ratio := func(num, den string) float64 {
 		if ns[den] == 0 {
@@ -76,16 +75,14 @@ func TestWriteBenchTensor(t *testing.T) {
 		"schema_version": benchSchemaVersion,
 		"description": "Tensor kernel baselines: serial (1-thread pool) vs parallel (NumCPU pool) " +
 			"float64 kernels, plus the float32 inference fast-path kernels — tape-free MatMul32 " +
-			"and FusedSegmentAttention32 in the head-major and interleaved scratch layouts " +
-			"(bit-identical outputs; the delta is pure memory traffic). ns_per_op from " +
+			"and FusedSegmentAttention32 (head-major scratch, the only layout). ns_per_op from " +
 			"testing.Benchmark at the Makefile's pinned -benchtime. Regenerate with " +
 			"`make bench-compute`.",
 		"machine": benchMachine(),
 		"results": rows,
 		"summary": map[string]any{
-			"matmul512_f64_over_f32_serial":        ratio("MatMulSerial512", "MatMul32Serial512"),
-			"attention_f64_over_f32_headmajor":     ratio("FusedAttention64", "FusedAttention32HeadMajor"),
-			"attention_interleaved_over_headmajor": ratio("FusedAttention32Interleaved", "FusedAttention32HeadMajor"),
+			"matmul512_f64_over_f32_serial":    ratio("MatMulSerial512", "MatMul32Serial512"),
+			"attention_f64_over_f32_headmajor": ratio("FusedAttention64", "FusedAttention32HeadMajor"),
 			"note": "On a 1-vCPU container serial and parallel run the same schedule, so those " +
 				"pairs differ only by noise; the f64-over-f32 ratios are the meaningful ones " +
 				"there. The equivalence suite proves bit-identical outputs at any thread count.",

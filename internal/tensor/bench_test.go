@@ -112,9 +112,8 @@ func BenchmarkMatMul32Parallel256(b *testing.B) { benchMatMul32(b, runtime.NumCP
 func BenchmarkMatMul32Parallel512(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 512) }
 
 // Fused segment attention at a serving-shaped workload (512 nodes, dim 64,
-// 4 heads, band-style pair list): float64 forward vs the float32 kernel in
-// both scratch layouts. The layouts are bit-identical in output, so the
-// delta is pure memory-traffic effect.
+// 4 heads, band-style pair list): the one generic forward through its
+// float64 (node-major) and float32 (head-major, SSE axpy) entry points.
 const (
 	benchAttnRows  = 512
 	benchAttnDim   = 64
@@ -134,20 +133,17 @@ func benchAttnInputs32(rng *rand.Rand) (q, k, v, ew *F32, recv, send, edge []int
 	return
 }
 
-func benchFusedAttention32(b *testing.B, layout AttnLayout) {
+func BenchmarkFusedAttention32(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))
 	q, k, v, ew, recv, send, edge, byRecv, _, byEdge := benchAttnInputs32(rng)
 	arena := NewArena()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		att, eo := FusedSegmentAttention32(q, k, v, ew, recv, send, edge, byRecv, byEdge, benchAttnHeads, layout, arena)
+		att, eo := FusedSegmentAttention32(q, k, v, ew, recv, send, edge, byRecv, byEdge, benchAttnHeads, LayoutHeadMajor, arena)
 		arena.PutF32(att)
 		arena.PutF32(eo)
 	}
 }
-
-func BenchmarkFusedAttention32HeadMajor(b *testing.B)   { benchFusedAttention32(b, LayoutHeadMajor) }
-func BenchmarkFusedAttention32Interleaved(b *testing.B) { benchFusedAttention32(b, LayoutInterleaved) }
 
 func BenchmarkFusedAttention64(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))

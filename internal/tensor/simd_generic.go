@@ -9,12 +9,7 @@ package tensor
 
 // saxpy32 computes y[i] += alpha*x[i] for i < len(y). len(x) must be at
 // least len(y).
-func saxpy32(alpha float32, x, y []float32) {
-	x = x[:len(y)]
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
-}
+func saxpy32(alpha float32, x, y []float32) { axpy(alpha, x, y) }
 
 // matmulTile32 accumulates one 16-column register tile of an output row:
 // o[j] += Σ_p a[p]·b[p*stride+j] for j < 16, skipping rows with

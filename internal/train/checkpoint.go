@@ -79,8 +79,13 @@ var (
 )
 
 // NewModel constructs a model by configuration name — the single switch
-// shared by the trainer and checkpoint loading.
+// shared by the trainer and checkpoint loading. A cfg (possibly read from
+// a checkpoint header) naming an attention implementation other than the
+// fused one is an error, never a silent fallback.
 func NewModel(name string, cfg models.Config) (models.Model, error) {
+	if cfg.Attention != "" && cfg.Attention != "fused" {
+		return nil, fmt.Errorf("train: unknown attention implementation %q (only \"fused\" exists)", cfg.Attention)
+	}
 	switch name {
 	case "GCN":
 		return models.NewGatedGCN(cfg), nil

@@ -99,4 +99,29 @@ func TestNewModelRejectsUnknown(t *testing.T) {
 	if _, err := NewModel("RNN", tinyConfig()); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("err = %v, want ErrUnknownModel", err)
 	}
+	// One attention implementation exists; naming another is a
+	// construction error for every model, never a silent fallback — from
+	// a caller's Config and from a checkpoint header alike.
+	for _, name := range []string{"GCN", "GT", "GAT"} {
+		for attention, ok := range map[string]bool{"": true, "fused": true, "staged": false, "Fused": false} {
+			cfg := tinyConfig()
+			cfg.Attention = attention
+			if _, err := NewModel(name, cfg); (err == nil) != ok {
+				t.Errorf("NewModel(%s, Attention=%q): err = %v, want ok=%v", name, attention, err, ok)
+			}
+		}
+	}
+	good, err := NewModel("GT", tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := Checkpoint{Model: "GT", Config: tinyConfig(), Task: datasets.TaskRegression, Dataset: "ZINC"}
+	meta.Config.Attention = "staged"
+	var buf bytes.Buffer
+	if err := SaveCheckpoint(&buf, meta, good); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadCheckpoint(&buf); err == nil {
+		t.Error("checkpoint naming the staged attention loaded without error")
+	}
 }

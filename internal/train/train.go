@@ -56,9 +56,8 @@ type Options struct {
 	// Results are identical at any setting — the kernels partition work
 	// deterministically — so this is purely a resource-control knob.
 	Threads int
-	// Attention selects the attention implementation ("fused"/"staged");
-	// empty defers to MEGA_ATTENTION then the fused default. Both paths
-	// are bit-identical, so this is a performance knob, not a result knob.
+	// Attention is passed to models.Config.Attention: "" or "fused", the
+	// one implementation; anything else fails model construction.
 	Attention string
 	// CheckpointDir enables periodic checkpointing: every CheckpointEvery
 	// epochs (and after the final epoch) the model is written atomically
