@@ -85,7 +85,7 @@ dynamic-check:
 load-check:
 	$(GO) test -short ./internal/load/ -count=1
 	$(GO) test -short ./cmd/megaload/ -count=1
-	$(GO) test ./internal/serve/ -run 'TestOptionsValidate|TestNewRejectsBadOptions|TestBatcher' -count=1
+	$(GO) test ./internal/serve/ -run 'TestOptionsValidate|TestNewRejectsBadOptions|TestTakeBatch|TestHeldWorker|TestBatch' -count=1
 
 # precision-check runs the float32 fast-path gates: the SIMD kernels
 # pinned bit-for-bit against their scalar references, the one generic
@@ -147,7 +147,10 @@ loc:
 # bench regenerates all of them. The committed BENCH_tensor.json
 # (FusedAttention32Interleaved) and BENCH_precision.json ("layouts") still
 # carry rows for the f32 interleaved attention layout: historical, the
-# layout is deleted and a regenerated record drops them.
+# layout is deleted and a regenerated record drops them. BENCH_serve.json
+# is schema 2 (no max_wait_ms per config: the server has no batch-wait
+# timer to sweep); rows of schema 1, in git history, were measured with
+# that wait and are not comparable.
 bench: bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-precision bench-sparsify
 
 # bench-compute regenerates the tensor-kernel numbers recorded in
@@ -179,10 +182,11 @@ bench-dynamic:
 	BENCH_DYNAMIC_OUT=$(CURDIR)/BENCH_dynamic.json $(GO) test ./internal/dynamic/ -run TestWriteBenchDynamic -count=1 -v
 
 # bench-serve regenerates the serving-capacity numbers recorded in
-# BENCH_serve.json: the open-loop capacity autotuner sweeps the micro-batch
-# knob grid, bracket-searching each configuration for its max sustainable
-# QPS under the p99 SLO, with client counts reconciled against /metrics at
-# every probe. Numbers are machine-relative; the record carries the host.
+# BENCH_serve.json: the open-loop capacity autotuner sweeps the
+# MAXBATCH/WORKERS/SHARD knob grid, bracket-searching each configuration
+# for its max sustainable QPS under the p99 SLO, with client counts
+# reconciled against /metrics at every probe. Numbers are machine-relative;
+# the record carries the host.
 bench-serve:
 	$(GO) run ./cmd/megaload -autotune -slo-p99 25ms -probe-duration 2s \
 		-start-rate 8 -tolerance 0.1 -out $(CURDIR)/BENCH_serve.json

@@ -24,7 +24,7 @@
 //	         [-seed 1] [-hit-frac 0.7] [-update-frac 0] [-timeout 0]
 //	         [-faults none|cache|prepare|delay|chaos|workerkill]
 //	         [-kill-every 2s]
-//	         [-max-batch 16] [-max-wait 2ms] [-workers 0] [-shard-workers 0]
+//	         [-max-batch 16] [-workers 0] [-shard-workers 0]
 //	         [-cache 4096] [-queue 256] [-json]
 //	         [-autotune] [-slo-p99 20ms] [-max-error-frac 0.005]
 //	         [-probe-duration 2s] [-start-rate 25] [-tolerance 0.1]
@@ -96,7 +96,6 @@ func run(args []string, stdout io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the run report as JSON instead of text")
 
 	maxBatch := fs.Int("max-batch", 16, "in-process server: max requests per forward pass")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "in-process server: max open-batch wait")
 	workers := fs.Int("workers", 0, "in-process server: forward-pass workers (0 = GOMAXPROCS)")
 	shardWorkers := fs.Int("shard-workers", 0, "in-process server: shard-parallel workers (must divide 8; 0 disables)")
 	cacheCap := fs.Int("cache", 4096, "in-process server: path-representation cache capacity")
@@ -108,7 +107,7 @@ func run(args []string, stdout io.Writer) error {
 	probeDur := fs.Duration("probe-duration", 2*time.Second, "autotune: measured window per rate probe")
 	startRate := fs.Float64("start-rate", 25, "autotune: first offered rate probed")
 	tolerance := fs.Float64("tolerance", 0.1, "autotune: relative capacity resolution")
-	gridSpec := fs.String("grid", defaultGrid, "autotune: knob grid, comma-separated MAXBATCH/MAXWAIT/WORKERS/SHARD entries")
+	gridSpec := fs.String("grid", defaultGrid, "autotune: knob grid, comma-separated MAXBATCH/WORKERS/SHARD entries")
 	out := fs.String("out", "BENCH_serve.json", "autotune: bench record output path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -139,7 +138,6 @@ func run(args []string, stdout io.Writer) error {
 
 	opts := serve.Options{
 		MaxBatch:     *maxBatch,
-		MaxWait:      *maxWait,
 		Workers:      *workers,
 		ShardWorkers: *shardWorkers,
 		QueueDepth:   *queue,
@@ -208,10 +206,10 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // defaultGrid is sized for the capacity sweep to finish in about a minute
-// on a small box: batch-size and wait-window trade latency for throughput,
-// and a second worker probes whether the forward pass or the batcher is
-// the bottleneck.
-const defaultGrid = "4/1ms/1/0,16/2ms/1/0,16/2ms/2/0,32/4ms/2/0"
+// on a small box: the batch cap bounds how much backlog one forward pass
+// absorbs, and a second worker probes whether the forward pass or the
+// admission queue is the bottleneck.
+const defaultGrid = "4/1/0,16/1/0,16/2/0,32/2/0"
 
 func parseGrid(spec string) ([]load.KnobConfig, error) {
 	var grid []load.KnobConfig
@@ -221,29 +219,24 @@ func parseGrid(spec string) ([]load.KnobConfig, error) {
 			continue
 		}
 		parts := strings.Split(seg, "/")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("grid entry %q (want MAXBATCH/MAXWAIT/WORKERS/SHARD, e.g. 16/2ms/1/0)", seg)
+		if len(parts) != 3 {
+			return nil, fmt.Errorf("grid entry %q (want MAXBATCH/WORKERS/SHARD, e.g. 16/1/0; there is no wait field)", seg)
 		}
 		mb, err := strconv.Atoi(parts[0])
 		if err != nil {
 			return nil, fmt.Errorf("grid entry %q: max-batch: %v", seg, err)
 		}
-		mw, err := time.ParseDuration(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("grid entry %q: max-wait: %v", seg, err)
-		}
-		w, err := strconv.Atoi(parts[2])
+		w, err := strconv.Atoi(parts[1])
 		if err != nil {
 			return nil, fmt.Errorf("grid entry %q: workers: %v", seg, err)
 		}
-		sh, err := strconv.Atoi(parts[3])
+		sh, err := strconv.Atoi(parts[2])
 		if err != nil {
 			return nil, fmt.Errorf("grid entry %q: shard-workers: %v", seg, err)
 		}
 		grid = append(grid, load.KnobConfig{
-			Name:         fmt.Sprintf("batch%d-wait%s-w%d-shard%d", mb, mw, w, sh),
+			Name:         fmt.Sprintf("batch%d-w%d-shard%d", mb, w, sh),
 			MaxBatch:     mb,
-			MaxWaitMs:    float64(mw) / float64(time.Millisecond),
 			Workers:      w,
 			ShardWorkers: sh,
 		})
@@ -449,7 +442,6 @@ func runAutotune(stdout io.Writer, cfg autotuneConfig) error {
 	factory := func(kc load.KnobConfig) (load.ProbeFunc, func(), error) {
 		opts := cfg.baseOpts
 		opts.MaxBatch = kc.MaxBatch
-		opts.MaxWait = kc.MaxWait()
 		opts.Workers = kc.Workers
 		opts.ShardWorkers = kc.ShardWorkers
 		s, err := buildServer(cfg.ckpt, cfg.ckptDir, opts)

@@ -16,7 +16,7 @@ func TestRunFixedSchedule(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
 		"-rate", "40", "-duration", "1s", "-seed", "7",
-		"-update-frac", "0.1", "-max-batch", "8", "-max-wait", "1ms",
+		"-update-frac", "0.1", "-max-batch", "8",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
@@ -57,7 +57,7 @@ func TestRunAutotuneSmoke(t *testing.T) {
 	err := run([]string{
 		"-autotune", "-slo-p99", "50ms", "-probe-duration", "400ms",
 		"-start-rate", "15", "-tolerance", "0.3",
-		"-grid", "8/1ms/1/0", "-out", outPath,
+		"-grid", "8/1/0", "-out", outPath,
 	}, &out)
 	if err != nil {
 		t.Fatalf("run -autotune: %v\noutput:\n%s", err, out.String())
@@ -85,12 +85,31 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-addr", "localhost:1", "-faults", "chaos"},
 		{"-faults", "bogus"},
 		{"-phases", "not-a-spec"},
-		{"-autotune", "-grid", "16/2ms/1"},
+		{"-autotune", "-grid", "16/1"},
+		{"-max-wait", "2ms"},
 	}
 	for _, args := range cases {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) = nil, want error", args)
 		}
+	}
+}
+
+// TestGridRejectsWaitField: the grid lost its MAXWAIT field with the
+// server's batch-wait timer; an entry in the old four-field format is a
+// parse error that names the new one instead of being reinterpreted.
+func TestGridRejectsWaitField(t *testing.T) {
+	_, err := parseGrid("16/2ms/1/0")
+	if err == nil || !strings.Contains(err.Error(), "MAXBATCH/WORKERS/SHARD") {
+		t.Fatalf("parseGrid(four fields) = %v, want an error naming MAXBATCH/WORKERS/SHARD", err)
+	}
+	grid, err := parseGrid("16/2/4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := load.KnobConfig{Name: "batch16-w2-shard4", MaxBatch: 16, Workers: 2, ShardWorkers: 4}
+	if len(grid) != 1 || grid[0] != want {
+		t.Fatalf("parseGrid(16/2/4) = %+v, want %+v", grid, want)
 	}
 }

@@ -1,7 +1,8 @@
 // Command megaserve serves a trained MEGA checkpoint over HTTP: graphs
-// posted to /predict are micro-batched into block-diagonal forward passes,
-// and their path representations are cached by canonical topology hash so
-// repeated graphs skip the traversal entirely.
+// posted to /predict are packed, as many as are queued when a worker comes
+// free, into block-diagonal forward passes, and their path representations
+// are cached by canonical topology hash so repeated graphs skip the
+// traversal entirely.
 //
 // Usage:
 //
@@ -14,7 +15,7 @@
 //
 //	megaserve -checkpoint model.ckpt [-addr :8391] [-engine mega|dgl]
 //	          [-precision f64|f32]
-//	          [-max-batch 16] [-max-wait 2ms] [-workers 0]
+//	          [-max-batch 16] [-workers 0]
 //	          [-cache 4096] [-log-every 30s]
 //	          [-checkpoint-dir dir] [-queue 256] [-deadline 0]
 //	          [-max-deadline 0] [-breaker-threshold 5]
@@ -109,7 +110,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	engine := fs.String("engine", "mega", "attention engine: dgl or mega")
 	precision := fs.String("precision", "f64", "inference arithmetic: f64 (training-grade) or f32 (fast path, GT/GAT only)")
 	maxBatch := fs.Int("max-batch", 16, "max requests packed into one forward pass")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "max time an open batch waits before flushing")
 	workers := fs.Int("workers", 0, "forward-pass workers (0 = GOMAXPROCS)")
 	cacheCap := fs.Int("cache", 4096, "path-representation cache capacity in graphs (0 disables)")
 	logEvery := fs.Duration("log-every", 30*time.Second, "metrics log interval (0 disables)")
@@ -136,7 +136,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 
 	opts := serve.Options{
 		MaxBatch:         *maxBatch,
-		MaxWait:          *maxWait,
 		Workers:          *workers,
 		QueueDepth:       *queue,
 		DefaultTimeout:   *deadline,
@@ -197,8 +196,8 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "listening on %s (engine %s, precision %s, max-batch %d, max-wait %v, cache %d)\n",
-		ln.Addr(), *engine, *precision, *maxBatch, *maxWait, *cacheCap)
+	fmt.Fprintf(stdout, "listening on %s (engine %s, precision %s, max-batch %d, cache %d)\n",
+		ln.Addr(), *engine, *precision, *maxBatch, *cacheCap)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

@@ -43,7 +43,7 @@ func TestServeEndToEnd(t *testing.T) {
 	go func() {
 		errc <- run([]string{
 			"-checkpoint", path, "-addr", "127.0.0.1:0",
-			"-max-batch", "4", "-max-wait", "5ms", "-log-every", "0",
+			"-max-batch", "4", "-log-every", "0",
 		}, &out, ready, stop)
 	}()
 
@@ -120,6 +120,15 @@ func TestRunRejectsUnknownEngine(t *testing.T) {
 	err := run([]string{"-checkpoint", "x.ckpt", "-engine", "cuda"}, io.Discard, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown engine") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestRunRejectsMaxWait: the batch-wait knob is gone, and passing it is an
+// error rather than a silently ignored flag.
+func TestRunRejectsMaxWait(t *testing.T) {
+	err := run([]string{"-checkpoint", "x.ckpt", "-max-wait", "2ms"}, io.Discard, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "max-wait") {
+		t.Errorf("err = %v, want the unknown -max-wait flag named", err)
 	}
 }
 

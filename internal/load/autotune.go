@@ -3,7 +3,6 @@ package load
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // SLO is the pass/fail criterion for one probe: client-observed p99 at or
@@ -149,16 +148,10 @@ func SearchCapacity(probe ProbeFunc, slo SLO, opts SearchOptions) (CapacityResul
 
 // KnobConfig is one point of the serve-options sweep grid.
 type KnobConfig struct {
-	Name         string  `json:"name"`
-	MaxBatch     int     `json:"max_batch"`
-	MaxWaitMs    float64 `json:"max_wait_ms"`
-	Workers      int     `json:"workers"`
-	ShardWorkers int     `json:"shard_workers"`
-}
-
-// MaxWait converts the JSON-friendly milliseconds back to a duration.
-func (k KnobConfig) MaxWait() time.Duration {
-	return time.Duration(k.MaxWaitMs * float64(time.Millisecond))
+	Name         string `json:"name"`
+	MaxBatch     int    `json:"max_batch"`
+	Workers      int    `json:"workers"`
+	ShardWorkers int    `json:"shard_workers"`
 }
 
 // ConfigResult pairs a knob configuration with its measured capacity.

@@ -8,8 +8,11 @@ import (
 )
 
 // BenchSchemaVersion gates BENCH_serve.json readers: bump on any
-// backwards-incompatible change to BenchRecord.
-const BenchSchemaVersion = 1
+// backwards-incompatible change to BenchRecord. Version 2 dropped
+// max_wait_ms from KnobConfig when the serve tier lost its batch-wait
+// timer; version 1 records were measured with that wait and are not
+// comparable.
+const BenchSchemaVersion = 2
 
 // MachineInfo records where a bench record was produced — capacity numbers
 // are meaningless without it.

@@ -63,7 +63,7 @@ func TestEndToEndLoadWithFaults(t *testing.T) {
 		dur = 2 * time.Second
 	}
 	s := trainServer(t, serve.Options{
-		MaxBatch: 8, MaxWait: time.Millisecond, Workers: 2, QueueDepth: 64,
+		MaxBatch: 8, Workers: 2, QueueDepth: 64,
 		BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond,
 	})
 
@@ -117,7 +117,7 @@ func TestEndToEndLoadOverHTTP(t *testing.T) {
 		dur = 2 * time.Second
 	}
 	s := trainServer(t, serve.Options{
-		MaxBatch: 8, MaxWait: time.Millisecond, Workers: 2, QueueDepth: 64,
+		MaxBatch: 8, Workers: 2, QueueDepth: 64,
 	})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
@@ -146,8 +146,14 @@ func TestEndToEndLoadOverHTTP(t *testing.T) {
 // exactly too.
 func TestRunShedsAtOverload(t *testing.T) {
 	s := trainServer(t, serve.Options{
-		MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, QueueDepth: 2,
+		MaxBatch: 1, Workers: 1, QueueDepth: 2,
 	})
+	// Pin the server's capacity at 200/s whatever the machine: a worker
+	// that never waits for company would otherwise keep up with the flood
+	// on a fast box.
+	faults.ArmT(t, faults.Plan{Seed: 31, Points: []faults.PointConfig{
+		{Name: faults.ServeForward, Prob: 1, Action: faults.ActDelay, Delay: 5 * time.Millisecond},
+	}})
 	rep, err := Run(InProcess{S: s}, RunOptions{
 		Seed:   31,
 		Phases: []Phase{{Name: "flood", Rate: 600, Duration: 1500 * time.Millisecond}},

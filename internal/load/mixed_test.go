@@ -69,7 +69,7 @@ func (m *clientMirror) graph() *graph.Graph {
 // preprocesses the final graph from scratch.
 func TestMixedPredictUpdateBitIdentity(t *testing.T) {
 	newServer := func() *serve.Server {
-		return trainServer(t, serve.Options{MaxBatch: 4, MaxWait: 0, Workers: 2, QueueDepth: 64})
+		return trainServer(t, serve.Options{MaxBatch: 4, Workers: 2, QueueDepth: 64})
 	}
 	s := newServer()
 	meta := s.Meta()
@@ -144,8 +144,10 @@ func TestMixedPredictUpdateBitIdentity(t *testing.T) {
 		// Predict this state concurrently with the remaining mutation churn.
 		st := step{inst: instance(g), fp: fp}
 		steps = append(steps, st)
+		mu.Lock() // earlier rounds' predicts are still writing into preds
 		preds = append(preds, serve.Prediction{})
 		idx := len(preds) - 1
+		mu.Unlock()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

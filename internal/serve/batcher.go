@@ -9,7 +9,8 @@ import (
 	"mega/internal/models"
 )
 
-// pending is one enqueued request travelling through the micro-batcher.
+// pending is one admitted request travelling from the admission queue to
+// the worker that answers it.
 type pending struct {
 	// ctx carries the request deadline/cancellation from the caller
 	// through the queue to the worker, which drops expired requests
@@ -21,6 +22,8 @@ type pending struct {
 	// degraded marks a request served by the fallback engine because MEGA
 	// preprocessing failed or the circuit breaker is open.
 	degraded bool
+	// enqueued is stamped at the admission send, after validation and
+	// preprocessing, so the queue stage times only the wait for a worker.
 	enqueued time.Time
 	done     chan outcome // buffered(1); finish sends exactly once
 	once     sync.Once
@@ -40,79 +43,24 @@ type outcome struct {
 	err  error
 }
 
-// batcher accumulates requests into batches of at most maxBatch, flushing
-// early after maxWait so a lone request is never stranded waiting for
-// company — the standard inference micro-batching trade: batch to amortise
-// the forward pass, bound the wait to keep tail latency sane.
-type batcher struct {
-	in       chan *pending
-	out      chan []*pending
-	maxBatch int
-	maxWait  time.Duration
-	clock    Clock
-}
-
-func newBatcher(maxBatch int, maxWait time.Duration, queueDepth int, clock Clock) *batcher {
-	if clock == nil {
-		clock = wallClock{}
-	}
-	return &batcher{
-		in:       make(chan *pending, queueDepth),
-		out:      make(chan []*pending),
-		maxBatch: maxBatch,
-		maxWait:  maxWait,
-		clock:    clock,
-	}
-}
-
-// run is the dispatcher loop: it owns the open batch and its deadline
-// timer. It exits — closing out, which releases the worker pool — when in
-// is closed and drained.
-func (b *batcher) run() {
-	defer close(b.out)
-	var batch []*pending
-	timer := b.clock.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C()
-	}
-	flush := func() {
-		if len(batch) > 0 {
-			b.out <- batch
-			batch = nil
-		}
-	}
-	for {
-		if len(batch) == 0 {
-			// Idle: block for the batch opener.
-			p, ok := <-b.in
-			if !ok {
-				return
-			}
-			batch = append(batch, p)
-			if len(batch) >= b.maxBatch {
-				flush()
-				continue
-			}
-			timer.Reset(b.maxWait)
-		}
+// takeBatch forms the batch a free worker runs: first, which the worker
+// just received from the admission queue, plus whatever is already queued
+// behind it, up to maxBatch, in arrival order. It never waits for company:
+// an idle server runs a lone request at once, and batches grow exactly as
+// large as the workers are behind.
+func takeBatch(queue <-chan *pending, first *pending, maxBatch int) []*pending {
+	batch := make([]*pending, 1, min(maxBatch, 1+len(queue)))
+	batch[0] = first
+	for len(batch) < maxBatch {
 		select {
-		case p, ok := <-b.in:
+		case p, ok := <-queue:
 			if !ok {
-				if !timer.Stop() {
-					<-timer.C()
-				}
-				flush()
-				return
+				return batch
 			}
 			batch = append(batch, p)
-			if len(batch) >= b.maxBatch {
-				if !timer.Stop() {
-					<-timer.C()
-				}
-				flush()
-			}
-		case <-timer.C():
-			flush()
+		default:
+			return batch
 		}
 	}
+	return batch
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"mega/internal/datasets"
 	"mega/internal/models"
@@ -11,10 +10,9 @@ import (
 )
 
 // TestOptionsValidate is the regression net over the silent-fallback paths
-// PR 5 documented: a negative MaxWait used to be silently replaced by the
-// 2ms default, and a ShardWorkers value that cannot divide the 8 path
-// µchunks used to serve unsharded with only a fallback counter. Both are
-// now rejected at construction with ErrBadOptions.
+// PR 5 documented: a ShardWorkers value that cannot divide the 8 path
+// µchunks used to serve unsharded with only a fallback counter. It is now
+// rejected at construction with ErrBadOptions.
 func TestOptionsValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -22,9 +20,6 @@ func TestOptionsValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero value", Options{}, true},
-		{"zero MaxWait selects default", Options{MaxWait: 0}, true},
-		{"positive MaxWait", Options{MaxWait: 5 * time.Millisecond}, true},
-		{"negative MaxWait", Options{MaxWait: -time.Millisecond}, false},
 		{"shard disabled", Options{ShardWorkers: 0}, true},
 		{"shard single", Options{ShardWorkers: 1}, true},
 		{"shard 2", Options{ShardWorkers: 2}, true},
@@ -36,7 +31,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"shard 7", Options{ShardWorkers: 7}, false},
 		{"shard 16", Options{ShardWorkers: 16}, false},
 		{"shard negative", Options{ShardWorkers: -2}, false},
-		{"both invalid", Options{MaxWait: -1, ShardWorkers: 3}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,7 +51,7 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestNewRejectsBadOptions pins that the constructor refuses to start —
-// no dispatcher, no workers, no silently different knobs — when handed
+// no workers, no silently different knobs — when handed
 // options Validate rejects.
 func TestNewRejectsBadOptions(t *testing.T) {
 	cfg := models.Config{Dim: 16, Layers: 1, Heads: 2, NodeTypes: 4, EdgeTypes: 1, OutDim: 1, Seed: 3}
@@ -68,7 +62,6 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	meta := train.Checkpoint{Model: "GT", Config: cfg, Task: datasets.TaskRegression, Dataset: "ZINC"}
 
 	for _, opts := range []Options{
-		{MaxWait: -time.Second},
 		{ShardWorkers: 3},
 		{ShardWorkers: 5},
 	} {

@@ -71,17 +71,17 @@ func TestOverloadSheds(t *testing.T) {
 	enableFaults(t, faults.PointConfig{
 		Name: faults.ServeForward, Prob: 1, Action: faults.ActDelay, Delay: 500 * time.Millisecond,
 	})
-	// Saturate the pipeline: worker (1 delayed batch) + dispatcher (1 held
-	// batch) + queue (QueueDepth=1). Once the queue channel is full it
-	// stays full until the worker's 500ms delay elapses, so the next
-	// request deterministically sheds.
+	// Saturate the pipeline: worker (1 delayed batch) + queue
+	// (QueueDepth=1). Once the queue channel is full it stays full until
+	// the worker's 500ms delay elapses, so the next request
+	// deterministically sheds.
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Fillers retry their own sheds until served, so exactly
-			// three requests occupy the pipeline's three slots.
+			// Fillers retry their own sheds until served, so exactly two
+			// requests occupy the pipeline's two slots.
 			for {
 				if _, err := s.Predict(ds.Val[0]); !errors.Is(err, ErrOverloaded) {
 					return
@@ -90,13 +90,7 @@ func TestOverloadSheds(t *testing.T) {
 			}
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.batcher.in) < cap(s.batcher.in) {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled to the shedding point")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the queue to fill to the shedding point", func() bool { return len(s.queue) == cap(s.queue) })
 	if _, err := s.Predict(ds.Val[0]); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded with a full queue", err)
 	}
@@ -156,12 +150,12 @@ func TestBreakerOpensAndShortCircuits(t *testing.T) {
 	if st := s.BreakerState(); st != BreakerOpen {
 		t.Fatalf("breaker = %s, want open at threshold", st)
 	}
-	hitsBefore := prepareHits(t)
+	hitsBefore := faultReport(t, faults.ServePrepare).Hits
 	// Open breaker: requests skip preprocessing entirely.
 	if pred, err := s.Predict(ds.Val[0]); err != nil || !pred.Degraded {
 		t.Fatalf("open-breaker request: pred = %+v, err = %v", pred, err)
 	}
-	if got := prepareHits(t); got != hitsBefore {
+	if got := faultReport(t, faults.ServePrepare).Hits; got != hitsBefore {
 		t.Fatalf("open breaker still consulted prepare: hits %d -> %d", hitsBefore, got)
 	}
 	snap := s.MetricsSnapshot(false)
@@ -176,16 +170,16 @@ func TestBreakerOpensAndShortCircuits(t *testing.T) {
 	}
 }
 
-// prepareHits reads the injection-point hit count for serve.prepare.
-func prepareHits(t *testing.T) int {
+// faultReport reads the hit/fire counters of one armed injection point.
+func faultReport(t *testing.T, name string) faults.PointReport {
 	t.Helper()
 	for _, r := range faults.Report() {
-		if r.Name == faults.ServePrepare {
-			return r.Hits
+		if r.Name == name {
+			return r
 		}
 	}
-	t.Fatal("no report entry for serve.prepare")
-	return 0
+	t.Fatalf("no report entry for %s", name)
+	return faults.PointReport{}
 }
 
 func TestFaultyCacheDegradesToMisses(t *testing.T) {
@@ -203,6 +197,34 @@ func TestFaultyCacheDegradesToMisses(t *testing.T) {
 	}
 	if st := s.CacheStats(); st.Hits != 0 || st.Size != 0 {
 		t.Fatalf("cache stats = %+v, want untouched", st)
+	}
+}
+
+// TestQueueStageExcludesPreprocessing pins the stage split on a cold
+// request: the queue stage starts at the admission send, so a slow
+// PrepareMega shows up under preprocess and not a second time under queue
+// (the stage sum then stays within total).
+func TestQueueStageExcludesPreprocessing(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	s, ds, _ := trainedServer(t, Options{MaxBatch: 1, Workers: 1})
+	enableFaults(t, faults.PointConfig{
+		Name: faults.ServePrepare, Prob: 1, Action: faults.ActDelay, Delay: delay,
+	})
+	if pred, err := s.Predict(ds.Val[0]); err != nil || pred.CacheHit {
+		t.Fatalf("cold predict: pred = %+v, err = %v", pred, err)
+	}
+	snap := s.MetricsSnapshot(false)
+	sum := func(h HistogramStats) float64 { return h.MeanMs * float64(h.Count) }
+	if got := sum(snap.PreprocessLatency); got < ms(delay) {
+		t.Fatalf("preprocess sum = %.2f ms, want >= the %v injected into prepare", got, delay)
+	}
+	if got := sum(snap.QueueLatency); snap.QueueLatency.Count != 1 || got >= ms(delay) {
+		t.Fatalf("queue sum = %.2f ms over %d requests: the queue stage counted preprocessing",
+			got, snap.QueueLatency.Count)
+	}
+	stages := sum(snap.QueueLatency) + sum(snap.PreprocessLatency) + sum(snap.ForwardLatency)
+	if total := sum(snap.TotalLatency); stages > total {
+		t.Fatalf("stage sum %.2f ms exceeds total %.2f ms", stages, total)
 	}
 }
 

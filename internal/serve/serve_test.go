@@ -114,36 +114,31 @@ func TestRepeatedRequestHitsCache(t *testing.T) {
 }
 
 func TestBatchedPredictionsMatchSingle(t *testing.T) {
-	// Generous MaxWait so the concurrent burst coalesces into batches;
-	// correctness must hold for any batch composition regardless.
-	s, ds, model := trainedServer(t, Options{MaxBatch: 8, MaxWait: 300 * time.Millisecond, Workers: 2})
+	// Eight requests queue up behind a held worker and run as one batch of
+	// eight; each answer must equal the single-graph forward.
+	s, ds, model := trainedServer(t, Options{MaxBatch: 8, Workers: 1})
 	insts := ds.Val[:8]
-	got := make([][]float64, len(insts))
-	errs := make([]error, len(insts))
-	var wg sync.WaitGroup
-	for i := range insts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pred, err := s.Predict(insts[i])
-			got[i], errs[i] = pred.Output, err
-		}(i)
+	plug := holdWorker(t, s, ds.Val[8], 300*time.Millisecond)
+	results := enqueueBehind(t, s, insts)
+	if err := <-plug; err != nil {
+		t.Fatalf("plug: %v", err)
 	}
-	wg.Wait()
-	for i := range insts {
-		if errs[i] != nil {
-			t.Fatalf("predict %d: %v", i, errs[i])
+	for i, done := range results {
+		out := <-done
+		if out.err != nil {
+			t.Fatalf("predict %d: %v", i, out.err)
 		}
 		want := directForward(t, model, models.EngineMega, insts[i], s.Meta().Config.Dim)
 		for j := range want {
-			if math.Abs(got[i][j]-want[j]) > 1e-9 {
-				t.Errorf("batched output[%d][%d] = %v, single = %v", i, j, got[i][j], want[j])
+			if math.Abs(out.pred.Output[j]-want[j]) > 1e-9 {
+				t.Errorf("batched output[%d][%d] = %v, single = %v", i, j, out.pred.Output[j], want[j])
 			}
 		}
 	}
 	snap := s.MetricsSnapshot(false)
-	if snap.Requests < 8 || snap.Batches == 0 {
-		t.Errorf("metrics: %d requests over %d batches", snap.Requests, snap.Batches)
+	if snap.Requests != 9 || snap.Batches != 2 || snap.MaxBatchSize != 8 {
+		t.Errorf("metrics: %d requests over %d batches (max %d), want 9 over 2 (max 8)",
+			snap.Requests, snap.Batches, snap.MaxBatchSize)
 	}
 }
 
@@ -231,7 +226,7 @@ func TestPredictAfterClose(t *testing.T) {
 // cache hit), then confirm /metrics reports it — the acceptance demo as a
 // test.
 func TestHTTPEndToEnd(t *testing.T) {
-	s, ds, model := trainedServer(t, Options{MaxBatch: 4, MaxWait: 5 * time.Millisecond})
+	s, ds, model := trainedServer(t, Options{MaxBatch: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -29,11 +29,9 @@ type Options struct {
 	// engine whose preprocessing the cache amortises).
 	Engine models.EngineKind
 	// MaxBatch caps how many requests are packed into one block-diagonal
-	// forward pass (default 16).
+	// forward pass (default 16). A free worker takes what is already
+	// queued, up to this many, and never waits for more.
 	MaxBatch int
-	// MaxWait bounds how long an open batch waits for company before it
-	// is flushed (default 2ms).
-	MaxWait time.Duration
 	// Workers sizes the forward-pass worker pool (default GOMAXPROCS).
 	Workers int
 	// ComputeBudget caps the compute worker pool (internal/compute) while
@@ -104,9 +102,6 @@ type Options struct {
 	// MutationPolicy tunes the patch-vs-rebuild decision for incremental
 	// repairs (zero value = the dynamic package defaults).
 	MutationPolicy dynamic.Policy
-	// Clock drives the micro-batcher's MaxWait timing. nil means the wall
-	// clock; tests inject a ManualClock to make flush timing deterministic.
-	Clock Clock
 	// Precision selects the inference arithmetic: PrecisionF64 (default)
 	// runs the training-grade float64 forward; PrecisionF32 serves MEGA
 	// batches through the frozen float32 fast path (checkpoint parameters
@@ -135,14 +130,10 @@ const (
 // against it.
 var ErrBadOptions = errors.New("serve: invalid options")
 
-// Validate checks the knobs that used to fall back silently. MaxWait < 0
-// has no meaning (0 selects the default); ShardWorkers must divide the 8
-// canonical path µchunks (2, 4, or 8 — the shard engine's invariant), with
-// <= 1 meaning disabled.
+// Validate checks the knobs that used to fall back silently. ShardWorkers
+// must divide the 8 canonical path µchunks (2, 4, or 8 — the shard engine's
+// invariant), with <= 1 meaning disabled.
 func (o Options) Validate() error {
-	if o.MaxWait < 0 {
-		return fmt.Errorf("%w: MaxWait %v is negative (0 selects the default)", ErrBadOptions, o.MaxWait)
-	}
 	if o.ShardWorkers < 0 {
 		return fmt.Errorf("%w: ShardWorkers %d is negative (0 disables sharding)", ErrBadOptions, o.ShardWorkers)
 	}
@@ -177,9 +168,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 16
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -256,9 +244,12 @@ type Server struct {
 	// forms the rep-cache key.
 	repOpts  traverse.OptionsDigest
 	metrics  *Metrics
-	batcher  *batcher
 	breaker  *breaker
 	mutators *mutatorPool
+	// queue is the bounded admission queue (Options.QueueDepth): PredictCtx
+	// sends without blocking and sheds when it is full; free workers
+	// receive from it.
+	queue chan *pending
 	// super dispatches shard-eligible batches to the megashard worker
 	// fleet (Options.Dist); nil when distributed serving is disabled.
 	super *dist.Supervisor
@@ -275,7 +266,7 @@ type Server struct {
 
 	mu     sync.RWMutex // guards closed vs. in-flight enqueues
 	closed bool
-	wg     sync.WaitGroup // dispatcher + workers
+	wg     sync.WaitGroup // workers
 
 	// aborting flips when the shutdown grace window lapses: workers stop
 	// forwarding and fail remaining requests with ErrShuttingDown.
@@ -303,9 +294,9 @@ var (
 	ErrWorkerCrashed = errors.New("serve: worker crashed")
 )
 
-// New starts the dispatcher and worker pool around a loaded model. meta
-// must describe model (its Config validates request vocabularies and sets
-// the output interpretation). Invalid knob combinations are rejected with
+// New starts the worker pool around a loaded model. meta must describe
+// model (its Config validates request vocabularies and sets the output
+// interpretation). Invalid knob combinations are rejected with
 // ErrBadOptions rather than silently adjusted (see Options.Validate).
 func New(model models.Model, meta train.Checkpoint, opts Options) (*Server, error) {
 	if err := opts.Validate(); err != nil {
@@ -338,7 +329,7 @@ func New(model models.Model, meta train.Checkpoint, opts Options) (*Server, erro
 		cache:        NewRepCache(opts.CacheCapacity),
 		repOpts:      opts.Mega.TraverseOptions().Digest(),
 		metrics:      NewMetrics(),
-		batcher:      newBatcher(opts.MaxBatch, opts.MaxWait, opts.QueueDepth, opts.Clock),
+		queue:        make(chan *pending, opts.QueueDepth),
 		mutators:     newMutatorPool(opts.MutationSessions),
 		super:        super,
 		arena:        tensor.NewArena(),
@@ -356,18 +347,16 @@ func New(model models.Model, meta train.Checkpoint, opts Options) (*Server, erro
 			s.metrics.breakerOpens.Add(1)
 		}
 	})
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.batcher.run()
-	}()
 	for i := 0; i < opts.Workers; i++ {
 		s.startWorker()
 	}
 	return s, nil
 }
 
-// startWorker launches one forward-pass worker. A panic that escapes the
+// startWorker launches one forward-pass worker. Each time it is free it
+// receives one request from the admission queue, takes whatever else is
+// already queued (takeBatch) and runs that batch; it exits when Shutdown
+// has closed the queue and the queue is drained. A panic that escapes the
 // guarded forward (e.g. raised outside the recover, or during dispatch)
 // fails the in-flight batch with ErrWorkerCrashed and spawns a
 // replacement, so the pool never silently shrinks.
@@ -388,9 +377,9 @@ func (s *Server) startWorker() {
 				s.startWorker()
 			}
 		}()
-		for batch := range s.batcher.out {
-			cur = batch
-			s.runBatch(batch)
+		for p := range s.queue {
+			cur = takeBatch(s.queue, p, s.opts.MaxBatch)
+			s.runBatch(cur)
 			cur = nil
 		}
 	}()
@@ -443,8 +432,8 @@ func (s *Server) MetricsSnapshot(withBuckets bool) Snapshot {
 	snap.Precision = s.opts.Precision
 	snap.MutationSessions = s.mutators.Len()
 	snap.Breaker = string(s.breaker.State())
-	snap.QueueDepth = len(s.batcher.in)
-	snap.QueueCapacity = cap(s.batcher.in)
+	snap.QueueDepth = len(s.queue)
+	snap.QueueCapacity = cap(s.queue)
 	snap.Workers = s.opts.Workers
 	if s.super != nil {
 		st := s.super.Stats()
@@ -467,7 +456,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() {
 		s.mu.Lock()
 		s.closed = true
-		close(s.batcher.in)
+		close(s.queue)
 		s.mu.Unlock()
 
 		drained := make(chan struct{})
@@ -513,7 +502,7 @@ func (s *Server) Predict(inst datasets.Instance) (Prediction, error) {
 
 // PredictCtx runs one graph through the service: validate, apply the
 // request deadline, preprocess (cache hit, fresh traversal, or degraded
-// fallback), enqueue into the micro-batcher with load shedding, and wait
+// fallback), enqueue into the admission queue with load shedding, and wait
 // for the batched forward pass or the context, whichever finishes first.
 func (s *Server) PredictCtx(ctx context.Context, inst datasets.Instance) (Prediction, error) {
 	s.metrics.requests.Add(1)
@@ -525,7 +514,7 @@ func (s *Server) PredictCtx(ctx context.Context, inst datasets.Instance) (Predic
 	ctx, cancel := s.requestContext(ctx)
 	defer cancel()
 
-	p := &pending{ctx: ctx, inst: inst, enqueued: start, done: make(chan outcome, 1)}
+	p := &pending{ctx: ctx, inst: inst, done: make(chan outcome, 1)}
 	if s.opts.Engine == models.EngineMega {
 		s.prepare(p)
 	}
@@ -538,8 +527,9 @@ func (s *Server) PredictCtx(ctx context.Context, inst datasets.Instance) (Predic
 		s.metrics.errors.Add(1)
 		return Prediction{}, ErrClosed
 	}
+	p.enqueued = time.Now()
 	select {
-	case s.batcher.in <- p:
+	case s.queue <- p:
 		s.mu.RUnlock()
 	default:
 		s.mu.RUnlock()
@@ -661,7 +651,7 @@ func (s *Server) validate(inst datasets.Instance) error {
 	return nil
 }
 
-// runBatch triages a flushed batch — shutdown abort, expired requests,
+// runBatch triages a taken batch — shutdown abort, expired requests,
 // degraded split — then runs the forward pass(es) and scatters per-graph
 // output rows back to their callers. Every pending in the batch is
 // finished exactly once on every path.
@@ -945,8 +935,8 @@ type Health struct {
 func (s *Server) HealthSnapshot() Health {
 	h := Health{
 		Breaker:        string(s.breaker.State()),
-		QueueDepth:     len(s.batcher.in),
-		QueueCapacity:  cap(s.batcher.in),
+		QueueDepth:     len(s.queue),
+		QueueCapacity:  cap(s.queue),
 		Workers:        s.opts.Workers,
 		WorkerRestarts: s.metrics.workerRestarts.Load(),
 	}

@@ -253,8 +253,8 @@ type RepCache = serve.RepCache
 func NewRepCache(capacity int) *RepCache { return serve.NewRepCache(capacity) }
 
 // NewServer starts an inference service around a loaded model. Invalid
-// knob combinations (negative MaxWait, ShardWorkers that don't divide 8)
-// are rejected with serve.ErrBadOptions instead of silently adjusted.
+// knob combinations (ShardWorkers that don't divide 8, an unknown
+// Precision) are rejected with serve.ErrBadOptions instead of silently adjusted.
 func NewServer(model Model, meta Checkpoint, opts ServeOptions) (*Server, error) {
 	return serve.New(model, meta, opts)
 }
