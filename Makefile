@@ -71,8 +71,13 @@ shard-check:
 # random add/remove streams, including fused batches), prediction
 # bit-identity through the monolithic and sharded engines, splice-vs-build
 # equivalence, batch atomicity, and the serve /update end-to-end tests
-# (session continuation, forking, eviction, error taxonomy).
+# (session continuation, forking, eviction, error taxonomy). It starts
+# with what every repair runs on: the traversal and band pinned byte for
+# byte to the recorded output of the hash-map walker they replaced, and
+# the three inputs that walker never returned on (a directed graph,
+# self loops under most-correlated and under FIFO revisits).
 dynamic-check:
+	$(GO) test ./internal/traverse/ -run 'TestTraversalMatchesPinnedDigests|TestRunRejectsDirectedGraph|TestSelfLoopsTerminate' -count=1
 	$(GO) test ./internal/dynamic/ -run 'TestPredictionBitIdentity|TestAdoptedRepPredictionIdentity|TestSpliceMatchesBuild|TestBatchAtomicity' -count=1
 	$(GO) test ./internal/dynamic/ -run '^$$' -fuzz FuzzMaintainerEquivalence -fuzztime 10s
 	$(GO) test ./internal/serve/ -run 'TestUpdate|TestMutatorPool' -count=1

@@ -58,60 +58,99 @@ func Build(g *graph.Graph, res *traverse.Result, window int) (*Rep, error) {
 	if window < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrWindowTooSmall, window)
 	}
-	L := len(res.Path)
-	rep := &Rep{
-		Path:       append([]graph.NodeID(nil), res.Path...),
-		Window:     window,
-		NumNodes:   g.NumNodes(),
-		Mask:       make([][]bool, window),
-		EdgeID:     make([][]int32, window),
-		Positions:  make([][]int32, g.NumNodes()),
-		TotalEdges: g.NumEdges(),
-	}
-	for i, v := range rep.Path {
-		rep.Positions[v] = append(rep.Positions[v], int32(i))
-	}
-	covered := make(map[int32]bool, g.NumEdges())
-	for o := 1; o <= window; o++ {
-		size := L - o
-		if size < 0 {
-			size = 0
-		}
-		mask := make([]bool, size)
-		eids := make([]int32, size)
-		for i := range eids {
-			eids[i] = -1
-		}
-		for i := 0; i+o < L; i++ {
-			u, v := rep.Path[i], rep.Path[i+o]
-			if u == v {
-				continue
-			}
-			eid, ok := edgeBetween(g, u, v)
-			if !ok {
-				continue
-			}
-			mask[i] = true
-			eids[i] = eid
-			covered[eid] = true
-		}
-		rep.Mask[o-1] = mask
-		rep.EdgeID[o-1] = eids
-	}
-	rep.CoveredEdges = len(covered)
-	return rep, nil
+	return fill(g, res.Path, window, nil, 0, nil)
 }
 
-// edgeBetween returns the COO index of an edge connecting u and v.
-func edgeBetween(g *graph.Graph, u, v graph.NodeID) (int32, bool) {
-	nbrs := g.Neighbors(u)
-	eids := g.NeighborEdges(u)
-	for i, w := range nbrs {
-		if w == v {
-			return eids[i], true
+// fill is the one band-construction loop: Build is the case with nothing
+// to reuse, Splice the case where pairs inside the first prefix positions
+// are copied from old (edge IDs translated through eidRemap, nil meaning
+// identity) and only the rest are looked up in g.
+func fill(g *graph.Graph, path []graph.NodeID, window int, old *Rep, prefix int, eidRemap []int32) (*Rep, error) {
+	L, n := len(path), g.NumNodes()
+	rep := &Rep{
+		Path:       append([]graph.NodeID(nil), path...),
+		Window:     window,
+		NumNodes:   n,
+		Mask:       make([][]bool, window),
+		EdgeID:     make([][]int32, window),
+		Positions:  make([][]int32, n),
+		TotalEdges: g.NumEdges(),
+	}
+
+	cells := 0
+	for o := 1; o <= window; o++ {
+		cells += max(L-o, 0)
+	}
+	// One backing array each for Positions, Mask and EdgeID, cut into
+	// rows: Positions at each vertex's appearance count.
+	posBuf, maskBuf, eidBuf := make([]int32, L), make([]bool, cells), make([]int32, cells)
+	starts := make([]int32, n+1)
+	for _, v := range path {
+		starts[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		starts[v+1] += starts[v]
+		if lo, hi := starts[v], starts[v+1]; hi > lo {
+			rep.Positions[v] = posBuf[lo:lo:hi]
 		}
 	}
-	return -1, false
+	for i, v := range path {
+		rep.Positions[v] = append(rep.Positions[v], int32(i))
+	}
+	for i := range eidBuf {
+		eidBuf[i] = -1
+	}
+	for o := 1; o <= window; o++ {
+		size := max(L-o, 0)
+		rep.Mask[o-1], rep.EdgeID[o-1] = maskBuf[:size:size], eidBuf[:size:size]
+		maskBuf, eidBuf = maskBuf[size:], eidBuf[size:]
+	}
+	covered := make([]bool, g.NumEdges())
+	set := func(o, i int, e int32) {
+		rep.Mask[o-1][i], rep.EdgeID[o-1][i] = true, e
+		if !covered[e] {
+			covered[e] = true
+			rep.CoveredEdges++
+		}
+	}
+	// adj[w].row == i+1 says w is adjacent to path[i], through edge
+	// adj[w].eid: one pass over path[i]'s row answers all of position i's
+	// pairs.
+	adj := make([]struct{ row, eid int32 }, n)
+	for i, u := range path {
+		last := min(window, L-1-i)
+		// Pairs entirely inside the prefix (i+o < prefix) are unchanged:
+		// both endpoints avoid the mutated vertices, so the connecting
+		// edge exists in g iff it existed before.
+		reuse := min(max(prefix-1-i, 0), last)
+		for o := 1; o <= reuse; o++ {
+			if !old.Mask[o-1][i] {
+				continue
+			}
+			e := old.EdgeID[o-1][i]
+			if eidRemap != nil {
+				e = eidRemap[e]
+			}
+			if e < 0 {
+				return nil, fmt.Errorf("band: splice prefix references removed edge (offset %d, position %d)", o, i)
+			}
+			set(o, i, e)
+		}
+		if reuse == last {
+			continue
+		}
+		// Descending, so that among parallel edges the row's first wins.
+		row, eids := g.Neighbors(u), g.NeighborEdges(u)
+		for k := len(row) - 1; k >= 0; k-- {
+			adj[row[k]].row, adj[row[k]].eid = int32(i+1), eids[k]
+		}
+		for o := reuse + 1; o <= last; o++ {
+			if v := path[i+o]; v != u && adj[v].row == int32(i+1) {
+				set(o, i, adj[v].eid)
+			}
+		}
+	}
+	return rep, nil
 }
 
 // Len returns the path length L.

@@ -274,6 +274,51 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepare times FromGraph, traversal plus band on a fresh graph
+// value (so its CSR build is inside, as on a cold /predict or an /update
+// rebuild), at the serving benchmark's three tree-plus-chords size classes
+// and at the update benchmark's Barabási–Albert lineage size.
+func BenchmarkPrepare(b *testing.B) {
+	treeChords := func(n, chords int) *graph.Graph {
+		rng := rand.New(rand.NewSource(1))
+		edges := graph.RandomTree(rng, n).Edges()
+		seen := make(map[graph.Edge]bool, len(edges)+chords)
+		for _, e := range edges {
+			seen[e] = true
+		}
+		for added := 0; added < chords; {
+			u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			if u > v {
+				u, v = v, u
+			}
+			if e := (graph.Edge{Src: u, Dst: v}); u != v && !seen[e] {
+				seen[e] = true
+				edges = append(edges, e)
+				added++
+			}
+		}
+		return graph.MustNew(n, edges, false)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"tree32+6", treeChords(32, 6)},
+		{"tree96+18", treeChords(96, 18)},
+		{"tree224+40", treeChords(224, 40)},
+		{"ba2000m3", graph.BarabasiAlbert(rand.New(rand.NewSource(1)), 2000, 3)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := FromGraph(c.g.Clone(), traverse.DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestPositionGraph(t *testing.T) {
 	g := graph.Path(6)
 	rep, _ := buildFor(t, g, traverse.Options{Window: 1, EdgeCoverage: 1, Start: 0})

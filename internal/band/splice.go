@@ -39,74 +39,5 @@ func Splice(old *Rep, res *traverse.Result, g *graph.Graph, prefix int, eidRemap
 		}
 	}
 
-	rep := &Rep{
-		Path:       append([]graph.NodeID(nil), res.Path...),
-		Window:     window,
-		NumNodes:   g.NumNodes(),
-		Mask:       make([][]bool, window),
-		EdgeID:     make([][]int32, window),
-		Positions:  make([][]int32, g.NumNodes()),
-		TotalEdges: g.NumEdges(),
-	}
-	for i, v := range rep.Path {
-		rep.Positions[v] = append(rep.Positions[v], int32(i))
-	}
-	covered := make([]bool, g.NumEdges())
-	for o := 1; o <= window; o++ {
-		size := L - o
-		if size < 0 {
-			size = 0
-		}
-		mask := make([]bool, size)
-		eids := make([]int32, size)
-		// Pairs entirely inside the prefix (i+o < prefix) are unchanged:
-		// both endpoints avoid the mutated vertices, so the connecting
-		// edge exists in g iff it existed before.
-		reuse := prefix - o
-		if reuse > size {
-			reuse = size
-		}
-		if reuse < 0 {
-			reuse = 0
-		}
-		oldMask, oldEids := old.Mask[o-1], old.EdgeID[o-1]
-		for i := 0; i < reuse; i++ {
-			if !oldMask[i] {
-				eids[i] = -1
-				continue
-			}
-			e := oldEids[i]
-			if eidRemap != nil {
-				e = eidRemap[e]
-			}
-			if e < 0 {
-				return nil, fmt.Errorf("band: splice prefix references removed edge (offset %d, position %d)", o, i)
-			}
-			mask[i] = true
-			eids[i] = e
-			covered[e] = true
-		}
-		for i := reuse; i < size; i++ {
-			eids[i] = -1
-			u, v := rep.Path[i], rep.Path[i+o]
-			if u == v {
-				continue
-			}
-			eid, ok := edgeBetween(g, u, v)
-			if !ok {
-				continue
-			}
-			mask[i] = true
-			eids[i] = eid
-			covered[eid] = true
-		}
-		rep.Mask[o-1] = mask
-		rep.EdgeID[o-1] = eids
-	}
-	for _, c := range covered {
-		if c {
-			rep.CoveredEdges++
-		}
-	}
-	return rep, nil
+	return fill(g, res.Path, window, old, prefix, eidRemap)
 }

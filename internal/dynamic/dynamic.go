@@ -13,12 +13,12 @@
 // provably follows the old path up to the first appearance of a mutated
 // endpoint — before either endpoint is visited or enters the trailing
 // window, no candidate pool, score, or termination test can observe the
-// mutation — so that prefix is replayed without candidate ranking (O(ω)
-// per step via traverse.Walker.Replay) and only the suffix re-runs the
-// O(deg·ω) decision loop. The band arrays are then spliced: entries whose
-// position pair lies inside the replayed prefix are copied, the rest
-// recomputed (band.Splice), preserving the canonical EdgeRefs ordering the
-// shard planner depends on.
+// mutation — so that prefix is replayed without candidate ranking
+// (traverse.Walker.Replay) and only the suffix re-runs the decision loop.
+// The band arrays are then spliced: entries whose position pair lies
+// inside the replayed prefix are copied, the rest recomputed
+// (band.Splice), preserving the canonical EdgeRefs ordering the shard
+// planner depends on.
 //
 // A WL-delta check (wl.Tracker) estimates how much h-hop structure each
 // mutation disturbed; updates whose label delta exceeds a threshold skip
@@ -138,10 +138,6 @@ type Maintainer struct {
 	// first Fingerprint call after a commit until the next commit.
 	fp      graph.Fingerprint
 	fpValid bool
-	// edgeSet maps canonical (low, high) endpoint pairs to live COO
-	// indices. Insertions append (existing IDs stable); deletions compact
-	// order-preservingly (IDs above the victim shift down by one).
-	edgeSet map[[2]graph.NodeID]int32
 
 	rep    *band.Rep
 	res    *traverse.Result
@@ -204,8 +200,11 @@ func Adopt(rep *band.Rep, res *traverse.Result, opts traverse.Options, policy Po
 	return m, nil
 }
 
-// newShell validates inputs and builds the edge set and WL tracker; the
-// caller supplies the representation via commit.
+// newShell validates inputs and builds the WL tracker; the caller supplies
+// the representation via commit. The graph is simple, so its own adjacency
+// index answers "is {u, v} live, and at which COO index" for every later
+// mutation: insertions append (existing IDs stable), deletions compact
+// order-preservingly (IDs above the victim shift down by one).
 func newShell(g *graph.Graph, opts traverse.Options, policy Policy) (*Maintainer, error) {
 	if g.Directed() {
 		return nil, fmt.Errorf("%w: directed graph", ErrUnsupported)
@@ -223,22 +222,45 @@ func newShell(g *graph.Graph, opts traverse.Options, policy Policy) (*Maintainer
 		opts:     opts,
 		policy:   policy.resolved(),
 		numNodes: g.NumNodes(),
-		edgeSet:  make(map[[2]graph.NodeID]int32, g.NumEdges()),
 	}
-	for i, e := range g.Edges() {
-		if e.Src == e.Dst {
-			return nil, fmt.Errorf("%w: self loop at edge %d", ErrUnsupported, i)
-		}
-		key := canon(e.Src, e.Dst)
-		if _, dup := m.edgeSet[key]; dup {
-			return nil, fmt.Errorf("%w: duplicate edge (%d,%d)", ErrUnsupported, e.Src, e.Dst)
-		}
-		m.edgeSet[key] = int32(i)
+	if err := nonSimple(g); err != nil {
+		return nil, err
 	}
 	if m.policy.WLRounds > 0 {
 		m.tracker = wl.NewTracker(wlAdj{g}, nil, m.policy.WLRounds)
 	}
 	return m, nil
+}
+
+// nonSimple reports the first self loop or repeated endpoint pair in COO
+// order, nil on a simple graph. The sorted rows answer "simple?" without a
+// map; only a refused graph pays for one, to name the edge.
+func nonSimple(g *graph.Graph) error {
+	simple := true
+	for v := graph.NodeID(0); simple && int(v) < g.NumNodes(); v++ {
+		row := g.Neighbors(v)
+		for i, u := range row {
+			if u == v || (i > 0 && u == row[i-1]) {
+				simple = false
+				break
+			}
+		}
+	}
+	if simple {
+		return nil
+	}
+	seen := make(map[[2]graph.NodeID]bool)
+	for i, e := range g.Edges() {
+		if e.Src == e.Dst {
+			return fmt.Errorf("%w: self loop at edge %d", ErrUnsupported, i)
+		}
+		key := canon(e.Src, e.Dst)
+		if seen[key] {
+			return fmt.Errorf("%w: duplicate edge (%d,%d)", ErrUnsupported, e.Src, e.Dst)
+		}
+		seen[key] = true
+	}
+	panic("dynamic: non-simple rows over a simple edge list")
 }
 
 // wlAdj adapts graph.Graph to wl.Adjacency.
@@ -360,7 +382,8 @@ func (m *Maintainer) applyBatchFused(removes, adds [][2]graph.NodeID) (Repair, e
 	old := m.g.Edges()
 	victim := make([]bool, len(old))
 	for _, e := range removes {
-		victim[m.edgeSet[canon(e[0], e[1])]] = true
+		eid, _ := m.g.EdgeIndex(e[0], e[1]) // live: ValidateBatch passed
+		victim[eid] = true
 	}
 	edges := make([]graph.Edge, 0, len(old)-len(removes)+len(adds))
 	var remap []int32
@@ -391,15 +414,7 @@ func (m *Maintainer) applyBatchFused(removes, adds [][2]graph.NodeID) (Repair, e
 		m.broken = true
 		return Repair{}, err
 	}
-	r, err := m.repairMulti(gNew, endpoints, remap)
-	if err != nil {
-		return Repair{}, err
-	}
-	m.edgeSet = make(map[[2]graph.NodeID]int32, len(edges))
-	for i, e := range edges {
-		m.edgeSet[canon(e.Src, e.Dst)] = int32(i)
-	}
-	return r, nil
+	return m.repairMulti(gNew, endpoints, remap)
 }
 
 // ValidateBatch checks a batch without applying it. Removals precede
@@ -431,7 +446,7 @@ func (m *Maintainer) validateAdd(u, v graph.NodeID, removed, added map[[2]graph.
 		return err
 	}
 	key := canon(u, v)
-	if _, live := m.edgeSet[key]; live && !removed[key] {
+	if m.g.HasEdge(u, v) && !removed[key] {
 		return fmt.Errorf("%w: (%d,%d)", ErrEdgeExists, u, v)
 	}
 	if added[key] {
@@ -445,7 +460,7 @@ func (m *Maintainer) validateRemove(u, v graph.NodeID, removed, _ map[[2]graph.N
 		return err
 	}
 	key := canon(u, v)
-	if _, live := m.edgeSet[key]; !live || removed[key] {
+	if !m.g.HasEdge(u, v) || removed[key] {
 		return fmt.Errorf("%w: (%d,%d)", ErrEdgeMissing, u, v)
 	}
 	return nil
@@ -472,17 +487,11 @@ func (m *Maintainer) applyAdd(u, v graph.NodeID) (Repair, error) {
 		m.broken = true
 		return Repair{}, err
 	}
-	r, err := m.repair(gNew, u, v, nil)
-	if err != nil {
-		return Repair{}, err
-	}
-	m.edgeSet[key] = int32(len(edges) - 1)
-	return r, nil
+	return m.repair(gNew, u, v, nil)
 }
 
 func (m *Maintainer) applyRemove(u, v graph.NodeID) (Repair, error) {
-	key := canon(u, v)
-	eid := m.edgeSet[key]
+	eid, _ := m.g.EdgeIndex(u, v) // live: validateRemove passed
 	old := m.g.Edges()
 	edges := append(old[:eid], old[eid+1:]...)
 	gNew, err := graph.New(m.numNodes, edges, false)
@@ -501,17 +510,7 @@ func (m *Maintainer) applyRemove(u, v graph.NodeID) (Repair, error) {
 			remap[i] = int32(i) - 1
 		}
 	}
-	r, err := m.repair(gNew, u, v, remap)
-	if err != nil {
-		return Repair{}, err
-	}
-	delete(m.edgeSet, key)
-	for k, id := range m.edgeSet {
-		if id > eid {
-			m.edgeSet[k] = id - 1
-		}
-	}
-	return r, nil
+	return m.repair(gNew, u, v, remap)
 }
 
 // repair brings the representation in sync with gNew after the mutation of
@@ -531,11 +530,7 @@ func (m *Maintainer) repair(gNew *graph.Graph, u, v graph.NodeID, remap []int32)
 func (m *Maintainer) repairMulti(gNew *graph.Graph, endpoints []graph.NodeID, remap []int32) (Repair, error) {
 	wlChanged := -1
 	if m.tracker != nil {
-		ends := make([]int32, len(endpoints))
-		for i, e := range endpoints {
-			ends[i] = int32(e)
-		}
-		wlChanged = m.tracker.UpdateBatch(wlAdj{gNew}, ends)
+		wlChanged = m.tracker.UpdateBatch(wlAdj{gNew}, endpoints)
 		if frac := m.policy.RebuildFraction; frac > 0 && frac < 1 &&
 			float64(wlChanged) > frac*float64(m.numNodes) {
 			return m.rebuildFrom(gNew, nil, wlChanged, "wl-delta")

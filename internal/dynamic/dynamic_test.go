@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -343,6 +344,29 @@ func TestUnsupportedConfigurations(t *testing.T) {
 	}
 	if _, err := NewMaintainer(pg, traverse.DefaultOptions()); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("parallel edge: %v", err)
+	}
+}
+
+// A refused graph is described by its first offending edge in COO order,
+// whichever vertex's row it sits in.
+func TestNonSimpleGraphNamesFirstOffenderInEdgeOrder(t *testing.T) {
+	cases := []struct {
+		edges []graph.Edge
+		want  string
+	}{
+		{[]graph.Edge{{Src: 3, Dst: 4}, {Src: 4, Dst: 3}, {Src: 0, Dst: 0}, {Src: 0, Dst: 1}, {Src: 0, Dst: 1}}, "duplicate edge (4,3)"},
+		{[]graph.Edge{{Src: 3, Dst: 4}, {Src: 2, Dst: 2}, {Src: 4, Dst: 3}, {Src: 0, Dst: 0}}, "self loop at edge 1"},
+		{[]graph.Edge{{Src: 1, Dst: 1}, {Src: 1, Dst: 1}}, "self loop at edge 0"},
+	}
+	for _, c := range cases {
+		g, err := graph.New(5, c.edges, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewMaintainer(g, traverse.DefaultOptions())
+		if !errors.Is(err, ErrUnsupported) || !strings.HasSuffix(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want ErrUnsupported ending in %q", c.edges, err, c.want)
+		}
 	}
 }
 

@@ -72,8 +72,13 @@ func BarabasiAlbert(rng *rand.Rand, n, m int) *Graph {
 			endpoints = append(endpoints, NodeID(u), NodeID(v))
 		}
 	}
+	// chosen holds the new vertex's targets in draw order: the edge list
+	// and the endpoint list the later draws sample from must be a function
+	// of the seed alone.
+	chosen := make([]NodeID, 0, m)
 	for v := m; v < n; v++ {
-		chosen := make(map[NodeID]bool, m)
+		chosen = chosen[:0]
+	draw:
 		for len(chosen) < m {
 			var t NodeID
 			if len(endpoints) == 0 {
@@ -81,12 +86,14 @@ func BarabasiAlbert(rng *rand.Rand, n, m int) *Graph {
 			} else {
 				t = endpoints[rng.Intn(len(endpoints))]
 			}
-			if int(t) == v || chosen[t] {
-				continue
+			for _, c := range chosen {
+				if c == t {
+					continue draw
+				}
 			}
-			chosen[t] = true
+			chosen = append(chosen, t)
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			edges = append(edges, Edge{Src: NodeID(v), Dst: t})
 			endpoints = append(endpoints, NodeID(v), t)
 		}

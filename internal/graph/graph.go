@@ -152,11 +152,11 @@ func (g *Graph) buildCSR() {
 		}
 	}
 	// Sort each row for deterministic iteration and binary-search lookups.
+	var rows rowSorter // one value for every row: sort.Sort boxes its argument
 	for v := 0; v < n; v++ {
 		lo, hi := g.rowPtr[v], g.rowPtr[v+1]
-		row := g.colIdx[lo:hi]
-		pos := g.edgePos[lo:hi]
-		sort.Sort(&rowSorter{row: row, pos: pos})
+		rows.row, rows.pos = g.colIdx[lo:hi], g.edgePos[lo:hi]
+		sort.Sort(&rows)
 	}
 	g.csrBuilt = true
 }
@@ -214,11 +214,29 @@ func (g *Graph) MeanDegree() float64 {
 	return float64(g.rowPtr[g.numNodes]) / float64(g.numNodes)
 }
 
+// EdgeIndex returns the COO index of the edge behind the first entry for
+// u in v's sorted adjacency row, and whether there is one. Among parallel
+// edges it names the one buildCSR's row sort put first.
+func (g *Graph) EdgeIndex(v, u NodeID) (int32, bool) {
+	g.buildCSR()
+	lo, end := g.rowPtr[v], g.rowPtr[v+1]
+	for hi := end; lo < hi; {
+		if mid := (lo + hi) / 2; g.colIdx[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < end && g.colIdx[lo] == u {
+		return g.edgePos[lo], true
+	}
+	return -1, false
+}
+
 // HasEdge reports whether v has u in its adjacency row.
 func (g *Graph) HasEdge(v, u NodeID) bool {
-	row := g.Neighbors(v)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= u })
-	return i < len(row) && row[i] == u
+	_, ok := g.EdgeIndex(v, u)
+	return ok
 }
 
 // ConnectedComponents returns a component label per vertex and the number of

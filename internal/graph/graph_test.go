@@ -104,6 +104,34 @@ func TestHasEdge(t *testing.T) {
 	}
 }
 
+// TestEdgeIndexNamesFirstRowEntry: among parallel edges EdgeIndex must name
+// the edge a scan of the row meets first, which is the one the band stores.
+func TestEdgeIndexNamesFirstRowEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(12)
+		edges := make([]Edge, rng.Intn(4*n))
+		for i := range edges {
+			edges[i] = Edge{NodeID(rng.Intn(n)), NodeID(rng.Intn(n))}
+		}
+		g := MustNew(n, edges, false)
+		for v := NodeID(0); int(v) < n; v++ {
+			for u := NodeID(0); int(u) < n; u++ {
+				want, found := int32(-1), false
+				for i, w := range g.Neighbors(v) {
+					if w == u {
+						want, found = g.NeighborEdges(v)[i], true
+						break
+					}
+				}
+				if got, ok := g.EdgeIndex(v, u); got != want || ok != found {
+					t.Fatalf("trial %d: EdgeIndex(%d,%d) = %d,%v, row scan gives %d,%v", trial, v, u, got, ok, want, found)
+				}
+			}
+		}
+	}
+}
+
 func TestDirectedCSROneDirection(t *testing.T) {
 	g := MustNew(3, []Edge{{0, 1}, {1, 2}}, true)
 	if got := g.Degree(0); got != 1 {
@@ -319,6 +347,26 @@ func TestGenerators(t *testing.T) {
 			t.Errorf("degree sum %d != 2m %d", sum, 2*g.NumEdges())
 		}
 	})
+}
+
+// TestBarabasiAlbertIsAFunctionOfItsSeed: "seed N" must name one graph.
+// The generator once appended each new vertex's edges in map-iteration
+// order, which also reordered the endpoint list later draws sample from.
+func TestBarabasiAlbertIsAFunctionOfItsSeed(t *testing.T) {
+	for _, m := range []int{1, 3} {
+		first := BarabasiAlbert(rand.New(rand.NewSource(7)), 200, m).Edges()
+		for trial := 0; trial < 5; trial++ {
+			again := BarabasiAlbert(rand.New(rand.NewSource(7)), 200, m).Edges()
+			if len(again) != len(first) {
+				t.Fatalf("m=%d: %d edges, then %d", m, len(first), len(again))
+			}
+			for i := range first {
+				if again[i] != first[i] {
+					t.Fatalf("m=%d trial %d: edge %d is %v, first draw gave %v", m, trial, i, again[i], first[i])
+				}
+			}
+		}
+	}
 }
 
 func TestPermuteNodesPreservesDegreeMultiset(t *testing.T) {

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mega/internal/graph"
@@ -285,6 +286,11 @@ func NewWalker(g *graph.Graph, opts Options) (*Walker, error) {
 	if n == 0 {
 		return nil, ErrEmptyGraph
 	}
+	if g.Directed() {
+		// Covering an edge removes it from both endpoints' rows; an arc
+		// with no reverse would stay uncovered on one side forever.
+		return nil, fmt.Errorf("%w: directed graph (the traversal needs symmetric adjacency)", ErrBadOptions)
+	}
 	if opts.EdgeCoverage == 0 {
 		opts.EdgeCoverage = 1.0
 	}
@@ -464,7 +470,7 @@ func (w *Walker) Complete() *Result {
 func (w *Walker) runLoop() {
 	t, work, target := w.t, w.work, w.target
 	for {
-		nodesDone := len(t.unvisited) == 0
+		nodesDone := t.numUnvisited == 0
 		edgesDone := t.covered >= target
 		if nodesDone && edgesDone {
 			break
@@ -526,11 +532,7 @@ func (w *Walker) result() *Result {
 		SparsifyWeights: w.sparsWeights,
 		Graph:           w.work,
 	}
-	seen := make(map[graph.NodeID]bool, w.work.NumNodes())
-	for _, v := range t.path {
-		seen[v] = true
-	}
-	res.Revisits = len(t.path) - len(seen)
+	res.Revisits = len(t.path) - (w.work.NumNodes() - t.numUnvisited)
 	for _, vt := range t.virtual {
 		if vt {
 			res.VirtualEdges++
@@ -539,59 +541,125 @@ func (w *Walker) result() *Result {
 	return res
 }
 
-// traversal is the mutable state of one objective-traversal run.
+// traversal is the mutable state of one objective-traversal run, held in
+// flat arrays indexed by vertex or by slot. A slot is one (vertex, distinct
+// neighbour) pair — parallel edges share a slot, they cover together — and
+// the slots of v are rowPtr[v]..rowPtr[v+1] in ascending neighbour order.
 type traversal struct {
 	g     *graph.Graph
 	omega int
 
-	// remaining[v] holds v's not-yet-covered incident edges as neighbour
-	// IDs; removal is swap-delete, with remIdx tracking positions for
-	// O(1) removal of a specific neighbour.
-	remaining [][]graph.NodeID
-	remIdx    []map[graph.NodeID]int
+	rowPtr []int32
+	nbr    []graph.NodeID // nbr[s] is the neighbour of slot s
+	twin   []int32        // twin[s] is the slot of the reverse arc (s itself for a self loop)
+	// live[rowPtr[v]:rowPtr[v]+liveLen[v]] holds the slots of v's
+	// not-yet-covered edges in no particular order, and pos[s] is where
+	// slot s sits in live, so covering an edge is two O(1) swap-deletes.
+	live    []int32
+	pos     []int32
+	liveLen []int32
 
-	unvisited map[graph.NodeID]bool
-	stack     []graph.NodeID
-	onStack   []bool
-	revisit   RevisitPolicy
-	objective Objective
+	unvisited    []bool
+	numUnvisited int
+	stack        []graph.NodeID
+	onStack      []bool
+	revisit      RevisitPolicy
+	objective    Objective
 
 	path    []graph.NodeID
 	virtual []bool
-	// window is a ring of the trailing ω path entries, with inWindow
-	// counting occurrences for O(1) membership tests.
-	window   []graph.NodeID
-	inWindow map[graph.NodeID]int
+	// The trailing window is path[len(path)-omega:]. inWindow[v] counts v's
+	// appearances in it, and score[x] = Σ_{u ∈ N(x)} inWindow[u] is Eq. (2)
+	// for every vertex at once, kept current as the window slides.
+	inWindow []int32
+	score    []int32
 
 	covered int
+
+	// Revisit-livelock detection, see livelocked.
+	popLen, popCovered  int
+	stall               int
+	snapStack, snapTail []graph.NodeID
+	draining            bool
 }
 
 func newTraversal(g *graph.Graph, omega int) *traversal {
 	n := g.NumNodes()
+	carve := func(buf *[]int32, k int) []int32 {
+		out := (*buf)[:k:k]
+		*buf = (*buf)[k:]
+		return out
+	}
+	perVertex := make([]int32, 4*n+1)
+	flags := make([]bool, 2*n)
 	t := &traversal{
-		g:         g,
-		omega:     omega,
-		remaining: make([][]graph.NodeID, n),
-		remIdx:    make([]map[graph.NodeID]int, n),
-		unvisited: make(map[graph.NodeID]bool, n),
-		onStack:   make([]bool, n),
-		inWindow:  make(map[graph.NodeID]int, omega+1),
+		g:            g,
+		omega:        omega,
+		rowPtr:       carve(&perVertex, n+1),
+		liveLen:      carve(&perVertex, n),
+		inWindow:     carve(&perVertex, n),
+		score:        carve(&perVertex, n),
+		unvisited:    flags[:n:n],
+		onStack:      flags[n:],
+		numUnvisited: n,
+		path:         make([]graph.NodeID, 0, n+n/2),
+		virtual:      make([]bool, 0, n+n/2),
+		popLen:       -1,
 	}
 	for v := 0; v < n; v++ {
-		nbrs := g.Neighbors(graph.NodeID(v))
-		t.remaining[v] = make([]graph.NodeID, 0, len(nbrs))
-		idx := make(map[graph.NodeID]int, len(nbrs))
-		for _, u := range nbrs {
-			if _, dup := idx[u]; dup {
-				continue // parallel edges cover together
+		t.unvisited[v] = true
+		distinct, prev := int32(0), graph.NodeID(-1)
+		for _, u := range g.Neighbors(graph.NodeID(v)) {
+			if u != prev {
+				distinct, prev = distinct+1, u
 			}
-			idx[u] = len(t.remaining[v])
-			t.remaining[v] = append(t.remaining[v], u)
 		}
-		t.remIdx[v] = idx
-		t.unvisited[graph.NodeID(v)] = true
+		t.rowPtr[v+1] = t.rowPtr[v] + distinct
+	}
+	slots := int(t.rowPtr[n])
+	perSlot := make([]int32, 4*slots)
+	t.nbr = carve(&perSlot, slots)
+	t.twin = carve(&perSlot, slots)
+	t.live = carve(&perSlot, slots)
+	t.pos = carve(&perSlot, slots)
+	// Rows are sorted and symmetric, so the arcs into u arrive in the order
+	// of u's own row: the reverse of the k-th arc seen into u is u's k-th
+	// slot. liveLen does the counting, and ends at each row's full length.
+	s := int32(0)
+	for v := 0; v < n; v++ {
+		prev := graph.NodeID(-1)
+		for _, u := range g.Neighbors(graph.NodeID(v)) {
+			if u == prev {
+				continue
+			}
+			prev = u
+			t.nbr[s], t.live[s], t.pos[s] = u, s, s
+			t.twin[s] = t.rowPtr[u] + t.liveLen[u]
+			t.liveLen[u]++
+			s++
+		}
 	}
 	return t
+}
+
+// liveSlots returns the slots of v's not-yet-covered edges.
+func (t *traversal) liveSlots(v graph.NodeID) []int32 {
+	return t.live[t.rowPtr[v] : t.rowPtr[v]+t.liveLen[v]]
+}
+
+// dropSlot removes slot s from v's live segment.
+func (t *traversal) dropSlot(v graph.NodeID, s int32) {
+	t.liveLen[v]--
+	p, moved := t.pos[s], t.live[t.rowPtr[v]+t.liveLen[v]]
+	t.live[p], t.pos[moved] = moved, p
+}
+
+// slide adds d appearances of v to the trailing window.
+func (t *traversal) slide(v graph.NodeID, d int32) {
+	t.inWindow[v] += d
+	for _, x := range t.g.Neighbors(v) {
+		t.score[x] += d
+	}
 }
 
 // visit appends v to the path, covering every uncovered edge between v and
@@ -599,51 +667,34 @@ func newTraversal(g *graph.Graph, omega int) *traversal {
 // bookkeeping.
 func (t *traversal) visit(v graph.NodeID, isVirtual bool) {
 	// Cover edges from v into the window *before* v joins it.
-	for u := range t.inWindow {
-		if t.removeRemaining(v, u) {
-			if u != v {
-				t.removeRemaining(u, v)
-			}
-			t.covered++
+	base := t.rowPtr[v]
+	for i := int32(0); i < t.liveLen[v]; {
+		s := t.live[base+i]
+		u := t.nbr[s]
+		if t.inWindow[u] == 0 {
+			i++
+			continue
 		}
+		t.dropSlot(v, s) // refills index i with v's last live slot
+		if u != v {
+			t.dropSlot(u, t.twin[s])
+		}
+		t.covered++
 	}
 	t.path = append(t.path, v)
 	t.virtual = append(t.virtual, isVirtual)
-	delete(t.unvisited, v)
-	if len(t.remaining[v]) > 0 && !t.onStack[v] {
+	if t.unvisited[v] {
+		t.unvisited[v] = false
+		t.numUnvisited--
+	}
+	if t.liveLen[v] > 0 && !t.onStack[v] {
 		t.stack = append(t.stack, v)
 		t.onStack[v] = true
 	}
-	// Slide the window.
-	t.window = append(t.window, v)
-	t.inWindow[v]++
-	if len(t.window) > t.omega {
-		old := t.window[0]
-		t.window = t.window[1:]
-		t.inWindow[old]--
-		if t.inWindow[old] == 0 {
-			delete(t.inWindow, old)
-		}
+	t.slide(v, 1)
+	if n := len(t.path); n > t.omega {
+		t.slide(t.path[n-t.omega-1], -1)
 	}
-}
-
-// removeRemaining deletes u from v's remaining-neighbour set, reporting
-// whether it was present.
-func (t *traversal) removeRemaining(v, u graph.NodeID) bool {
-	idx, ok := t.remIdx[v][u]
-	if !ok {
-		return false
-	}
-	rem := t.remaining[v]
-	last := len(rem) - 1
-	moved := rem[last]
-	rem[idx] = moved
-	t.remaining[v] = rem[:last]
-	if moved != u {
-		t.remIdx[v][moved] = idx
-	}
-	delete(t.remIdx[v], u)
-	return true
 }
 
 // Objective selects the candidate-ranking function.
@@ -676,18 +727,14 @@ func (o Objective) String() string {
 func (t *traversal) correlate(v graph.NodeID) int {
 	if t.objective == ObjectiveCoverage {
 		score := 0
-		for u := range t.inWindow {
-			if _, ok := t.remIdx[v][u]; ok {
+		for _, s := range t.liveSlots(v) {
+			if t.inWindow[t.nbr[s]] > 0 {
 				score++
 			}
 		}
 		return score
 	}
-	score := 0
-	for _, u := range t.g.Neighbors(v) {
-		score += t.inWindow[u]
-	}
-	return score
+	return int(t.score[v])
 }
 
 // bestRemainingNeighbor returns the neighbour of curr with an uncovered
@@ -697,7 +744,8 @@ func (t *traversal) correlate(v graph.NodeID) int {
 func (t *traversal) bestRemainingNeighbor(curr graph.NodeID, unvisitedOnly bool) (graph.NodeID, bool) {
 	best := graph.NodeID(-1)
 	bestScore := -1
-	for _, u := range t.remaining[curr] {
+	for _, slot := range t.liveSlots(curr) {
+		u := t.nbr[slot]
 		if u == curr {
 			continue // self loops cover via the window, not transitions
 		}
@@ -722,8 +770,9 @@ func (t *traversal) bestRemainingNeighbor(curr graph.NodeID, unvisitedOnly bool)
 func (t *traversal) bestWindowCoveringUnvisited() (graph.NodeID, bool) {
 	best := graph.NodeID(-1)
 	bestScore := -1
-	for w := range t.inWindow {
-		for _, u := range t.remaining[w] {
+	for _, w := range t.path[max(0, len(t.path)-t.omega):] {
+		for _, slot := range t.liveSlots(w) {
+			u := t.nbr[slot]
 			if !t.unvisited[u] {
 				continue
 			}
@@ -771,13 +820,63 @@ func (p RevisitPolicy) String() string {
 // popStack discards exhausted pending entries and selects the next revisit
 // vertex per the configured policy.
 func (t *traversal) popStack() (graph.NodeID, bool) {
-	switch t.revisit {
+	policy := t.revisit
+	if policy == RevisitLIFO {
+		return t.pop(policy)
+	}
+	if t.livelocked() {
+		policy = RevisitLIFO
+	}
+	v, ok := t.pop(policy)
+	if ok {
+		t.popLen, t.popCovered = len(t.path), t.covered
+	} else {
+		t.popLen, t.draining = -1, false
+	}
+	return v, ok
+}
+
+// livelocked reports whether the revisits of a non-LIFO policy have
+// entered a cycle, and keeps reporting it until the stack has drained. A
+// self loop is covered only by revisiting its vertex while the vertex is
+// still in the window. LIFO does that by popping the vertex twice in a
+// row; the other policies can alternate between two or more such vertices
+// forever. A revisit that covers nothing changes only the stack order and
+// the window, so meeting an earlier (stack, window) pair again inside one
+// run of such revisits proves the walk periodic; the comparison point is
+// re-anchored at every power-of-two run length (Brent), which finds any
+// cycle and fires on no walk that would have terminated. From there the
+// pending vertices are popped LIFO, two visits each.
+func (t *traversal) livelocked() bool {
+	if t.draining {
+		return true
+	}
+	if len(t.path) == t.popLen+1 && t.covered == t.popCovered {
+		t.stall++
+	} else {
+		t.stall = 0
+	}
+	if t.stall < 2 {
+		return false
+	}
+	tail := t.path[max(0, len(t.path)-t.omega):]
+	if t.stall&(t.stall-1) == 0 {
+		t.snapStack = append(t.snapStack[:0], t.stack...)
+		t.snapTail = append(t.snapTail[:0], tail...)
+		return false
+	}
+	t.draining = slices.Equal(t.snapStack, t.stack) && slices.Equal(t.snapTail, tail)
+	return t.draining
+}
+
+func (t *traversal) pop(policy RevisitPolicy) (graph.NodeID, bool) {
+	switch policy {
 	case RevisitFIFO:
 		for len(t.stack) > 0 {
 			head := t.stack[0]
 			t.stack = t.stack[1:]
 			t.onStack[head] = false
-			if len(t.remaining[head]) > 0 {
+			if t.liveLen[head] > 0 {
 				return head, true
 			}
 		}
@@ -788,7 +887,7 @@ func (t *traversal) popStack() (graph.NodeID, bool) {
 		// Compact exhausted entries while scanning.
 		live := t.stack[:0]
 		for _, v := range t.stack {
-			if len(t.remaining[v]) == 0 {
+			if t.liveLen[v] == 0 {
 				t.onStack[v] = false
 				continue
 			}
@@ -811,7 +910,7 @@ func (t *traversal) popStack() (graph.NodeID, bool) {
 			top := t.stack[len(t.stack)-1]
 			t.stack = t.stack[:len(t.stack)-1]
 			t.onStack[top] = false
-			if len(t.remaining[top]) > 0 {
+			if t.liveLen[top] > 0 {
 				return top, true
 			}
 		}
@@ -824,10 +923,12 @@ func (t *traversal) popStack() (graph.NodeID, bool) {
 func (t *traversal) bestUnvisited() graph.NodeID {
 	best := graph.NodeID(-1)
 	bestScore := -1
-	for v := range t.unvisited {
-		s := t.correlate(v)
-		if s > bestScore || (s == bestScore && (best < 0 || v < best)) {
-			best, bestScore = v, s
+	for v, open := range t.unvisited {
+		if !open {
+			continue
+		}
+		if s := t.correlate(graph.NodeID(v)); s > bestScore {
+			best, bestScore = graph.NodeID(v), s
 		}
 	}
 	return best

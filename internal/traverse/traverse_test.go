@@ -1,9 +1,11 @@
 package traverse
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mega/internal/graph"
 )
@@ -270,6 +272,38 @@ func TestInvalidOptions(t *testing.T) {
 			}
 		})
 	}
+}
+
+func TestRunRejectsDirectedGraph(t *testing.T) {
+	// On this input the walker used to chase arc 0->1 through pool 1b and
+	// the stack forever: covering removed it from one row only.
+	g := graph.MustNew(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}}, true)
+	if _, err := NewWalker(g, DefaultOptions()); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("NewWalker on a directed graph: %v, want ErrBadOptions", err)
+	}
+}
+
+// A self loop is covered by revisiting its vertex while it is still in the
+// window. With two or more such vertices pending and ω = 1, FIFO and
+// most-correlated revisits used to alternate between them forever.
+func TestSelfLoopsTerminateUnderMostCorrelated(t *testing.T) {
+	g := graph.MustNew(2, []graph.Edge{{Src: 1, Dst: 1}, {Src: 0, Dst: 0}, {Src: 1, Dst: 0}, {Src: 1, Dst: 0}}, false)
+	res := RunWithin(t, 5*time.Second, g, Options{Window: 1, EdgeCoverage: 1, Start: -1, RevisitPolicy: RevisitMostCorrelated})
+	if want := DistinctPairs(g); res.CoveredEdges != want {
+		t.Errorf("covered %d of %d distinct pairs, path %v", res.CoveredEdges, want, res.Path)
+	}
+}
+
+func TestSelfLoopsTerminateUnderFIFO(t *testing.T) {
+	g := graph.MustNew(5, []graph.Edge{
+		{Src: 0, Dst: 1}, {Src: 0, Dst: 0}, {Src: 2, Dst: 4}, {Src: 3, Dst: 3},
+		{Src: 0, Dst: 1}, {Src: 3, Dst: 3}, {Src: 0, Dst: 0}, {Src: 0, Dst: 3},
+	}, false)
+	res := RunWithin(t, 5*time.Second, g, Options{Window: 1, EdgeCoverage: 1, Start: -1, RevisitPolicy: RevisitFIFO})
+	if want := DistinctPairs(g); res.CoveredEdges != want {
+		t.Errorf("covered %d of %d distinct pairs, path %v", res.CoveredEdges, want, res.Path)
+	}
+	checkInvariants(t, g, res, true)
 }
 
 func TestAdaptiveWindow(t *testing.T) {

@@ -17,6 +17,12 @@ type Tracker struct {
 	rounds int
 	// labels[k] is the labelling after k rounds; len(labels) == rounds+1.
 	labels []Labeling
+	// Scratch kept across updates: dist is all −1 between calls (an update
+	// resets only the ball it touched), so an update costs its ball and
+	// not a pass over every vertex.
+	dist    []int32
+	ball    []int32
+	scratch refineScratch
 }
 
 // NewTracker refines g for the given number of rounds from the initial
@@ -25,7 +31,10 @@ func NewTracker(g Adjacency, initial []int32, rounds int) *Tracker {
 	if rounds < 0 {
 		rounds = 0
 	}
-	t := &Tracker{r: NewRefiner(), rounds: rounds}
+	t := &Tracker{r: NewRefiner(), rounds: rounds, dist: make([]int32, g.NumNodes())}
+	for i := range t.dist {
+		t.dist[i] = -1
+	}
 	cur := t.r.InitialLabels(g.NumNodes(), initial)
 	t.labels = append(t.labels, cur)
 	for k := 0; k < rounds; k++ {
@@ -63,17 +72,12 @@ func (t *Tracker) UpdateBatch(g Adjacency, endpoints []int32) int {
 	if t.rounds == 0 || len(endpoints) == 0 {
 		return 0
 	}
-	n := g.NumNodes()
 	// Multi-source BFS to depth rounds−1: dist[x] = hops to nearest
 	// endpoint, −1 = beyond the horizon. ball holds visited vertices in
 	// ascending distance order; ballEnd[d] is the count with dist ≤ d.
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	ball := make([]int32, 0, 64)
+	dist, ball := t.dist, t.ball[:0]
 	push := func(x int32, d int32) {
-		if x < 0 || int(x) >= n || dist[x] >= 0 {
+		if x < 0 || int(x) >= len(dist) || dist[x] >= 0 {
 			return
 		}
 		dist[x] = d
@@ -99,13 +103,12 @@ func (t *Tracker) UpdateBatch(g Adjacency, endpoints []int32) int {
 	// d changes only if d ≤ k−1, so round k touches ball[:ballEnd[k-1]].
 	// Earlier-round labels are updated in place before later rounds read
 	// them, which keeps every signature consistent.
-	var scratch refineScratch
 	changed := 0
 	for k := 1; k <= t.rounds; k++ {
 		prev, cur := t.labels[k-1], t.labels[k]
 		final := k == t.rounds
 		for _, x := range ball[:ballEnd[k-1]] {
-			l := t.r.refineVertex(g, prev, int(x), &scratch)
+			l := t.r.refineVertex(g, prev, int(x), &t.scratch)
 			if l != cur[x] {
 				cur[x] = l
 				if final {
@@ -114,5 +117,9 @@ func (t *Tracker) UpdateBatch(g Adjacency, endpoints []int32) int {
 			}
 		}
 	}
+	for _, x := range ball {
+		dist[x] = -1
+	}
+	t.ball = ball
 	return changed
 }
