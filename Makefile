@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race race-short chaos chaos-short dist-chaos shard-check dynamic-check load-check precision-check sparsify-check benchmark-smoke loc bench bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-precision bench-sparsify fuzz fuzz-smoke experiments examples clean
+.PHONY: all check build vet test test-race race race-short chaos chaos-short dist-chaos shard-check dynamic-check load-check precision-check portable-check sparsify-check benchmark-smoke loc bench bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-precision bench-sparsify fuzz fuzz-smoke experiments examples clean
 
 all: check
 
 # check is the full verification flow CI mirrors: compile, static
 # analysis, the test suite, and the race detector over everything (the
 # serve worker pool makes -race load-bearing).
-check: build vet test race
+check: build vet portable-check test race
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,17 @@ precision-check:
 	$(GO) test ./internal/train/ -run 'TestCheckpointDowncast' -count=1
 	$(GO) test ./internal/serve/ -run 'TestOptionsPrecisionValidate|TestPrecision' -count=1
 
+# portable-check covers what no amd64 build compiles: `go vet` of the tree
+# for arm64 (the !amd64 files), and the arm64 compiler listing of
+# internal/tensor/portable.go — the micro-kernels the amd64 assembly is
+# pinned to — which must show separate multiplies and adds and no fused
+# multiply-add, or one checkpoint would predict different bits per GOARCH.
+portable-check:
+	GOARCH=arm64 $(GO) vet ./...
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor/ 2>&1 | grep -E 'tensor/portable\.go:[0-9]+\)[[:space:]]+F'); \
+	echo "$$asm" | grep -q FMUL || { echo "portable-check: no FMUL from portable.go in the arm64 listing"; exit 1; }; \
+	if echo "$$asm" | grep -E 'FN?M(ADD|SUB)'; then echo "portable-check: fused multiply-add in portable.go"; exit 1; fi
+
 # sparsify-check runs the effective-resistance sparsification gates: the
 # scorer/sampler unit suite (bridge dominance, determinism across thread
 # counts, salt independence of the drop and sparsify streams), traversal
@@ -149,10 +160,7 @@ loc:
 #   BENCH_precision.json  bench-precision  serve-side f32-vs-f64 speedup + ULP envelope
 #   BENCH_sparsify.json   bench-sparsify   effective-resistance keep-fraction matrix
 #
-# bench regenerates all of them. The committed BENCH_tensor.json
-# (FusedAttention32Interleaved) and BENCH_precision.json ("layouts") still
-# carry rows for the f32 interleaved attention layout: historical, the
-# layout is deleted and a regenerated record drops them. BENCH_serve.json
+# bench regenerates all of them. BENCH_serve.json
 # is schema 2 (no max_wait_ms per config: the server has no batch-wait
 # timer to sweep); rows of schema 1, in git history, were measured with
 # that wait and are not comparable.

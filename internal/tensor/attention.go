@@ -78,15 +78,6 @@ func nodeMajor(heads, dk int) panels { return panels{panel: dk, row: heads * dk}
 // of every d-wide sender row.
 func headMajor(n, dk int) panels { return panels{panel: n * dk, row: dk} }
 
-// axpy computes y[i] += alpha·x[i] for i < len(y) — the portable
-// aggregation micro-kernel, and the float64 one.
-func axpy[T float](alpha T, x, y []T) {
-	x = x[:len(y)]
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
-}
-
 // checkPairs validates a fused attention call's pair list against its
 // [rows, d] node operand. Validation is hoisted before any parallel
 // region: a helper-goroutine panic cannot be recovered by the caller.

@@ -14,7 +14,7 @@ const benchSchemaVersion = 1
 
 // TestWriteBenchTensor regenerates BENCH_tensor.json: the serial-vs-
 // parallel float64 kernel baselines plus the float32 fast-path kernels
-// (tape-free matmul, fused segment attention in both scratch layouts).
+// (tape-free matmul, fused segment attention head-major).
 // Gated behind BENCH_TENSOR_OUT so `go test ./...` stays fast; run via
 // `make bench-compute`. Iteration counts come from -benchtime, which the
 // Makefile pins for comparable runs.
@@ -83,9 +83,11 @@ func TestWriteBenchTensor(t *testing.T) {
 		"summary": map[string]any{
 			"matmul512_f64_over_f32_serial":    ratio("MatMulSerial512", "MatMul32Serial512"),
 			"attention_f64_over_f32_headmajor": ratio("FusedAttention64", "FusedAttention32HeadMajor"),
-			"note": "On a 1-vCPU container serial and parallel run the same schedule, so those " +
-				"pairs differ only by noise; the f64-over-f32 ratios are the meaningful ones " +
-				"there. The equivalence suite proves bit-identical outputs at any thread count.",
+			"note": "Where machine.num_cpu is 1, or the box has one usable core, serial and " +
+				"parallel run the same schedule and those pairs differ only by noise; the " +
+				"f64-over-f32 ratios are the meaningful ones there. Both matmuls are one loop " +
+				"nest with an SSE register tile, 4 float32 or 2 float64 lanes wide. The " +
+				"equivalence suite proves bit-identical outputs at any thread count.",
 		},
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")

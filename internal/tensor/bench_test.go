@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -153,5 +154,37 @@ func BenchmarkFusedAttention64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FusedSegmentAttention(q, k, v, ew, recv, send, edge, byRecv, bySend, byEdge, benchAttnHeads, arena)
+	}
+}
+
+// BenchmarkMatMulTrainShapes prices the matmul at the shapes a
+// train_zinc_f64 step runs (about 700 path rows, model dim 64, FFN 128),
+// one product at a time, so a kernel change has a local number at the
+// workload's shapes as well as at cubes.
+func BenchmarkMatMulTrainShapes(b *testing.B) {
+	prev := compute.SetMaxThreads(1)
+	defer compute.SetMaxThreads(prev)
+	for _, s := range [][3]int{{700, 64, 64}, {700, 64, 128}, {700, 128, 64}} {
+		m, k, n := s[0], s[1], s[2]
+		x, w, g := randT(1008, m, k), randT(1009, k, n), randT(1010, m, n)
+		x32, w32 := Downcast(x), Downcast(w)
+		out, dx, dw := make([]float64, m*n), make([]float64, m*k), make([]float64, k*n)
+		arena := NewArena()
+		for _, p := range []struct {
+			name string
+			fn   func()
+		}{
+			{"forward", func() { matmulRows(out, x.Data, w.Data, k, 1, k, n, 0, m, matmulTile64) }},
+			{"dA", func() { matmulGradA(dx, g.Data, w.Data, m, k, n) }},
+			{"dB", func() { matmulRows(dw, x.Data, g.Data, 1, k, m, n, 0, k, matmulTile64) }},
+			{"forward32", func() { arena.PutF32(MatMul32(x32, w32, arena)) }},
+		} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, p.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p.fn()
+				}
+				b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }

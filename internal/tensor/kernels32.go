@@ -16,50 +16,18 @@ import (
 // bounded divergence envelope measured by MeasureDivergence, not
 // bit-identity.
 
-// MatMul32 computes a·b with the same cache-blocked row-parallel loop
-// structure as the float64 matmul (k tiled at matmulKBlock so the active
-// block of b stays cache-resident), with the inner work done by the
-// matmulTile32 micro-kernel: 16 output columns whose partial sums live in
-// SSE registers across the whole k-block, 4-wide multiply-adds per b row.
-// Per output element the accumulation order over p is unchanged — the
-// same ascending-p chain the float64 kernel runs, k-blocks round-tripping
-// through orow between sweeps — so results stay bit-deterministic across
-// thread counts and architectures; only the throughput differs.
+// MatMul32 computes a·b through matmulRows, the loop nest the float64
+// matmul runs, with the SSE register tile matmulTile32 as its micro-kernel.
+// Per output element the accumulation is the same ascending-p mul-then-add
+// chain, so results are bit-identical at any thread count and on any
+// architecture; only the throughput differs.
 func MatMul32(a, b *F32, arena *Arena) *F32 {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("tensor: matmul32 %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	m, k, n := a.rows, a.cols, b.cols
-	out := arena.GetF32(m, n)
-	ad, bd, od := a.Data, b.Data, out.Data
-	compute.ParallelGrain(m, workGrain(k*n), func(lo, hi int) {
-		for kb := 0; kb < k; kb += matmulKBlock {
-			kend := kb + matmulKBlock
-			if kend > k {
-				kend = k
-			}
-			for i := lo; i < hi; i++ {
-				ablk := ad[i*k+kb : i*k+kend]
-				orow := od[i*n : (i+1)*n]
-				jb := 0
-				for ; jb+16 <= n; jb += 16 {
-					matmulTile32(ablk, bd[kb*n+jb:], orow[jb:jb+16], n)
-				}
-				if jb < n {
-					tail := orow[jb:]
-					for p := kb; p < kend; p++ {
-						av := ad[i*k+p]
-						if av == 0 {
-							continue
-						}
-						brow := bd[p*n+jb : (p+1)*n]
-						for j := range tail {
-							tail[j] += av * brow[j]
-						}
-					}
-				}
-			}
-		}
+	out := arena.GetF32(a.rows, b.cols)
+	compute.ParallelGrain(a.rows, workGrain(a.cols*b.cols), func(lo, hi int) {
+		matmulRows(out.Data, a.Data, b.Data, a.cols, 1, a.cols, b.cols, lo, hi, matmulTile32)
 	})
 	return out
 }

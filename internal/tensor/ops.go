@@ -7,102 +7,6 @@ import (
 	"mega/internal/compute"
 )
 
-// MatMul returns a·b for a [m×k] and b [k×n]. The kernel is cache-blocked
-// over the shared dimension and row-parallel across the worker pool; each
-// output row is owned by one chunk and accumulated in ascending-k order,
-// so the result is bit-identical to the serial kernel at any thread count.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("tensor: matmul %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	m, k, n := a.rows, a.cols, b.cols
-	out := newResult(m, n, a, b)
-	matmulForward(out.Data, a.Data, b.Data, m, k, n)
-	if out.requiresGrad {
-		out.backFn = func() {
-			if a.requiresGrad {
-				a.ensureGrad()
-				matmulGradA(a.Grad, out.Grad, b.Data, m, k, n)
-			}
-			if b.requiresGrad {
-				b.ensureGrad()
-				matmulGradB(b.Grad, a.Data, out.Grad, m, k, n)
-			}
-		}
-	}
-	return out
-}
-
-// matmulForward accumulates dst += a·b. Row-parallel over m; the k loop is
-// tiled so the active matmulKBlock×n block of b stays cache-resident while
-// a chunk of rows sweeps it. Per output element the adds happen in
-// ascending-p order regardless of tiling or thread count.
-func matmulForward(dst, a, b []float64, m, k, n int) {
-	compute.ParallelGrain(m, workGrain(k*n), func(lo, hi int) {
-		for kb := 0; kb < k; kb += matmulKBlock {
-			kend := kb + matmulKBlock
-			if kend > k {
-				kend = k
-			}
-			for i := lo; i < hi; i++ {
-				arow := a[i*k : (i+1)*k]
-				orow := dst[i*n : (i+1)*n]
-				for p := kb; p < kend; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := b[p*n : (p+1)*n]
-					for j := range orow {
-						orow[j] += av * brow[j]
-					}
-				}
-			}
-		}
-	})
-}
-
-// matmulGradA accumulates dA += dOut·Bᵀ, row-parallel over m (each chunk
-// owns disjoint rows of dA).
-func matmulGradA(da, dout, b []float64, m, k, n int) {
-	compute.ParallelGrain(m, workGrain(k*n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			grow := dout[i*n : (i+1)*n]
-			agrow := da[i*k : (i+1)*k]
-			for p := 0; p < k; p++ {
-				brow := b[p*n : (p+1)*n]
-				s := 0.0
-				for j := range grow {
-					s += grow[j] * brow[j]
-				}
-				agrow[p] += s
-			}
-		}
-	})
-}
-
-// matmulGradB accumulates dB += Aᵀ·dOut. dB rows are hit by every i, so
-// the split is over columns: each chunk owns a disjoint column stripe of
-// dB and accumulates it in ascending-i order — the serial order.
-func matmulGradB(db, a, dout []float64, m, k, n int) {
-	compute.ParallelGrain(n, workGrain(m*k), func(jlo, jhi int) {
-		for i := 0; i < m; i++ {
-			arow := a[i*k : (i+1)*k]
-			grow := dout[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				bgrow := db[p*n : (p+1)*n]
-				for j := jlo; j < jhi; j++ {
-					bgrow[j] += av * grow[j]
-				}
-			}
-		}
-	})
-}
-
 // Add returns a + b (same shape).
 func Add(a, b *Tensor) *Tensor {
 	assertSameShape("add", a, b)

@@ -7,10 +7,14 @@ package tensor
 //   - row/element split: each chunk owns a disjoint slice of the output
 //     (and of the gradient it writes), computed in exactly the serial
 //     order — bit-identical at any thread count;
-//   - column split: scatter-style accumulations (ScatterAddRows, MatMul's
-//     dB, gather backward) partition the *columns* so concurrent chunks
-//     never touch the same accumulator, while the row-ascending
-//     accumulation order per element stays the serial order.
+//   - column split: scatter-style accumulations (ScatterAddRows, gather
+//     backward) partition the *columns* so concurrent chunks never touch
+//     the same accumulator, while the row-ascending accumulation order per
+//     element stays the serial order.
+//
+// MatMul's forward, dA and dB are all row splits of the one loop nest
+// matmulRows: dB is that nest reading a down its columns, so its chunks
+// own rows of dB.
 //
 // No kernel combines partial floating-point sums across chunks except via
 // compute.ReduceSum, whose partition is fixed independent of the thread
@@ -22,10 +26,15 @@ const (
 	// than the loop body.
 	elemGrain = 4096
 	// flopGrain is the minimum number of multiply-adds per chunk for
-	// matmul-like kernels.
+	// matmul-like kernels: matmulRows' callers split rows at
+	// workGrain(steps·cols).
 	flopGrain = 1 << 15
-	// matmulKBlock tiles the shared dimension so a block of B rows stays
-	// cache-resident while a row chunk sweeps it.
+	// matmulKBlock is how many steps of the shared dimension matmulRows
+	// takes per sweep of its rows, so a [matmulKBlock × cols] block of b
+	// stays cache-resident while every row's tiles accumulate over it. It
+	// is what keeps large products fast, not only small ones: unblocked,
+	// a 512-wide b has a 4 KiB row stride, one tile's walk down it aliases
+	// a single L1 set, and both precisions drop below the scalar loops.
 	matmulKBlock = 64
 )
 

@@ -152,24 +152,3 @@ func TestParallelEquivalence(t *testing.T) {
 		})
 	}
 }
-
-// TestMatMulMatchesNaive pins the blocked kernel against the textbook
-// triple loop on shapes that are not multiples of the k-block.
-func TestMatMulMatchesNaive(t *testing.T) {
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 65, 2}, {17, 64, 9}, {33, 130, 21}, {5, 200, 40}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a, b := randT(int64(90+m), m, k), randT(int64(91+n), k, n)
-		got := MatMul(a, b)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				want := 0.0
-				for p := 0; p < k; p++ {
-					want += a.At(i, p) * b.At(p, j)
-				}
-				if diff := got.At(i, j) - want; diff > 1e-12 || diff < -1e-12 {
-					t.Fatalf("%dx%dx%d: out[%d,%d] = %v, naive %v", m, k, n, i, j, got.At(i, j), want)
-				}
-			}
-		}
-	}
-}

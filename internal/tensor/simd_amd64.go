@@ -2,14 +2,14 @@
 
 package tensor
 
-// SSE inner loops for the float32 fast path. Plain SSE (MOVUPS/MULPS/
-// ADDPS) is part of the amd64 baseline, so there is no feature detection
+// SSE inner loops: the float32 fast path's axpy and the matmul register
+// tile of each precision. SSE and SSE2 (MOVUPS/MULPS/ADDPS, MOVUPD/MULPD/
+// ADDPD) are part of the amd64 baseline, so there is no feature detection
 // and no dispatch cost. Each vector lane performs exactly the scalar
-// kernel's multiply-add on its own output element, in the same ascending
-// accumulation order — four independent scalar chains executed side by
-// side — so results are bit-identical to the portable fallbacks in
-// simd_generic.go (pinned by TestSIMDKernelsMatchReference). The float64
-// training path never calls these.
+// kernel's multiply, then its add, on its own output element, in the same
+// ascending accumulation order — independent scalar chains executed side
+// by side — so results are bit-identical to the portable axpy and
+// matmulTile (pinned by TestSIMDKernelsMatchReference).
 
 // saxpy32 computes y[i] += alpha*x[i] for i < len(y). len(x) must be at
 // least len(y).
@@ -17,11 +17,15 @@ package tensor
 //go:noescape
 func saxpy32(alpha float32, x, y []float32)
 
-// matmulTile32 accumulates one 16-column register tile of an output row:
-// o[j] += Σ_p a[p]·b[p*stride+j] for j < 16, with the tile's partial
-// sums held in registers across the whole sweep of a, and rows with
-// a[p] == 0 skipped like the scalar kernels. len(o) must be at least 16
-// and len(b) at least (len(a)-1)*stride+16.
+// matmulTile32 is matmulTile[float32] with a tile's 16 partial sums held
+// in four SSE registers across a sweep of the non-zero steps, which are
+// packed into the frame first, without a branch (see simd_amd64.s).
 //
 //go:noescape
-func matmulTile32(a, b, o []float32, stride int)
+func matmulTile32(a []float32, aStep int, b []float32, bStride int, o []float32, steps int)
+
+// matmulTile64 is matmulTile[float64] the same way, a tile's 16 partial
+// sums in eight SSE2 registers.
+//
+//go:noescape
+func matmulTile64(a []float64, aStep int, b []float64, bStride int, o []float64, steps int)

@@ -79,60 +79,205 @@ loop1:
 done:
 	RET
 
-// func matmulTile32(a, b, o []float32, stride int)
+// func matmulTile32(a []float32, aStep int, b []float32, bStride int, o []float32, steps int)
 //
-// o[0:16] += Σ_p a[p] * b[p*stride : p*stride+16], with the 16 partial
-// sums held in X4–X7 across the whole sweep of a. Rows with a[p] == 0
-// are skipped (UCOMISS; the parity flag sends NaN through the compute
-// path so the zero-skip matches the scalar kernels' `av == 0` test).
-TEXT ·matmulTile32(SB), NOSPLIT, $0-80
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), BX
-	MOVQ o_base+48(FP), DI
-	MOVQ stride+72(FP), R10
-	SHLQ $2, R10
+// For each full 16-column tile t of o (len(o)/16 of them):
+// o[16t:16t+16] += Σ_{s<steps} a[s*aStep] * b[s*bStride+16t : +16], skipping
+// steps with a[s*aStep] == 0 (NaN is not skipped). The skip is not a branch
+// in the sweep: 64 steps at a time, the non-zero multipliers and the byte
+// offsets of their b rows are packed into the frame without a branch
+// (CMPSS NEQ is true for unordered, so NaN is kept), and every tile then
+// sweeps the packed list with its 16 partial sums in X4–X7. A post-ReLU a
+// is half zeros in no pattern: a branch per step mispredicts on every
+// other one, in every tile's sweep of the same row.
+//
+// Frame: multipliers at 0(SP), 64 × 4 bytes; offsets at 256(SP), 64 × 8.
+TEXT ·matmulTile32(SB), $768-96
+	MOVQ  a_base+0(FP), SI
+	MOVQ  aStep+24(FP), R8
+	MOVQ  b_base+32(FP), R12
+	MOVQ  bStride+56(FP), R10
+	MOVQ  steps+88(FP), CX
+	SHLQ  $2, R8
+	SHLQ  $2, R10
+	XORPS X9, X9
 
+chunk32:
+	MOVQ    o_len+72(FP), R11
+	SHRQ    $4, R11
+	JZ      done32
+	TESTQ   CX, CX
+	JLE     done32
+	MOVQ    $64, R13
+	CMPQ    CX, R13
+	CMOVQLT CX, R13
+	SUBQ    R13, CX
+	XORL    DX, DX
+	XORQ    AX, AX
+
+pack32:
+	MOVSS (SI), X0
+	MOVSS X0, (SP)(DX*4)
+	MOVQ  AX, 256(SP)(DX*8)
+	CMPSS X9, X0, $4
+	MOVL  X0, DI
+	SUBL  DI, DX
+	ADDQ  R8, SI
+	ADDQ  R10, AX
+	DECQ  R13
+	JNZ   pack32
+
+	MOVQ R12, BX
+	ADDQ AX, R12
+	MOVQ o_base+64(FP), DI
+
+tile32:
 	MOVUPS (DI), X4
 	MOVUPS 16(DI), X5
 	MOVUPS 32(DI), X6
 	MOVUPS 48(DI), X7
-	XORPS  X9, X9
+	XORQ   AX, AX
+	CMPQ   AX, DX
+	JGE    store32
 
-	XORQ AX, AX
-	CMPQ AX, CX
-	JGE  store
-
-ploop:
-	MOVSS   (SI)(AX*4), X0
-	UCOMISS X9, X0
-	JP      compute
-	JE      next
-
-compute:
+step32:
+	MOVSS  (SP)(AX*4), X0
+	MOVQ   256(SP)(AX*8), R9
 	SHUFPS $0x00, X0, X0
-	MOVUPS (BX), X1
+	MOVUPS (BX)(R9*1), X1
 	MULPS  X0, X1
 	ADDPS  X1, X4
-	MOVUPS 16(BX), X2
+	MOVUPS 16(BX)(R9*1), X2
 	MULPS  X0, X2
 	ADDPS  X2, X5
-	MOVUPS 32(BX), X3
+	MOVUPS 32(BX)(R9*1), X3
 	MULPS  X0, X3
 	ADDPS  X3, X6
-	MOVUPS 48(BX), X8
+	MOVUPS 48(BX)(R9*1), X8
 	MULPS  X0, X8
 	ADDPS  X8, X7
+	INCQ   AX
+	CMPQ   AX, DX
+	JLT    step32
 
-next:
-	ADDQ R10, BX
-	INCQ AX
-	CMPQ AX, CX
-	JLT  ploop
-
-store:
+store32:
 	MOVUPS X4, (DI)
 	MOVUPS X5, 16(DI)
 	MOVUPS X6, 32(DI)
 	MOVUPS X7, 48(DI)
+	ADDQ   $64, DI
+	ADDQ   $64, BX
+	DECQ   R11
+	JNZ    tile32
+	JMP    chunk32
+
+done32:
+	RET
+
+// func matmulTile64(a []float64, aStep int, b []float64, bStride int, o []float64, steps int)
+//
+// The float64 tile: the same pack and sweep with the 16 partial sums of a
+// tile in X4–X11, two lanes each (MOVUPD/MULPD/ADDPD).
+//
+// Frame: multipliers at 0(SP), 64 × 8 bytes; offsets at 512(SP), 64 × 8.
+TEXT ·matmulTile64(SB), $1024-96
+	MOVQ  a_base+0(FP), SI
+	MOVQ  aStep+24(FP), R8
+	MOVQ  b_base+32(FP), R12
+	MOVQ  bStride+56(FP), R10
+	MOVQ  steps+88(FP), CX
+	SHLQ  $3, R8
+	SHLQ  $3, R10
+	XORPD X13, X13
+
+chunk64:
+	MOVQ    o_len+72(FP), R11
+	SHRQ    $4, R11
+	JZ      done64
+	TESTQ   CX, CX
+	JLE     done64
+	MOVQ    $64, R13
+	CMPQ    CX, R13
+	CMOVQLT CX, R13
+	SUBQ    R13, CX
+	XORL    DX, DX
+	XORQ    AX, AX
+
+pack64:
+	MOVSD (SI), X0
+	MOVSD X0, (SP)(DX*8)
+	MOVQ  AX, 512(SP)(DX*8)
+	CMPSD X13, X0, $4
+	MOVL  X0, DI
+	SUBL  DI, DX
+	ADDQ  R8, SI
+	ADDQ  R10, AX
+	DECQ  R13
+	JNZ   pack64
+
+	MOVQ R12, BX
+	ADDQ AX, R12
+	MOVQ o_base+64(FP), DI
+
+tile64:
+	MOVUPD (DI), X4
+	MOVUPD 16(DI), X5
+	MOVUPD 32(DI), X6
+	MOVUPD 48(DI), X7
+	MOVUPD 64(DI), X8
+	MOVUPD 80(DI), X9
+	MOVUPD 96(DI), X10
+	MOVUPD 112(DI), X11
+	XORQ   AX, AX
+	CMPQ   AX, DX
+	JGE    store64
+
+step64:
+	MOVSD    (SP)(AX*8), X0
+	MOVQ     512(SP)(AX*8), R9
+	UNPCKLPD X0, X0
+	MOVUPD   (BX)(R9*1), X1
+	MULPD    X0, X1
+	ADDPD    X1, X4
+	MOVUPD   16(BX)(R9*1), X2
+	MULPD    X0, X2
+	ADDPD    X2, X5
+	MOVUPD   32(BX)(R9*1), X3
+	MULPD    X0, X3
+	ADDPD    X3, X6
+	MOVUPD   48(BX)(R9*1), X12
+	MULPD    X0, X12
+	ADDPD    X12, X7
+	MOVUPD   64(BX)(R9*1), X1
+	MULPD    X0, X1
+	ADDPD    X1, X8
+	MOVUPD   80(BX)(R9*1), X2
+	MULPD    X0, X2
+	ADDPD    X2, X9
+	MOVUPD   96(BX)(R9*1), X3
+	MULPD    X0, X3
+	ADDPD    X3, X10
+	MOVUPD   112(BX)(R9*1), X12
+	MULPD    X0, X12
+	ADDPD    X12, X11
+	INCQ     AX
+	CMPQ     AX, DX
+	JLT      step64
+
+store64:
+	MOVUPD X4, (DI)
+	MOVUPD X5, 16(DI)
+	MOVUPD X6, 32(DI)
+	MOVUPD X7, 48(DI)
+	MOVUPD X8, 64(DI)
+	MOVUPD X9, 80(DI)
+	MOVUPD X10, 96(DI)
+	MOVUPD X11, 112(DI)
+	ADDQ   $128, DI
+	ADDQ   $128, BX
+	DECQ   R11
+	JNZ    tile64
+	JMP    chunk64
+
+done64:
 	RET

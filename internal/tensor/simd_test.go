@@ -6,37 +6,19 @@ import (
 	"testing"
 )
 
-// TestSIMDKernelsMatchReference pins whichever saxpy32/matmulTile32
-// implementation is active (SSE on amd64, portable elsewhere) against
-// plain scalar loops, bit for bit. Lengths sweep across the 16-wide,
-// 4-wide, and scalar tails; inputs include ±0 and a NaN multiplier (the
-// zero-skip must treat NaN as nonzero, like the scalar kernels' av == 0
-// test).
+// TestSIMDKernelsMatchReference pins the active saxpy32, matmulTile32 and
+// matmulTile64 (SSE on amd64) against the portable axpy and matmulTile —
+// the functions every other architecture runs — bit for bit. Lengths sweep
+// across the 16-wide, 4-wide, and scalar tails; inputs include ±0 and NaN
+// and Inf multipliers (the zero skip must treat NaN as nonzero).
 func TestSIMDKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	fill := func(n int) []float32 {
-		v := make([]float32, n)
-		for i := range v {
-			switch rng.Intn(8) {
-			case 0:
-				v[i] = 0
-			case 1:
-				v[i] = float32(math.Copysign(0, -1))
-			default:
-				v[i] = float32(rng.NormFloat64())
-			}
-		}
-		return v
-	}
-
 	for _, n := range []int{0, 1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 64, 100} {
 		for _, alpha := range []float32{0, -0.37, 2.5, float32(math.NaN())} {
-			x := fill(n)
-			got := fill(n)
+			x := fillSpecials[float32](rng, n)
+			got := fillSpecials[float32](rng, n)
 			want := append([]float32(nil), got...)
-			for i := range want {
-				want[i] += alpha * x[i]
-			}
+			axpy(alpha, x, want)
 			saxpy32(alpha, x, got)
 			for i := range want {
 				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -46,34 +28,51 @@ func TestSIMDKernelsMatchReference(t *testing.T) {
 			}
 		}
 	}
+	tileMatchesPortable(t, rng, "matmulTile32", matmulTile32)
+	tileMatchesPortable(t, rng, "matmulTile64", matmulTile64)
+}
 
-	for _, k := range []int{0, 1, 2, 7, 64, 128} {
-		for _, stride := range []int{16, 17, 48, 64} {
-			a := fill(k)
-			if k > 3 {
-				a[1], a[3] = 0, float32(math.NaN())
-			}
-			bsz := 16
-			if k > 0 {
-				bsz = (k-1)*stride + 16
-			}
-			b := fill(bsz)
-			got := fill(16)
-			want := append([]float32(nil), got...)
-			for p := 0; p < k; p++ {
-				av := a[p]
-				if av == 0 {
-					continue
-				}
-				for j := 0; j < 16; j++ {
-					want[j] += av * b[p*stride+j]
-				}
-			}
-			matmulTile32(a, b, got, stride)
-			for j := range want {
-				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-					t.Fatalf("matmulTile32 k=%d stride=%d: col %d got %x want %x",
-						k, stride, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
+// fillSpecials draws n normals with a quarter of the slots ±0.
+func fillSpecials[T float](rng *rand.Rand, n int) []T {
+	v := make([]T, n)
+	for i := range v {
+		switch rng.Intn(8) {
+		case 0:
+			v[i] = 0
+		case 1:
+			v[i] = T(math.Copysign(0, -1))
+		default:
+			v[i] = T(rng.NormFloat64())
+		}
+	}
+	return v
+}
+
+func tileMatchesPortable[T float](t *testing.T, rng *rand.Rand, name string,
+	tile func(a []T, aStep int, b []T, bStride int, o []T, steps int)) {
+	for _, steps := range []int{0, 1, 2, 7, 64, 129} {
+		for _, aStep := range []int{1, 3, 64} {
+			for _, bStride := range []int{16, 17, 64} {
+				for tiles := 1; tiles <= 4; tiles++ {
+					a := fillSpecials[T](rng, steps*aStep)
+					if steps > 5 {
+						a[1*aStep], a[3*aStep], a[5*aStep] = 0, T(math.NaN()), T(math.Inf(1))
+					}
+					b := fillSpecials[T](rng, steps*bStride+16*tiles)
+					got := fillSpecials[T](rng, 16*tiles)
+					got[0] = T(math.Copysign(0, -1))
+					want := append([]T(nil), got...)
+					matmulTile(a, aStep, b, bStride, want, steps)
+					tile(a, aStep, b, bStride, got, steps)
+					for j := range want {
+						g, w := float64(got[j]), float64(want[j])
+						// Which payload survives NaN + NaN is the operand
+						// order the compiler picked, so a NaN matches any NaN.
+						if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+							t.Fatalf("%s steps=%d aStep=%d bStride=%d tiles=%d: col %d got %v want %v",
+								name, steps, aStep, bStride, tiles, j, got[j], want[j])
+						}
+					}
 				}
 			}
 		}
