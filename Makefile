@@ -110,8 +110,11 @@ precision-check:
 # internal/tensor/portable.go — the micro-kernels the amd64 assembly is
 # pinned to — which must show separate multiplies and adds and no fused
 # multiply-add, or one checkpoint would predict different bits per GOARCH.
+# The amd64 assembly is held to the same rule: no VFMADD/VFNMADD/VFMSUB/
+# VFNMSUB anywhere in simd_amd64.s.
 portable-check:
 	GOARCH=arm64 $(GO) vet ./...
+	@if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/simd_amd64.s; then echo "portable-check: fused multiply-add in simd_amd64.s"; exit 1; fi
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor/ 2>&1 | grep -E 'tensor/portable\.go:[0-9]+\)[[:space:]]+F'); \
 	echo "$$asm" | grep -q FMUL || { echo "portable-check: no FMUL from portable.go in the arm64 listing"; exit 1; }; \
 	if echo "$$asm" | grep -E 'FN?M(ADD|SUB)'; then echo "portable-check: fused multiply-add in portable.go"; exit 1; fi

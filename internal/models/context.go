@@ -72,6 +72,12 @@ type Context struct {
 	// pool); nil falls back to plain allocation.
 	Scratch *tensor.Arena
 
+	// Tape holds the f64 graph of a forward and its backward (op results,
+	// gradients, backward scratch); its owner releases it after each step.
+	// Nil builds the graph on the heap. The encoder brings the graph onto
+	// it; every later op inherits it.
+	Tape *tensor.Tape
+
 	// counter tallies abstract op calls for Table I; nil outside
 	// CountOps probes.
 	counter *opCounter

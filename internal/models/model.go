@@ -87,8 +87,8 @@ func newEncoder(rng *rand.Rand, cfg Config) *encoder {
 }
 
 func (e *encoder) forward(ctx *Context) (h, ee *tensor.Tensor) {
-	h = e.node.Forward(ctx.NodeTypeIDs)
-	ee = e.edge.Forward(ctx.EdgeTypeIDs)
+	h = ctx.Tape.EmbedRows(e.node.Table, ctx.NodeTypeIDs)
+	ee = ctx.Tape.EmbedRows(e.edge.Table, ctx.EdgeTypeIDs)
 	ctx.Prof.Memcpy(int64(h.Size()+ee.Size()) * 4)
 	return h, ee
 }

@@ -170,15 +170,25 @@ func BenchmarkMatMulTrainShapes(b *testing.B) {
 		x32, w32 := Downcast(x), Downcast(w)
 		out, dx, dw := make([]float64, m*n), make([]float64, m*k), make([]float64, k*n)
 		arena := NewArena()
-		for _, p := range []struct {
+		type product struct {
 			name string
 			fn   func()
-		}{
+		}
+		products := []product{
 			{"forward", func() { matmulRows(out, x.Data, w.Data, k, 1, k, n, 0, m, matmulTile64) }},
 			{"dA", func() { matmulGradA(dx, g.Data, w.Data, m, k, n) }},
 			{"dB", func() { matmulRows(dw, x.Data, g.Data, 1, k, m, n, 0, k, matmulTile64) }},
 			{"forward32", func() { arena.PutF32(MatMul32(x32, w32, arena)) }},
-		} {
+		}
+		// Each float64 tile body the host has, bypassing dispatch, so the
+		// SSE2 fallback keeps a number on an AVX2 host.
+		for _, kern := range tile64Kernels() {
+			tile := kern.tile
+			products = append(products,
+				product{"forward/" + kern.name, func() { matmulRows(out, x.Data, w.Data, k, 1, k, n, 0, m, tile) }},
+				product{"dB/" + kern.name, func() { matmulRows(dw, x.Data, g.Data, 1, k, m, n, 0, k, tile) }})
+		}
+		for _, p := range products {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, p.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					p.fn()

@@ -19,8 +19,11 @@ import (
 
 // GatherRows returns x[idx] — a len(idx)×cols tensor whose row i is
 // x.Row(idx[i]). The backward pass scatter-adds gradients.
-func GatherRows(x *Tensor, idx []int32) *Tensor {
-	out := newResult(len(idx), x.cols, x)
+func GatherRows(x *Tensor, idx []int32) *Tensor { return gatherRows(nil, x, idx) }
+
+// gatherRows is GatherRows with its result on tp (see newResultOn).
+func gatherRows(tp *Tape, x *Tensor, idx []int32) *Tensor {
+	out := newResultOn(tp, len(idx), x.cols, x)
 	cols := x.cols
 	for _, id := range idx {
 		if id < 0 || int(id) >= x.rows {
@@ -93,7 +96,7 @@ func SegmentMean(x *Tensor, seg []int32, numSeg int) *Tensor {
 	}
 	out := newResult(numSeg, x.cols, x)
 	cols := x.cols
-	counts := make([]float64, numSeg)
+	counts := out.tape.get(numSeg)
 	for _, s := range seg {
 		if s < 0 || int(s) >= numSeg {
 			panic(fmt.Sprintf("tensor: segment id %d out of %d", s, numSeg))

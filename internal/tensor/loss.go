@@ -66,8 +66,8 @@ func CrossEntropyLoss(logits *Tensor, labels []int) *Tensor {
 		}
 	}
 	out := newResult(1, 1, logits)
-	probs := make([]float64, len(logits.Data))
-	rowLoss := make([]float64, logits.rows)
+	probs := out.tape.get(len(logits.Data))
+	rowLoss := out.tape.get(logits.rows)
 	compute.ParallelGrain(logits.rows, rowGrain(cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := logits.Data[i*cols : (i+1)*cols]

@@ -27,8 +27,8 @@ func LayerNorm(x, gamma, beta *Tensor) *Tensor {
 	n := float64(x.cols)
 	cols := x.cols
 	out := newResult(x.rows, x.cols, x, gamma, beta)
-	xhat := make([]float64, len(x.Data))
-	invStd := make([]float64, x.rows)
+	xhat := out.tape.get(len(x.Data))
+	invStd := out.tape.get(x.rows)
 	compute.ParallelGrain(x.rows, rowGrain(cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := x.Data[i*cols : (i+1)*cols]
@@ -113,9 +113,9 @@ func BatchNorm(x, gamma, beta *Tensor) *Tensor {
 	m := float64(x.rows)
 	cols := x.cols
 	out := newResult(x.rows, x.cols, x, gamma, beta)
-	xhat := make([]float64, len(x.Data))
-	invStd := make([]float64, x.cols)
-	means := make([]float64, x.cols)
+	xhat := out.tape.get(len(x.Data))
+	invStd := out.tape.get(x.cols)
+	means := out.tape.get(x.cols)
 	colGrain := workGrain(x.rows)
 	compute.ParallelGrain(cols, colGrain, func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {

@@ -174,13 +174,13 @@ store32:
 done32:
 	RET
 
-// func matmulTile64(a []float64, aStep int, b []float64, bStride int, o []float64, steps int)
+// func matmulTile64SSE2(a []float64, aStep int, b []float64, bStride int, o []float64, steps int)
 //
 // The float64 tile: the same pack and sweep with the 16 partial sums of a
 // tile in X4–X11, two lanes each (MOVUPD/MULPD/ADDPD).
 //
 // Frame: multipliers at 0(SP), 64 × 8 bytes; offsets at 512(SP), 64 × 8.
-TEXT ·matmulTile64(SB), $1024-96
+TEXT ·matmulTile64SSE2(SB), $1024-96
 	MOVQ  a_base+0(FP), SI
 	MOVQ  aStep+24(FP), R8
 	MOVQ  b_base+32(FP), R12
@@ -280,4 +280,162 @@ store64:
 	JMP    chunk64
 
 done64:
+	RET
+
+// func matmulTile64AVX2(a []float64, aStep int, b []float64, bStride int, o []float64, steps int)
+//
+// matmulTile64SSE2's pack, then a sweep over two 16-column tiles at once:
+// 32 partial sums in Y4–Y11, four lanes each, so 8 independent add chains
+// hide the add latency the way SSE2's 8 xmm chains do; a lone trailing
+// tile sweeps with Y4–Y7. A step is VBROADCASTSD, VMULPD from memory, then
+// VADDPD — never a fused multiply-add, so each lane is still the portable
+// chain's multiply, round, add. Every vector instruction is VEX-encoded
+// (no SSE/AVX transition inside) and VZEROUPPER runs before RET.
+//
+// Frame: multipliers at 0(SP), 64 × 8 bytes; offsets at 512(SP), 64 × 8.
+TEXT ·matmulTile64AVX2(SB), $1024-96
+	MOVQ   a_base+0(FP), SI
+	MOVQ   aStep+24(FP), R8
+	MOVQ   b_base+32(FP), R12
+	MOVQ   bStride+56(FP), R10
+	MOVQ   steps+88(FP), CX
+	SHLQ   $3, R8
+	SHLQ   $3, R10
+	VXORPD X13, X13, X13
+
+chunkv:
+	MOVQ    o_len+72(FP), R11
+	SHRQ    $4, R11
+	JZ      donev
+	TESTQ   CX, CX
+	JLE     donev
+	MOVQ    $64, R13
+	CMPQ    CX, R13
+	CMOVQLT CX, R13
+	SUBQ    R13, CX
+	XORL    DX, DX
+	XORQ    AX, AX
+
+packv:
+	VMOVSD (SI), X0
+	VMOVSD X0, (SP)(DX*8)
+	MOVQ   AX, 512(SP)(DX*8)
+	VCMPSD $4, X13, X0, X0
+	VMOVD  X0, DI
+	SUBL   DI, DX
+	ADDQ   R8, SI
+	ADDQ   R10, AX
+	DECQ   R13
+	JNZ    packv
+
+	MOVQ R12, BX
+	ADDQ AX, R12
+	MOVQ o_base+64(FP), DI
+
+pairv:
+	CMPQ    R11, $2
+	JLT     lonev
+	VMOVUPD (DI), Y4
+	VMOVUPD 32(DI), Y5
+	VMOVUPD 64(DI), Y6
+	VMOVUPD 96(DI), Y7
+	VMOVUPD 128(DI), Y8
+	VMOVUPD 160(DI), Y9
+	VMOVUPD 192(DI), Y10
+	VMOVUPD 224(DI), Y11
+	XORQ    AX, AX
+	CMPQ    AX, DX
+	JGE     storepairv
+
+steppairv:
+	VBROADCASTSD (SP)(AX*8), Y0
+	MOVQ         512(SP)(AX*8), R9
+	VMULPD       (BX)(R9*1), Y0, Y1
+	VADDPD       Y1, Y4, Y4
+	VMULPD       32(BX)(R9*1), Y0, Y2
+	VADDPD       Y2, Y5, Y5
+	VMULPD       64(BX)(R9*1), Y0, Y3
+	VADDPD       Y3, Y6, Y6
+	VMULPD       96(BX)(R9*1), Y0, Y12
+	VADDPD       Y12, Y7, Y7
+	VMULPD       128(BX)(R9*1), Y0, Y1
+	VADDPD       Y1, Y8, Y8
+	VMULPD       160(BX)(R9*1), Y0, Y2
+	VADDPD       Y2, Y9, Y9
+	VMULPD       192(BX)(R9*1), Y0, Y3
+	VADDPD       Y3, Y10, Y10
+	VMULPD       224(BX)(R9*1), Y0, Y12
+	VADDPD       Y12, Y11, Y11
+	INCQ         AX
+	CMPQ         AX, DX
+	JLT          steppairv
+
+storepairv:
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	VMOVUPD Y6, 64(DI)
+	VMOVUPD Y7, 96(DI)
+	VMOVUPD Y8, 128(DI)
+	VMOVUPD Y9, 160(DI)
+	VMOVUPD Y10, 192(DI)
+	VMOVUPD Y11, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, BX
+	SUBQ    $2, R11
+	JMP     pairv
+
+lonev:
+	TESTQ   R11, R11
+	JZ      chunkv
+	VMOVUPD (DI), Y4
+	VMOVUPD 32(DI), Y5
+	VMOVUPD 64(DI), Y6
+	VMOVUPD 96(DI), Y7
+	XORQ    AX, AX
+	CMPQ    AX, DX
+	JGE     storelonev
+
+steplonev:
+	VBROADCASTSD (SP)(AX*8), Y0
+	MOVQ         512(SP)(AX*8), R9
+	VMULPD       (BX)(R9*1), Y0, Y1
+	VADDPD       Y1, Y4, Y4
+	VMULPD       32(BX)(R9*1), Y0, Y2
+	VADDPD       Y2, Y5, Y5
+	VMULPD       64(BX)(R9*1), Y0, Y3
+	VADDPD       Y3, Y6, Y6
+	VMULPD       96(BX)(R9*1), Y0, Y12
+	VADDPD       Y12, Y7, Y7
+	INCQ         AX
+	CMPQ         AX, DX
+	JLT          steplonev
+
+storelonev:
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	VMOVUPD Y6, 64(DI)
+	VMOVUPD Y7, 96(DI)
+	JMP     chunkv
+
+donev:
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
 	RET

@@ -7,10 +7,14 @@ import (
 )
 
 // TestSIMDKernelsMatchReference pins the active saxpy32, matmulTile32 and
-// matmulTile64 (SSE on amd64) against the portable axpy and matmulTile —
-// the functions every other architecture runs — bit for bit. Lengths sweep
-// across the 16-wide, 4-wide, and scalar tails; inputs include ±0 and NaN
-// and Inf multipliers (the zero skip must treat NaN as nonzero).
+// matmulTile64, and each float64 tile body the host can run (SSE2 and, on
+// an AVX2 host, AVX2 — called directly, not through dispatch), against the
+// portable axpy and matmulTile — the functions every other architecture
+// runs — bit for bit. Lengths sweep across the 16-wide, 4-wide, and scalar
+// tails and across the AVX2 tile's pair loop and lone trailing tile;
+// inputs include ±0 and NaN and Inf multipliers (the zero skip must treat
+// NaN as nonzero) and an Inf in b under a zero multiplier (which the skip
+// must drop, where 0·Inf would be NaN).
 func TestSIMDKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 64, 100} {
@@ -30,6 +34,15 @@ func TestSIMDKernelsMatchReference(t *testing.T) {
 	}
 	tileMatchesPortable(t, rng, "matmulTile32", matmulTile32)
 	tileMatchesPortable(t, rng, "matmulTile64", matmulTile64)
+	for _, k := range tile64Kernels() {
+		tileMatchesPortable(t, rng, "matmulTile64/"+k.name, k.tile)
+	}
+}
+
+// tile64Kernel is one float64 tile body under its short name.
+type tile64Kernel struct {
+	name string
+	tile func(a []float64, aStep int, b []float64, bStride int, o []float64, steps int)
 }
 
 // fillSpecials draws n normals with a quarter of the slots ±0.
@@ -50,15 +63,18 @@ func fillSpecials[T float](rng *rand.Rand, n int) []T {
 
 func tileMatchesPortable[T float](t *testing.T, rng *rand.Rand, name string,
 	tile func(a []T, aStep int, b []T, bStride int, o []T, steps int)) {
-	for _, steps := range []int{0, 1, 2, 7, 64, 129} {
+	for _, steps := range []int{0, 1, 2, 7, 63, 64, 65, 129} {
 		for _, aStep := range []int{1, 3, 64} {
-			for _, bStride := range []int{16, 17, 64} {
-				for tiles := 1; tiles <= 4; tiles++ {
+			for _, bStride := range []int{16, 17, 80} {
+				for tiles := 1; tiles <= 5; tiles++ {
 					a := fillSpecials[T](rng, steps*aStep)
-					if steps > 5 {
-						a[1*aStep], a[3*aStep], a[5*aStep] = 0, T(math.NaN()), T(math.Inf(1))
-					}
 					b := fillSpecials[T](rng, steps*bStride+16*tiles)
+					if steps > 6 {
+						a[1*aStep], a[3*aStep], a[5*aStep] = 0, T(math.NaN()), T(math.Inf(1))
+						a[6*aStep] = T(math.Copysign(0, -1))
+						b[1*bStride+16*tiles-1] = T(math.Inf(-1))
+						b[6*bStride] = T(math.Inf(1))
+					}
 					got := fillSpecials[T](rng, 16*tiles)
 					got[0] = T(math.Copysign(0, -1))
 					want := append([]T(nil), got...)

@@ -29,6 +29,9 @@ type Tensor struct {
 	requiresGrad bool
 	parents      []*Tensor
 	backFn       func()
+	// tape holds Data and Grad of an op result built on one; nil for
+	// leaves and for graphs built without a tape.
+	tape *Tape
 }
 
 // New creates a rows×cols tensor wrapping data (not copied). It panics if
@@ -99,10 +102,10 @@ func (t *Tensor) RequireGrad() *Tensor {
 // RequiresGrad reports whether gradients flow into t.
 func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
 
-// ensureGrad allocates the gradient buffer on demand.
+// ensureGrad allocates the gradient buffer on demand, on t's tape.
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
-		t.Grad = make([]float64, len(t.Data))
+		t.Grad = t.tape.get(len(t.Data))
 	}
 }
 
@@ -127,14 +130,29 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// newResult builds an op output whose gradient tracking follows its parents.
+// newResult builds an op output whose gradient tracking and tape follow
+// its parents.
 func newResult(rows, cols int, parents ...*Tensor) *Tensor {
-	out := Zeros(rows, cols)
+	return newResultOn(nil, rows, cols, parents...)
+}
+
+// newResultOn is newResult on tape tp, or on the parents' tape when tp is
+// nil. Parents on two different tapes are a caller bug.
+func newResultOn(tp *Tape, rows, cols int, parents ...*Tensor) *Tensor {
+	out := &Tensor{rows: rows, cols: cols}
 	for _, p := range parents {
 		if p.requiresGrad {
 			out.requiresGrad = true
 		}
+		if p.tape != nil && p.tape != tp {
+			if tp != nil {
+				panic("tensor: op parents on two different tapes")
+			}
+			tp = p.tape
+		}
 	}
+	out.tape = tp
+	out.Data = tp.get(rows * cols)
 	if out.requiresGrad {
 		out.parents = parents
 	}

@@ -266,12 +266,19 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	valInsts := capInstances(ds.Val, opts.MaxVal)
 	// One arena for the whole run: every batch reuses the same scratch
 	// buffers, so the steady-state fused-attention path allocates nothing.
+	// One tape likewise holds each step's graph, released after the step;
+	// the shard engine's workers build their graphs concurrently, so a
+	// sharded run keeps the heap.
 	arena := tensor.NewArena()
-	trainCtxs, err := buildContexts(trainInsts, opts, sim, arena)
+	var tape *tensor.Tape
+	if opts.Shards == 0 {
+		tape = tensor.NewTape()
+	}
+	trainCtxs, err := buildContexts(trainInsts, opts, sim, arena, tape)
 	if err != nil {
 		return nil, err
 	}
-	valCtxs, err := buildContexts(valInsts, opts, sim, arena)
+	valCtxs, err := buildContexts(valInsts, opts, sim, arena, tape)
 	if err != nil {
 		return nil, err
 	}
@@ -332,34 +339,18 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	for epoch := startEpoch; epoch <= opts.Epochs; epoch++ {
 		trainLoss := 0.0
 		for i, ctx := range trainCtxs {
-			opt.ZeroGrad()
 			var eng *models.ShardEngine
 			if shardEngines != nil {
 				eng = shardEngines[i]
 			}
-			var out *tensor.Tensor
-			if eng != nil {
-				out = eng.Forward()
-			} else {
-				out = model.Forward(ctx)
-			}
-			loss := lossFor(ds.Task, out, ctx)
-			if !loss.IsFinite() {
+			loss, ok := step(ds.Task, model, opt, ctx, eng)
+			if !ok {
 				// Divergence guard: a NaN/Inf loss poisons every later
 				// step; abort and report what completed.
 				res.Diverged = true
 				return res, nil
 			}
-			loss.Backward()
-			if eng != nil {
-				// loss.Backward seeded the readout and final-embedding
-				// gradients; the shard workers now push them through the
-				// layers and fold replica gradients into the model.
-				eng.Backward()
-			}
-			ctx.Prof.Backward()
-			opt.Step()
-			trainLoss += loss.Item()
+			trainLoss += loss
 		}
 		if len(trainCtxs) > 0 {
 			trainLoss /= float64(len(trainCtxs))
@@ -402,6 +393,35 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// step runs one optimiser step on ctx — through eng when it is non-nil —
+// and releases the context's tape. It returns the step's loss, or false
+// without stepping when the loss is non-finite.
+func step(task datasets.Task, model models.Model, opt *nn.Adam, ctx *models.Context, eng *models.ShardEngine) (float64, bool) {
+	opt.ZeroGrad()
+	var out *tensor.Tensor
+	if eng != nil {
+		out = eng.Forward()
+	} else {
+		out = model.Forward(ctx)
+	}
+	loss := lossFor(task, out, ctx)
+	if !loss.IsFinite() {
+		return 0, false
+	}
+	loss.Backward()
+	if eng != nil {
+		// loss.Backward seeded the readout and final-embedding
+		// gradients; the shard workers now push them through the
+		// layers and fold replica gradients into the model.
+		eng.Backward()
+	}
+	ctx.Prof.Backward()
+	opt.Step()
+	l := loss.Item()
+	ctx.Tape.Release()
+	return l, true
+}
+
 // ckptSaveRetry paces periodic-checkpoint write retries (torn writes are
 // retried against a fresh temp file; the rename is atomic either way).
 var ckptSaveRetry = retry.Config{Attempts: 3, Base: 5 * time.Millisecond}
@@ -430,6 +450,7 @@ func evaluate(task datasets.Task, model models.Model, ctxs []*models.Context) (l
 			metric += tensor.MAELoss(out.Detach(), ctx.Targets).Item()
 		}
 		ctx.Prof.Discard()
+		ctx.Tape.Release()
 	}
 	n := float64(len(ctxs))
 	return loss / n, metric / n
@@ -446,8 +467,8 @@ func lossFor(task datasets.Task, out *tensor.Tensor, ctx *models.Context) *tenso
 }
 
 // buildContexts batches instances and constructs per-batch engine contexts
-// sharing one scratch arena.
-func buildContexts(insts []datasets.Instance, opts Options, sim *gpusim.Sim, arena *tensor.Arena) ([]*models.Context, error) {
+// sharing one scratch arena and one tape.
+func buildContexts(insts []datasets.Instance, opts Options, sim *gpusim.Sim, arena *tensor.Arena, tape *tensor.Tape) ([]*models.Context, error) {
 	var out []*models.Context
 	for lo := 0; lo < len(insts); lo += opts.BatchSize {
 		hi := lo + opts.BatchSize
@@ -465,6 +486,7 @@ func buildContexts(insts []datasets.Instance, opts Options, sim *gpusim.Sim, are
 			return nil, err
 		}
 		ctx.Scratch = arena
+		ctx.Tape = tape
 		out = append(out, ctx)
 	}
 	return out, nil
