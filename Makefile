@@ -93,14 +93,16 @@ load-check:
 	$(GO) test ./internal/serve/ -run 'TestOptionsValidate|TestNewRejectsBadOptions|TestTakeBatch|TestHeldWorker|TestBatch' -count=1
 
 # precision-check runs the float32 fast-path gates: the SIMD kernels
-# pinned bit-for-bit against their scalar references, the one generic
-# attention forward bit-identical to a naive reference at both precisions,
-# in both layouts and at every thread count, checkpoint downcast
-# round-trips, the f32-vs-f64 differential suite under the ULP envelope,
-# and the serve-side -precision f32 end-to-end tests (including
-# degraded-mode fallback to float64).
+# pinned bit-for-bit against their scalar references, the matmul row
+# epilogues bit-identical to the separate passes they fuse, the one
+# generic attention forward bit-identical to a naive reference at both
+# precisions, in both layouts and at every thread count, checkpoint
+# downcast round-trips, the f32 forward pinned to its recorded output
+# bits, the f32-vs-f64 differential suite under the ULP envelope, and the
+# serve-side -precision f32 end-to-end tests (including degraded-mode
+# fallback to float64).
 precision-check:
-	$(GO) test ./internal/tensor/ -run 'TestSIMDKernelsMatchReference|TestULPDistance32|TestMeasureDivergence|TestKernels32MatchF64|TestFusedSegmentAttention32MatchesF64|TestFusedAdditiveAttention32MatchesF64|TestFusedAttentionForwardMatchesReference' -count=1
+	$(GO) test ./internal/tensor/ -run 'TestSIMDKernelsMatchReference|TestMatMulEpilogue32MatchesUnfused|TestULPDistance32|TestMeasureDivergence|TestKernels32MatchF64|TestFusedSegmentAttention32MatchesF64|TestFusedAdditiveAttention32MatchesF64|TestFusedAttentionForwardMatchesReference' -count=1
 	$(GO) test ./internal/models/ -run 'F32' -count=1
 	$(GO) test ./internal/train/ -run 'TestCheckpointDowncast' -count=1
 	$(GO) test ./internal/serve/ -run 'TestOptionsPrecisionValidate|TestPrecision' -count=1
@@ -108,16 +110,19 @@ precision-check:
 # portable-check covers what no amd64 build compiles: `go vet` of the tree
 # for arm64 (the !amd64 files), and the arm64 compiler listing of
 # internal/tensor/portable.go — the micro-kernels the amd64 assembly is
-# pinned to — which must show separate multiplies and adds and no fused
+# pinned to — and kernels32.go — the f32 row kernels and matmul
+# epilogues — which must show separate multiplies and adds and no fused
 # multiply-add, or one checkpoint would predict different bits per GOARCH.
 # The amd64 assembly is held to the same rule: no VFMADD/VFNMADD/VFMSUB/
 # VFNMSUB anywhere in simd_amd64.s.
 portable-check:
 	GOARCH=arm64 $(GO) vet ./...
 	@if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/simd_amd64.s; then echo "portable-check: fused multiply-add in simd_amd64.s"; exit 1; fi
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor/ 2>&1 | grep -E 'tensor/portable\.go:[0-9]+\)[[:space:]]+F'); \
-	echo "$$asm" | grep -q FMUL || { echo "portable-check: no FMUL from portable.go in the arm64 listing"; exit 1; }; \
-	if echo "$$asm" | grep -E 'FN?M(ADD|SUB)'; then echo "portable-check: fused multiply-add in portable.go"; exit 1; fi
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor/ 2>&1 | grep -E 'tensor/(portable|kernels32)\.go:[0-9]+\)[[:space:]]+F'); \
+	for f in portable kernels32; do \
+		echo "$$asm" | grep "tensor/$$f\.go" | grep -q FMUL || { echo "portable-check: no FMUL from $$f.go in the arm64 listing"; exit 1; }; \
+	done; \
+	if echo "$$asm" | grep -E 'FN?M(ADD|SUB)'; then echo "portable-check: fused multiply-add in portable.go or kernels32.go"; exit 1; fi
 
 # sparsify-check runs the effective-resistance sparsification gates: the
 # scorer/sampler unit suite (bridge dominance, determinism across thread

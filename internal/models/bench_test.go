@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -176,6 +177,33 @@ func benchAttentionGAT(b *testing.B, engine EngineKind, fused bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
+	}
+}
+
+// BenchmarkForwardF32 prices the frozen f32 GT forward alone at the served
+// configuration (dim 64, 4 layers, 4 heads) on one random tree plus chords
+// of each of the serving benchmark's size classes: the forward_f32 span's
+// work without a whole serving run around it.
+func BenchmarkForwardF32(b *testing.B) {
+	m, err := PrepareF32(NewGT(Config{Dim: 64, Layers: 4, Heads: 4, NodeTypes: 8, EdgeTypes: 4, OutDim: 1, Seed: 42}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(51))
+	for _, sc := range []struct{ nodes, chords int }{{32, 6}, {96, 18}, {224, 40}} {
+		ctx, err := NewMegaContext([]datasets.Instance{treeChordsInstance(rng, sc.nodes, sc.chords)}, MegaOptions{}, nil, 64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", sc.nodes), func(b *testing.B) {
+			arena := tensor.NewArena()
+			arena.PutF32(m.Forward(ctx, arena)) // warm the arena's buckets
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arena.PutF32(m.Forward(ctx, arena))
+			}
+		})
 	}
 }
 

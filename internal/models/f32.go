@@ -57,10 +57,11 @@ func downLinear(l *nn.Linear) linear32 {
 	return linear32{w: tensor.Downcast(l.W), b: tensor.DowncastSlice(l.B.Data)}
 }
 
-func (l linear32) forward(x *tensor.F32, arena *tensor.Arena) *tensor.F32 {
-	out := tensor.MatMul32(x, l.w, arena)
-	tensor.AddBias32(out, l.b)
-	return out
+// forward computes x·W + b and then the rest of ep, as one matmul whose
+// row epilogue adds the bias.
+func (l linear32) forward(x *tensor.F32, ep tensor.Epilogue32, arena *tensor.Arena) *tensor.F32 {
+	ep.Bias = l.b
+	return tensor.MatMulEpilogue32(x, l.w, ep, arena)
 }
 
 func (l linear32) snapshot(dst []float32) []float32 {
@@ -76,8 +77,9 @@ func downNorm(n *nn.Norm) norm32 {
 	return norm32{gamma: tensor.DowncastSlice(n.Gamma.Data), beta: tensor.DowncastSlice(n.Beta.Data)}
 }
 
-func (n norm32) layerNorm(x *tensor.F32, arena *tensor.Arena) *tensor.F32 {
-	return tensor.LayerNorm32(x, n.gamma, n.beta, arena)
+// addNorm is the epilogue LayerNorm(res + ·) with n's affine.
+func (n norm32) addNorm(res *tensor.F32) tensor.Epilogue32 {
+	return tensor.Epilogue32{Residual: res, Gamma: n.gamma, Beta: n.beta}
 }
 
 func (n norm32) batchNorm(x *tensor.F32, arena *tensor.Arena) *tensor.F32 {
@@ -98,9 +100,8 @@ func downMLP(m *nn.MLP) mlp32 {
 }
 
 func (m mlp32) forward(x *tensor.F32, arena *tensor.Arena) *tensor.F32 {
-	h := m.l1.forward(x, arena)
-	tensor.ReLU32(h)
-	out := m.l2.forward(h, arena)
+	h := m.l1.forward(x, tensor.Epilogue32{ReLU: true}, arena)
+	out := m.l2.forward(h, tensor.Epilogue32{}, arena)
 	arena.PutF32(h)
 	return out
 }
@@ -217,12 +218,16 @@ func (m *GTF32) Forward(ctx *Context, arena *tensor.Arena) *tensor.F32 {
 	return out
 }
 
+// forward is ten matmuls; every bias, ReLU, residual add and LayerNorm
+// runs in one of their row epilogues.
 func (l *gtLayerF32) forward(ctx *Context, h, e *tensor.F32, heads int, arena *tensor.Arena) (hOut, eOut *tensor.F32) {
+	var bias tensor.Epilogue32
+	relu := tensor.Epilogue32{ReLU: true}
 
-	qh := l.q.forward(h, arena)
-	kh := l.k.forward(h, arena)
-	vh := l.v.forward(h, arena)
-	eh := l.we.forward(e, arena)
+	qh := l.q.forward(h, bias, arena)
+	kh := l.k.forward(h, bias, arena)
+	vh := l.v.forward(h, bias, arena)
+	eh := l.we.forward(e, bias, arena)
 	att, eAvg := tensor.FusedSegmentAttention32(qh, kh, vh, eh,
 		ctx.RecvIdx, ctx.SendIdx, ctx.EdgeIdx,
 		ctx.recvSegments(), ctx.edgeSegments(), heads, tensor.LayoutHeadMajor, arena)
@@ -231,38 +236,20 @@ func (l *gtLayerF32) forward(ctx *Context, h, e *tensor.F32, heads int, arena *t
 	arena.PutF32(vh)
 	arena.PutF32(eh)
 
-	// Node stream: O projection, residual + LN, FFN, residual + LN.
-	o := l.o.forward(att, arena)
+	// Node stream: LN(h + O·att), then LN(h1 + FFN(h1)).
+	h1 := l.o.forward(att, l.lnH1.addNorm(h), arena)
 	arena.PutF32(att)
-	sum := tensor.Add32(h, o, arena)
-	arena.PutF32(o)
-	h1 := l.lnH1.layerNorm(sum, arena)
-	arena.PutF32(sum)
-	f := l.ffnH1.forward(h1, arena)
-	tensor.ReLU32(f)
-	ffn := l.ffnH2.forward(f, arena)
+	f := l.ffnH1.forward(h1, relu, arena)
+	hOut = l.ffnH2.forward(f, l.lnH2.addNorm(h1), arena)
 	arena.PutF32(f)
-	sum = tensor.Add32(h1, ffn, arena)
-	arena.PutF32(ffn)
-	hOut = l.lnH2.layerNorm(sum, arena)
-	arena.PutF32(sum)
 	arena.PutF32(h1)
 
-	// Edge stream on the per-edge mean of k⊙ê.
-	eAgg := l.oe.forward(eAvg, arena)
+	// Edge stream on the per-edge mean of k⊙ê, the same way.
+	e1 := l.oe.forward(eAvg, l.lnE1.addNorm(e), arena)
 	arena.PutF32(eAvg)
-	sum = tensor.Add32(e, eAgg, arena)
-	arena.PutF32(eAgg)
-	e1 := l.lnE1.layerNorm(sum, arena)
-	arena.PutF32(sum)
-	f = l.ffnE1.forward(e1, arena)
-	tensor.ReLU32(f)
-	ffnE := l.ffnE2.forward(f, arena)
+	f = l.ffnE1.forward(e1, relu, arena)
+	eOut = l.ffnE2.forward(f, l.lnE2.addNorm(e1), arena)
 	arena.PutF32(f)
-	sum = tensor.Add32(e1, ffnE, arena)
-	arena.PutF32(ffnE)
-	eOut = l.lnE2.layerNorm(sum, arena)
-	arena.PutF32(sum)
 	arena.PutF32(e1)
 
 	hOut = syncDuplicates32(ctx, hOut, arena)
@@ -341,7 +328,7 @@ func (m *GATF32) Forward(ctx *Context, arena *tensor.Arena) *tensor.F32 {
 
 func (l *gatLayerF32) forward(ctx *Context, h *tensor.F32, heads int, arena *tensor.Arena) *tensor.F32 {
 
-	wh := l.w.forward(h, arena)
+	wh := l.w.forward(h, tensor.Epilogue32{}, arena)
 	att := tensor.FusedAdditiveAttention32(wh, l.aL, l.aR,
 		ctx.RecvIdx, ctx.SendIdx, ctx.recvSegments(), heads, arena)
 	arena.PutF32(wh)

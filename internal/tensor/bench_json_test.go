@@ -55,12 +55,12 @@ func TestWriteBenchTensor(t *testing.T) {
 	run("LayerNormSerial", func(b *testing.B) { benchLayerNorm(b, 1) })
 	run("LayerNormParallel", func(b *testing.B) { benchLayerNorm(b, runtime.NumCPU()) })
 
-	run("MatMul32Serial128", func(b *testing.B) { benchMatMul32(b, 1, 128) })
-	run("MatMul32Serial256", func(b *testing.B) { benchMatMul32(b, 1, 256) })
-	run("MatMul32Serial512", func(b *testing.B) { benchMatMul32(b, 1, 512) })
-	run("MatMul32Parallel128", func(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 128) })
-	run("MatMul32Parallel256", func(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 256) })
-	run("MatMul32Parallel512", func(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 512) })
+	run("MatMul32Serial128", func(b *testing.B) { benchMatMul32(b, 1, 128, nil) })
+	run("MatMul32Serial256", func(b *testing.B) { benchMatMul32(b, 1, 256, nil) })
+	run("MatMul32Serial512", func(b *testing.B) { benchMatMul32(b, 1, 512, nil) })
+	run("MatMul32Parallel128", func(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 128, nil) })
+	run("MatMul32Parallel256", func(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 256, nil) })
+	run("MatMul32Parallel512", func(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 512, nil) })
 
 	run("FusedAttention64", func(b *testing.B) { BenchmarkFusedAttention64(b) })
 	run("FusedAttention32HeadMajor", func(b *testing.B) { BenchmarkFusedAttention32(b) })

@@ -89,28 +89,49 @@ func BenchmarkLayerNormSerial(b *testing.B)   { benchLayerNorm(b, 1) }
 func BenchmarkLayerNormParallel(b *testing.B) { benchLayerNorm(b, runtime.NumCPU()) }
 
 // benchMatMul32 is the float32 fast-path counterpart of benchMatMul:
-// same shapes, tape-free kernel, arena-pooled output.
-func benchMatMul32(b *testing.B, threads, size int) {
+// same shapes, tape-free kernel, arena-pooled output. A non-nil tile runs
+// the same row split on that tile body instead of the dispatched one.
+func benchMatMul32(b *testing.B, threads, size int,
+	tile func(a []float32, aStep int, b []float32, bStride int, o []float32, steps int)) {
 	prev := compute.SetMaxThreads(threads)
 	defer compute.SetMaxThreads(prev)
 	rng := rand.New(rand.NewSource(1001))
 	_, x := randF32Pair(rng, size, size)
 	_, w := randF32Pair(rng, size, size)
 	arena := NewArena()
+	product := func() { arena.PutF32(MatMul32(x, w, arena)) }
+	if tile != nil {
+		out := make([]float32, size*size)
+		product = func() {
+			compute.ParallelGrain(size, workGrain(size*size), func(lo, hi int) {
+				matmulRows(out, x.Data, w.Data, size, 1, size, size, lo, hi, tile)
+			})
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arena.PutF32(MatMul32(x, w, arena))
+		product()
 	}
 	flops := 2 * float64(size) * float64(size) * float64(size)
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-func BenchmarkMatMul32Serial128(b *testing.B)   { benchMatMul32(b, 1, 128) }
-func BenchmarkMatMul32Serial256(b *testing.B)   { benchMatMul32(b, 1, 256) }
-func BenchmarkMatMul32Serial512(b *testing.B)   { benchMatMul32(b, 1, 512) }
-func BenchmarkMatMul32Parallel128(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 128) }
-func BenchmarkMatMul32Parallel256(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 256) }
-func BenchmarkMatMul32Parallel512(b *testing.B) { benchMatMul32(b, runtime.NumCPU(), 512) }
+// benchMatMul32Tiles runs benchMatMul32 through dispatch and on each
+// float32 tile body the host has, so the SSE fallback keeps a number on
+// an AVX2 host.
+func benchMatMul32Tiles(b *testing.B, threads, size int) {
+	b.Run("dispatch", func(b *testing.B) { benchMatMul32(b, threads, size, nil) })
+	for _, k := range tile32Kernels() {
+		b.Run(k.name, func(b *testing.B) { benchMatMul32(b, threads, size, k.tile) })
+	}
+}
+
+func BenchmarkMatMul32Serial128(b *testing.B)   { benchMatMul32Tiles(b, 1, 128) }
+func BenchmarkMatMul32Serial256(b *testing.B)   { benchMatMul32Tiles(b, 1, 256) }
+func BenchmarkMatMul32Serial512(b *testing.B)   { benchMatMul32Tiles(b, 1, 512) }
+func BenchmarkMatMul32Parallel128(b *testing.B) { benchMatMul32Tiles(b, runtime.NumCPU(), 128) }
+func BenchmarkMatMul32Parallel256(b *testing.B) { benchMatMul32Tiles(b, runtime.NumCPU(), 256) }
+func BenchmarkMatMul32Parallel512(b *testing.B) { benchMatMul32Tiles(b, runtime.NumCPU(), 512) }
 
 // Fused segment attention at a serving-shaped workload (512 nodes, dim 64,
 // 4 heads, band-style pair list): the one generic forward through its
@@ -169,6 +190,7 @@ func BenchmarkMatMulTrainShapes(b *testing.B) {
 		x, w, g := randT(1008, m, k), randT(1009, k, n), randT(1010, m, n)
 		x32, w32 := Downcast(x), Downcast(w)
 		out, dx, dw := make([]float64, m*n), make([]float64, m*k), make([]float64, k*n)
+		out32 := make([]float32, m*n)
 		arena := NewArena()
 		type product struct {
 			name string
@@ -180,13 +202,18 @@ func BenchmarkMatMulTrainShapes(b *testing.B) {
 			{"dB", func() { matmulRows(dw, x.Data, g.Data, 1, k, m, n, 0, k, matmulTile64) }},
 			{"forward32", func() { arena.PutF32(MatMul32(x32, w32, arena)) }},
 		}
-		// Each float64 tile body the host has, bypassing dispatch, so the
-		// SSE2 fallback keeps a number on an AVX2 host.
+		// Each tile body the host has, bypassing dispatch, so the SSE/SSE2
+		// fallbacks keep a number on an AVX2 host.
 		for _, kern := range tile64Kernels() {
 			tile := kern.tile
 			products = append(products,
 				product{"forward/" + kern.name, func() { matmulRows(out, x.Data, w.Data, k, 1, k, n, 0, m, tile) }},
 				product{"dB/" + kern.name, func() { matmulRows(dw, x.Data, g.Data, 1, k, m, n, 0, k, tile) }})
+		}
+		for _, kern := range tile32Kernels() {
+			tile := kern.tile
+			products = append(products,
+				product{"forward32/" + kern.name, func() { matmulRows(out32, x32.Data, w32.Data, k, 1, k, n, 0, m, tile) }})
 		}
 		for _, p := range products {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, p.name), func(b *testing.B) {

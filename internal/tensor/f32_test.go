@@ -99,10 +99,16 @@ func TestKernels32MatchF64(t *testing.T) {
 		t.Errorf("matmul32 diverged: %v (%+v)", err, mm)
 	}
 
+	// LayerNorm is a matmul epilogue; the identity product leaves a32 exact.
 	g64 := Randn(rng, 1, 65, 1)
 	be64 := Randn(rng, 1, 65, 1)
+	eye := NewF32(65, 65, make([]float32, 65*65))
+	for i := 0; i < 65; i++ {
+		eye.Data[i*65+i] = 1
+	}
+	lnEp := Epilogue32{Gamma: DowncastSlice(g64.Data), Beta: DowncastSlice(be64.Data)}
 	ln := MeasureDivergence(
-		LayerNorm32(a32, DowncastSlice(g64.Data), DowncastSlice(be64.Data), arena).Data,
+		MatMulEpilogue32(a32, eye, lnEp, arena).Data,
 		LayerNorm(a64, g64, be64).Data, 1e-3)
 	if err := ln.Within(4096, 1e-3); err != nil {
 		t.Errorf("layernorm32 diverged: %v (%+v)", err, ln)

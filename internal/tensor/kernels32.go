@@ -14,41 +14,119 @@ import (
 // arena's float32 buckets. Like every kernel in this package they are
 // bit-identical at any thread count; across precisions the contract is the
 // bounded divergence envelope measured by MeasureDivergence, not
-// bit-identity.
+// bit-identity. A linear layer's bias, ReLU, residual add and LayerNorm
+// are not passes of their own: they run as the matmul's row epilogue
+// (Epilogue32), on each row chunk while it is still in cache. Every
+// product feeding an add here is rounded on its own (float32(a*b)), so
+// this file, like portable.go, compiles to no fused multiply-add on any
+// GOARCH (`make portable-check` reads its arm64 listing).
+
+// Epilogue32 is the row work MatMulEpilogue32 runs on each output row
+// after the product, in this order; a zero field skips its step. Each step
+// is the exact per-element arithmetic and order of the separate row pass
+// it stands for.
+type Epilogue32 struct {
+	// Bias is added to every row: row[j] += Bias[j].
+	Bias []float32
+	// ReLU then applies max(row[j], 0), which maps -0 to +0.
+	ReLU bool
+	// Residual's row is then added: row[j] = Residual[r][j] + row[j].
+	Residual *F32
+	// Gamma and Beta, when set, then normalise the row to zero mean and
+	// unit variance and apply Gamma⊙x̂ + Beta. Statistics accumulate in
+	// float32 in ascending column order (rows are model-dim wide — well
+	// within float32's stable summation range); the rsqrt goes through
+	// float64 like exp32 does, for one correctly-rounded special-function
+	// evaluation per row.
+	Gamma, Beta []float32
+}
 
 // MatMul32 computes a·b through matmulRows, the loop nest the float64
-// matmul runs, with the SSE register tile matmulTile32 as its micro-kernel.
-// Per output element the accumulation is the same ascending-p mul-then-add
-// chain, so results are bit-identical at any thread count and on any
-// architecture; only the throughput differs.
+// matmul runs, with matmulTile32 (AVX2 or SSE, chosen at init) as its
+// micro-kernel. Per output element the accumulation is the same
+// ascending-p mul-then-add chain, so results are bit-identical at any
+// thread count, on either tile and on any architecture; only the
+// throughput differs.
 func MatMul32(a, b *F32, arena *Arena) *F32 {
+	return MatMulEpilogue32(a, b, Epilogue32{}, arena)
+}
+
+// MatMulEpilogue32 is MatMul32 followed by ep on every output row, inside
+// the same row chunk. out must not alias ep.Residual.
+func MatMulEpilogue32(a, b *F32, ep Epilogue32, arena *Arena) *F32 {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("tensor: matmul32 %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
-	out := arena.GetF32(a.rows, b.cols)
-	compute.ParallelGrain(a.rows, workGrain(a.cols*b.cols), func(lo, hi int) {
-		matmulRows(out.Data, a.Data, b.Data, a.cols, 1, a.cols, b.cols, lo, hi, matmulTile32)
+	cols := b.cols
+	if (ep.Bias != nil && len(ep.Bias) != cols) ||
+		(ep.Residual != nil && (ep.Residual.rows != a.rows || ep.Residual.cols != cols)) ||
+		len(ep.Gamma) != len(ep.Beta) || (ep.Gamma != nil && len(ep.Gamma) != cols) {
+		panic(fmt.Sprintf("tensor: matmul32 epilogue does not fit a %dx%d output", a.rows, cols))
+	}
+	out := arena.GetF32(a.rows, cols)
+	compute.ParallelGrain(a.rows, workGrain(a.cols*cols), func(lo, hi int) {
+		matmulRows(out.Data, a.Data, b.Data, a.cols, 1, a.cols, cols, lo, hi, matmulTile32)
+		ep.rows(out, lo, hi)
 	})
 	return out
 }
 
-// AddBias32 adds the 1×cols bias vector to every row of x, in place.
-func AddBias32(x *F32, bias []float32) {
-	if len(bias) != x.cols {
-		panic(fmt.Sprintf("tensor: addbias32 %d != %d cols", len(bias), x.cols))
-	}
-	cols := x.cols
-	compute.ParallelGrain(x.rows, rowGrain(cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := x.Data[i*cols : (i+1)*cols]
-			for j := range row {
-				row[j] += bias[j]
+// rows runs the epilogue on out's rows lo ≤ r < hi.
+func (ep *Epilogue32) rows(out *F32, lo, hi int) {
+	cols := out.cols
+	for r := lo; r < hi; r++ {
+		row := out.Data[r*cols : (r+1)*cols]
+		if ep.Bias != nil {
+			for j, b := range ep.Bias[:len(row)] {
+				row[j] += b
 			}
 		}
-	})
+		if ep.ReLU {
+			relu32(row)
+		}
+		if ep.Residual != nil {
+			for j, v := range ep.Residual.Data[r*cols : (r+1)*cols] {
+				row[j] = v + row[j]
+			}
+		}
+		if ep.Gamma != nil {
+			layerNormRow32(row, ep.Gamma, ep.Beta)
+		}
+	}
 }
 
-// Add32 returns a + b elementwise.
+// relu32 applies max(v, 0) in place. It is branch-free: a compare and
+// branch per element mispredicts on every other one of random sign.
+func relu32(v []float32) {
+	for i, x := range v {
+		v[i] = max(x, 0)
+	}
+}
+
+// layerNormRow32 is Epilogue32's LayerNorm on one row, in place.
+func layerNormRow32(row, gamma, beta []float32) {
+	n := float32(len(row))
+	var mean float32
+	for _, v := range row {
+		mean += v
+	}
+	mean /= n
+	var vari float32
+	for _, v := range row {
+		d := v - mean
+		vari += float32(d * d)
+	}
+	vari /= n
+	is := float32(1 / math.Sqrt(float64(vari)+normEps))
+	gamma, beta = gamma[:len(row)], beta[:len(row)]
+	for j, v := range row {
+		row[j] = float32(gamma[j]*((v-mean)*is)) + beta[j]
+	}
+}
+
+// Add32 returns a + b elementwise. It and ReLU32 are the passes for work
+// no row epilogue can take: GAT's residual and ReLU sit either side of a
+// column-wise BatchNorm.
 func Add32(a, b *F32, arena *Arena) *F32 {
 	if a.rows != b.rows || a.cols != b.cols {
 		panic(fmt.Sprintf("tensor: add32 %dx%d + %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -62,51 +140,11 @@ func Add32(a, b *F32, arena *Arena) *F32 {
 	return out
 }
 
-// ReLU32 applies max(0, x) in place.
+// ReLU32 applies max(x, 0) in place, as Epilogue32.ReLU does.
 func ReLU32(x *F32) {
 	compute.ParallelGrain(len(x.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if x.Data[i] < 0 {
-				x.Data[i] = 0
-			}
-		}
+		relu32(x.Data[lo:hi])
 	})
-}
-
-// LayerNorm32 normalises each row of x to zero mean and unit variance and
-// applies gamma⊙x̂ + beta. Statistics accumulate in float32 (rows are
-// model-dim wide — well within float32's stable summation range); the
-// rsqrt goes through float64 like exp32 does, for one correctly-rounded
-// special-function evaluation per row.
-func LayerNorm32(x *F32, gamma, beta []float32, arena *Arena) *F32 {
-	cols := x.cols
-	if len(gamma) != cols || len(beta) != cols {
-		panic(fmt.Sprintf("tensor: layernorm32 affine %d/%d for %d cols", len(gamma), len(beta), cols))
-	}
-	n := float32(cols)
-	out := arena.GetF32(x.rows, cols)
-	compute.ParallelGrain(x.rows, rowGrain(cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := x.Data[i*cols : (i+1)*cols]
-			var mean float32
-			for _, v := range row {
-				mean += v
-			}
-			mean /= n
-			var vari float32
-			for _, v := range row {
-				d := v - mean
-				vari += d * d
-			}
-			vari /= n
-			is := float32(1 / math.Sqrt(float64(vari)+normEps))
-			orow := out.Data[i*cols : (i+1)*cols]
-			for j, v := range row {
-				orow[j] = gamma[j]*((v-mean)*is) + beta[j]
-			}
-		}
-	})
-	return out
 }
 
 // BatchNorm32 normalises each column of x over the batch (full-batch
@@ -129,12 +167,12 @@ func BatchNorm32(x *F32, gamma, beta []float32, arena *Arena) *F32 {
 			var vari float32
 			for i := 0; i < x.rows; i++ {
 				d := x.Data[i*cols+j] - mean
-				vari += d * d
+				vari += float32(d * d)
 			}
 			vari /= m
 			is := float32(1 / math.Sqrt(float64(vari)+normEps))
 			for i := 0; i < x.rows; i++ {
-				out.Data[i*cols+j] = gamma[j]*((x.Data[i*cols+j]-mean)*is) + beta[j]
+				out.Data[i*cols+j] = float32(gamma[j]*((x.Data[i*cols+j]-mean)*is)) + beta[j]
 			}
 		}
 	})

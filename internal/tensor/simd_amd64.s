@@ -79,7 +79,7 @@ loop1:
 done:
 	RET
 
-// func matmulTile32(a []float32, aStep int, b []float32, bStride int, o []float32, steps int)
+// func matmulTile32SSE(a []float32, aStep int, b []float32, bStride int, o []float32, steps int)
 //
 // For each full 16-column tile t of o (len(o)/16 of them):
 // o[16t:16t+16] += Σ_{s<steps} a[s*aStep] * b[s*bStride+16t : +16], skipping
@@ -92,7 +92,7 @@ done:
 // other one, in every tile's sweep of the same row.
 //
 // Frame: multipliers at 0(SP), 64 × 4 bytes; offsets at 256(SP), 64 × 8.
-TEXT ·matmulTile32(SB), $768-96
+TEXT ·matmulTile32SSE(SB), $768-96
 	MOVQ  a_base+0(FP), SI
 	MOVQ  aStep+24(FP), R8
 	MOVQ  b_base+32(FP), R12
@@ -172,6 +172,174 @@ store32:
 	JMP    chunk32
 
 done32:
+	RET
+
+// func matmulTile32AVX2(a []float32, aStep int, b []float32, bStride int, o []float32, steps int)
+//
+// matmulTile32SSE's pack, then a sweep over four 16-column tiles at once:
+// 64 partial sums in Y4–Y8, Y10, Y11 and Y13, eight lanes each, so 8
+// independent add chains hide the add latency that caps SSE's 4. Trailing
+// tiles sweep as wide as what remains, two tiles in Y4–Y7 and a lone one in
+// Y4–Y5. X9 holds the pack's zero, so Y9 stays out of the sweep. A step is
+// VBROADCASTSS, VMULPS from memory, then VADDPS — never a fused
+// multiply-add, so each lane is still the portable chain's multiply, round,
+// add. Every vector instruction is VEX-encoded and VZEROUPPER runs before
+// RET.
+//
+// Frame: multipliers at 0(SP), 64 × 4 bytes; offsets at 256(SP), 64 × 8.
+TEXT ·matmulTile32AVX2(SB), $768-96
+	MOVQ   a_base+0(FP), SI
+	MOVQ   aStep+24(FP), R8
+	MOVQ   b_base+32(FP), R12
+	MOVQ   bStride+56(FP), R10
+	MOVQ   steps+88(FP), CX
+	SHLQ   $2, R8
+	SHLQ   $2, R10
+	VXORPS X9, X9, X9
+
+chunkf:
+	MOVQ    o_len+72(FP), R11
+	SHRQ    $4, R11
+	JZ      donef
+	TESTQ   CX, CX
+	JLE     donef
+	MOVQ    $64, R13
+	CMPQ    CX, R13
+	CMOVQLT CX, R13
+	SUBQ    R13, CX
+	XORL    DX, DX
+	XORQ    AX, AX
+
+packf:
+	VMOVSS (SI), X0
+	VMOVSS X0, (SP)(DX*4)
+	MOVQ   AX, 256(SP)(DX*8)
+	VCMPSS $4, X9, X0, X0
+	VMOVD  X0, DI
+	SUBL   DI, DX
+	ADDQ   R8, SI
+	ADDQ   R10, AX
+	DECQ   R13
+	JNZ    packf
+
+	MOVQ R12, BX
+	ADDQ AX, R12
+	MOVQ o_base+64(FP), DI
+
+quadf:
+	CMPQ    R11, $4
+	JLT     pairf
+	VMOVUPS (DI), Y4
+	VMOVUPS 32(DI), Y5
+	VMOVUPS 64(DI), Y6
+	VMOVUPS 96(DI), Y7
+	VMOVUPS 128(DI), Y8
+	VMOVUPS 160(DI), Y10
+	VMOVUPS 192(DI), Y11
+	VMOVUPS 224(DI), Y13
+	XORQ    AX, AX
+	CMPQ    AX, DX
+	JGE     storequadf
+
+stepquadf:
+	VBROADCASTSS (SP)(AX*4), Y0
+	MOVQ         256(SP)(AX*8), R9
+	VMULPS       (BX)(R9*1), Y0, Y1
+	VADDPS       Y1, Y4, Y4
+	VMULPS       32(BX)(R9*1), Y0, Y2
+	VADDPS       Y2, Y5, Y5
+	VMULPS       64(BX)(R9*1), Y0, Y3
+	VADDPS       Y3, Y6, Y6
+	VMULPS       96(BX)(R9*1), Y0, Y12
+	VADDPS       Y12, Y7, Y7
+	VMULPS       128(BX)(R9*1), Y0, Y1
+	VADDPS       Y1, Y8, Y8
+	VMULPS       160(BX)(R9*1), Y0, Y2
+	VADDPS       Y2, Y10, Y10
+	VMULPS       192(BX)(R9*1), Y0, Y3
+	VADDPS       Y3, Y11, Y11
+	VMULPS       224(BX)(R9*1), Y0, Y12
+	VADDPS       Y12, Y13, Y13
+	INCQ         AX
+	CMPQ         AX, DX
+	JLT          stepquadf
+
+storequadf:
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	VMOVUPS Y6, 64(DI)
+	VMOVUPS Y7, 96(DI)
+	VMOVUPS Y8, 128(DI)
+	VMOVUPS Y10, 160(DI)
+	VMOVUPS Y11, 192(DI)
+	VMOVUPS Y13, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, BX
+	SUBQ    $4, R11
+	JMP     quadf
+
+pairf:
+	CMPQ    R11, $2
+	JLT     lonef
+	VMOVUPS (DI), Y4
+	VMOVUPS 32(DI), Y5
+	VMOVUPS 64(DI), Y6
+	VMOVUPS 96(DI), Y7
+	XORQ    AX, AX
+	CMPQ    AX, DX
+	JGE     storepairf
+
+steppairf:
+	VBROADCASTSS (SP)(AX*4), Y0
+	MOVQ         256(SP)(AX*8), R9
+	VMULPS       (BX)(R9*1), Y0, Y1
+	VADDPS       Y1, Y4, Y4
+	VMULPS       32(BX)(R9*1), Y0, Y2
+	VADDPS       Y2, Y5, Y5
+	VMULPS       64(BX)(R9*1), Y0, Y3
+	VADDPS       Y3, Y6, Y6
+	VMULPS       96(BX)(R9*1), Y0, Y12
+	VADDPS       Y12, Y7, Y7
+	INCQ         AX
+	CMPQ         AX, DX
+	JLT          steppairf
+
+storepairf:
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	VMOVUPS Y6, 64(DI)
+	VMOVUPS Y7, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, BX
+	SUBQ    $2, R11
+
+lonef:
+	TESTQ   R11, R11
+	JZ      chunkf
+	VMOVUPS (DI), Y4
+	VMOVUPS 32(DI), Y5
+	XORQ    AX, AX
+	CMPQ    AX, DX
+	JGE     storelonef
+
+steplonef:
+	VBROADCASTSS (SP)(AX*4), Y0
+	MOVQ         256(SP)(AX*8), R9
+	VMULPS       (BX)(R9*1), Y0, Y1
+	VADDPS       Y1, Y4, Y4
+	VMULPS       32(BX)(R9*1), Y0, Y2
+	VADDPS       Y2, Y5, Y5
+	INCQ         AX
+	CMPQ         AX, DX
+	JLT          steplonef
+
+storelonef:
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	JMP     chunkf
+
+donef:
+	VZEROUPPER
 	RET
 
 // func matmulTile64SSE2(a []float64, aStep int, b []float64, bStride int, o []float64, steps int)

@@ -2,6 +2,8 @@
 
 package tensor
 
-// tile64Kernels lists the float64 tiles besides the dispatched one: off
-// amd64 there are none.
-func tile64Kernels() []tile64Kernel { return nil }
+// tile32Kernels and tile64Kernels list the tiles besides the dispatched
+// ones: off amd64 there are none.
+func tile32Kernels() []tileKernel[float32] { return nil }
+
+func tile64Kernels() []tileKernel[float64] { return nil }

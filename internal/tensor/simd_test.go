@@ -7,14 +7,15 @@ import (
 )
 
 // TestSIMDKernelsMatchReference pins the active saxpy32, matmulTile32 and
-// matmulTile64, and each float64 tile body the host can run (SSE2 and, on
-// an AVX2 host, AVX2 — called directly, not through dispatch), against the
+// matmulTile64, and each tile body the host can run (SSE/SSE2 and, on an
+// AVX2 host, AVX2 — called directly, not through dispatch), against the
 // portable axpy and matmulTile — the functions every other architecture
 // runs — bit for bit. Lengths sweep across the 16-wide, 4-wide, and scalar
-// tails and across the AVX2 tile's pair loop and lone trailing tile;
-// inputs include ±0 and NaN and Inf multipliers (the zero skip must treat
-// NaN as nonzero) and an Inf in b under a zero multiplier (which the skip
-// must drop, where 0·Inf would be NaN).
+// tails, and tile counts 1–9 across the AVX2 tiles' wide sweeps (two
+// four-tile sweeps of float32, four pair sweeps of float64) and every
+// trailing remainder; inputs include ±0 and NaN and Inf multipliers (the
+// zero skip must treat NaN as nonzero) and an Inf in b under a zero
+// multiplier (which the skip must drop, where 0·Inf would be NaN).
 func TestSIMDKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 64, 100} {
@@ -34,15 +35,18 @@ func TestSIMDKernelsMatchReference(t *testing.T) {
 	}
 	tileMatchesPortable(t, rng, "matmulTile32", matmulTile32)
 	tileMatchesPortable(t, rng, "matmulTile64", matmulTile64)
+	for _, k := range tile32Kernels() {
+		tileMatchesPortable(t, rng, "matmulTile32/"+k.name, k.tile)
+	}
 	for _, k := range tile64Kernels() {
 		tileMatchesPortable(t, rng, "matmulTile64/"+k.name, k.tile)
 	}
 }
 
-// tile64Kernel is one float64 tile body under its short name.
-type tile64Kernel struct {
+// tileKernel is one tile body under its short name.
+type tileKernel[T float] struct {
 	name string
-	tile func(a []float64, aStep int, b []float64, bStride int, o []float64, steps int)
+	tile func(a []T, aStep int, b []T, bStride int, o []T, steps int)
 }
 
 // fillSpecials draws n normals with a quarter of the slots ±0.
@@ -66,7 +70,7 @@ func tileMatchesPortable[T float](t *testing.T, rng *rand.Rand, name string,
 	for _, steps := range []int{0, 1, 2, 7, 63, 64, 65, 129} {
 		for _, aStep := range []int{1, 3, 64} {
 			for _, bStride := range []int{16, 17, 80} {
-				for tiles := 1; tiles <= 5; tiles++ {
+				for tiles := 1; tiles <= 9; tiles++ {
 					a := fillSpecials[T](rng, steps*aStep)
 					b := fillSpecials[T](rng, steps*bStride+16*tiles)
 					if steps > 6 {
