@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race race-short chaos chaos-short dist-chaos shard-check dynamic-check load-check precision-check portable-check sparsify-check benchmark-smoke loc bench bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-precision bench-sparsify fuzz fuzz-smoke experiments examples clean
+.PHONY: all check build vet fmt-check test test-race race race-short chaos chaos-short dist-chaos shard-check dynamic-check load-check precision-check portable-check sparsify-check benchmark-smoke loc bench bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-precision bench-sparsify fuzz fuzz-smoke experiments examples clean
 
 all: check
 
 # check is the full verification flow CI mirrors: compile, static
 # analysis, the test suite, and the race detector over everything (the
 # serve worker pool makes -race load-bearing).
-check: build vet portable-check test race
+check: build vet fmt-check portable-check test race
 
 build:
 	$(GO) build ./...
@@ -102,27 +102,34 @@ load-check:
 # serve-side -precision f32 end-to-end tests (including degraded-mode
 # fallback to float64).
 precision-check:
-	$(GO) test ./internal/tensor/ -run 'TestSIMDKernelsMatchReference|TestMatMulEpilogue32MatchesUnfused|TestULPDistance32|TestMeasureDivergence|TestKernels32MatchF64|TestFusedSegmentAttention32MatchesF64|TestFusedAdditiveAttention32MatchesF64|TestFusedAttentionForwardMatchesReference' -count=1
+	$(GO) test ./internal/tensor/ -run 'TestSIMDKernelsMatchReference|TestMatMulEpilogue32MatchesUnfused|TestLinearEpilogueMatchesUnfused|TestGradients|TestTapeReleaseRewindsWithoutClearing|TestULPDistance32|TestMeasureDivergence|TestKernels32MatchF64|TestFusedSegmentAttention32MatchesF64|TestFusedAdditiveAttention32MatchesF64|TestFusedAttentionForwardMatchesReference' -count=1
 	$(GO) test ./internal/models/ -run 'F32' -count=1
 	$(GO) test ./internal/train/ -run 'TestCheckpointDowncast' -count=1
 	$(GO) test ./internal/serve/ -run 'TestOptionsPrecisionValidate|TestPrecision' -count=1
 
 # portable-check covers what no amd64 build compiles: `go vet` of the tree
-# for arm64 (the !amd64 files), and the arm64 compiler listing of
-# internal/tensor/portable.go — the micro-kernels the amd64 assembly is
-# pinned to — and kernels32.go — the f32 row kernels and matmul
-# epilogues — which must show separate multiplies and adds and no fused
-# multiply-add, or one checkpoint would predict different bits per GOARCH.
-# The amd64 assembly is held to the same rule: no VFMADD/VFNMADD/VFMSUB/
-# VFNMSUB anywhere in simd_amd64.s.
+# for arm64 (the !amd64 files), and the arm64 compiler listing of the
+# internal/tensor files whose bits one checkpoint must reproduce on every
+# GOARCH — portable.go (the micro-kernels the amd64 assembly is pinned
+# to), linear.go and kernels32.go (the row epilogue of both precisions and
+# the f32 row kernels), attention.go and attention_gat.go (the generic
+# attention forwards and the f64 backwards) — which must show separate
+# multiplies and adds and no fused multiply-add, or one checkpoint would
+# predict different bits per GOARCH. The amd64 assembly is held to the
+# same rule: no VFMADD/VFNMADD/VFMSUB/VFNMSUB anywhere in simd_amd64.s.
+PORTABLE = portable|kernels32|linear|attention|attention_gat
 portable-check:
 	GOARCH=arm64 $(GO) vet ./...
 	@if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/simd_amd64.s; then echo "portable-check: fused multiply-add in simd_amd64.s"; exit 1; fi
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor/ 2>&1 | grep -E 'tensor/(portable|kernels32)\.go:[0-9]+\)[[:space:]]+F'); \
-	for f in portable kernels32; do \
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor/ 2>&1 | grep -E 'tensor/($(PORTABLE))\.go:[0-9]+\)[[:space:]]+F'); \
+	for f in $(subst |, ,$(PORTABLE)); do \
 		echo "$$asm" | grep "tensor/$$f\.go" | grep -q FMUL || { echo "portable-check: no FMUL from $$f.go in the arm64 listing"; exit 1; }; \
 	done; \
-	if echo "$$asm" | grep -E 'FN?M(ADD|SUB)'; then echo "portable-check: fused multiply-add in portable.go or kernels32.go"; exit 1; fi
+	if echo "$$asm" | grep -E 'FN?M(ADD|SUB)'; then echo "portable-check: fused multiply-add in internal/tensor/($(PORTABLE)).go"; exit 1; fi
+
+# fmt-check fails if any Go file is not gofmt-clean.
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$files"; exit 1; fi
 
 # sparsify-check runs the effective-resistance sparsification gates: the
 # scorer/sampler unit suite (bridge dominance, determinism across thread

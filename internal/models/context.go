@@ -174,11 +174,26 @@ func (c *Context) EdgeMean(x *tensor.Tensor) *tensor.Tensor {
 
 // Linear applies a linear layer with sgemm profiling and op counting.
 func (c *Context) Linear(l *nn.Linear, x *tensor.Tensor) *tensor.Tensor {
+	return c.LinearEpilogue(l, x, tensor.Epilogue{})
+}
+
+// LinearEpilogue applies a linear layer and then the rest of ep in its row
+// epilogue. It emits the sgemm and then the elementwise kernels Act (the
+// ReLU) and Norm (the LayerNorm) emitted for the passes the epilogue took
+// over, in their order: the simulated L2 is order-sensitive.
+func (c *Context) LinearEpilogue(l *nn.Linear, x *tensor.Tensor, ep tensor.Epilogue) *tensor.Tensor {
 	if c.counter != nil {
 		c.counter.linears++
 	}
+	size := x.Rows() * l.W.Cols()
 	c.Prof.Linear(x.Rows(), x.Cols(), l.W.Cols())
-	return l.Forward(x)
+	if ep.ReLU {
+		c.Prof.Elementwise(size)
+	}
+	if ep.Gamma != nil {
+		c.Prof.Elementwise(2 * size)
+	}
+	return l.ForwardEpilogue(x, ep)
 }
 
 // Act applies an elementwise activation with profiling.

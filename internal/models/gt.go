@@ -161,22 +161,23 @@ func (l *gtLayer) forwardAttnStaged(ctx *Context, h, e *tensor.Tensor, heads int
 }
 
 // nodeStream runs the node half of the block: O projection, residual + LN,
-// FFN, residual + LN. Every op is row-local, so running it over a chunk's
-// rows produces exactly the chunk's stripe of the full result.
+// FFN, residual + LN — three matmuls, with every bias, ReLU, residual add
+// and LayerNorm in their row epilogues. Every op is row-local, so running
+// it over a chunk's rows produces exactly the chunk's stripe of the full
+// result.
 func (l *gtLayer) nodeStream(ctx *Context, h, att *tensor.Tensor) *tensor.Tensor {
-	h1 := ctx.Norm(l.lnH1, tensor.Add(h, ctx.Linear(l.o, att)))
-	ffn := ctx.Linear(l.ffnH2, ctx.Act(tensor.ReLU, ctx.Linear(l.ffnH1, h1)))
-	return ctx.Norm(l.lnH2, tensor.Add(h1, ffn))
+	h1 := ctx.LinearEpilogue(l.o, att, l.lnH1.AddNorm(h))
+	f := ctx.LinearEpilogue(l.ffnH1, h1, tensor.Epilogue{ReLU: true})
+	return ctx.LinearEpilogue(l.ffnH2, f, l.lnH2.AddNorm(h1))
 }
 
 // edgeStream runs the edge half of the block on an already-reduced per-edge
 // mean eAvg: O_e projection, residual + LN, FFN, residual + LN. Row-local
 // like nodeStream.
 func (l *gtLayer) edgeStream(ctx *Context, e, eAvg *tensor.Tensor) *tensor.Tensor {
-	eAgg := ctx.Linear(l.oe, eAvg)
-	e1 := ctx.Norm(l.lnE1, tensor.Add(e, eAgg))
-	ffnE := ctx.Linear(l.ffnE2, ctx.Act(tensor.ReLU, ctx.Linear(l.ffnE1, e1)))
-	return ctx.Norm(l.lnE2, tensor.Add(e1, ffnE))
+	e1 := ctx.LinearEpilogue(l.oe, eAvg, l.lnE1.AddNorm(e))
+	f := ctx.LinearEpilogue(l.ffnE1, e1, tensor.Epilogue{ReLU: true})
+	return ctx.LinearEpilogue(l.ffnE2, f, l.lnE2.AddNorm(e1))
 }
 
 // CountOps reports Table I's operation statistics for this model over the

@@ -36,7 +36,14 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 
 // Forward applies the layer to x (rows×in).
 func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return tensor.AddRowVec(tensor.MatMul(x, l.W), l.B)
+	return l.ForwardEpilogue(x, tensor.Epilogue{})
+}
+
+// ForwardEpilogue applies the layer to x and then the rest of ep, as one
+// matmul whose row epilogue adds the bias.
+func (l *Linear) ForwardEpilogue(x *tensor.Tensor, ep tensor.Epilogue) *tensor.Tensor {
+	ep.Bias = l.B
+	return tensor.MatMulEpilogue(x, l.W, ep)
 }
 
 // Params implements Layer.
@@ -90,12 +97,19 @@ func NewNorm(kind NormKind, dim int) *Norm {
 	}
 }
 
-// Forward normalises x.
+// Forward normalises x. LayerNorm is the row epilogue of an identity
+// product; where a linear layer feeds it, AddNorm puts it in that layer's
+// epilogue instead.
 func (n *Norm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if n.kind == BatchNorm {
 		return tensor.BatchNorm(x, n.Gamma, n.Beta)
 	}
-	return tensor.LayerNorm(x, n.Gamma, n.Beta)
+	return tensor.MatMulEpilogue(x, nil, tensor.Epilogue{Gamma: n.Gamma, Beta: n.Beta})
+}
+
+// AddNorm is the epilogue LayerNorm(res + ·) with n's affine.
+func (n *Norm) AddNorm(res *tensor.Tensor) tensor.Epilogue {
+	return tensor.Epilogue{Residual: res, Gamma: n.Gamma, Beta: n.Beta}
 }
 
 // Params implements Layer.
@@ -116,7 +130,7 @@ func NewMLP(rng *rand.Rand, in, hidden, out int) *MLP {
 
 // Forward applies the MLP.
 func (m *MLP) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return m.L2.Forward(tensor.ReLU(m.L1.Forward(x)))
+	return m.L2.Forward(m.L1.ForwardEpilogue(x, tensor.Epilogue{ReLU: true}))
 }
 
 // Params implements Layer.

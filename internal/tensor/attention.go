@@ -157,11 +157,11 @@ func segmentAttentionFwd[T float](q, k, v, ew, att, edgeOut []T, node, edge pane
 				if ew != nil {
 					we := ewa[int(edgeIdx[p])*edge.row:][:len(qr)]
 					for j := range qr {
-						sum += qr[j] * (ks[j] * we[j])
+						sum += T(qr[j] * (ks[j] * we[j]))
 					}
 				} else {
 					for j := range qr {
-						sum += qr[j] * ks[j]
+						sum += T(qr[j] * ks[j])
 					}
 				}
 				sa[p] = sum * scale
@@ -228,7 +228,7 @@ func segmentAttentionFwd[T float](q, k, v, ew, att, edgeOut []T, node, edge pane
 						ka := k[a*node.panel+s:][:len(oa)]
 						ewa := ew[a*edge.panel+e*edge.row:][:len(oa)]
 						for j := range oa {
-							oa[j] += ka[j] * ewa[j]
+							oa[j] += T(ka[j] * ewa[j])
 						}
 					}
 				}
@@ -350,17 +350,17 @@ func fusedAttentionBackward(q, k, v, ew, att, edgeOut *Tensor,
 				sum := 0.0
 				if ew != nil {
 					for j := base; j < base+dk; j++ {
-						sum += q.Data[r*d+j] * (k.Data[s+j] * ew.Data[eOff+j])
+						sum += float64(q.Data[r*d+j] * (k.Data[s+j] * ew.Data[eOff+j]))
 					}
 				} else {
 					for j := base; j < base+dk; j++ {
-						sum += q.Data[r*d+j] * k.Data[s+j]
+						sum += float64(q.Data[r*d+j] * k.Data[s+j])
 					}
 				}
-				exBuf[p*heads+a] = math.Exp(sum*scale - maxBuf[r*heads+a])
+				exBuf[p*heads+a] = math.Exp(float64(sum*scale) - maxBuf[r*heads+a])
 				g := 0.0
 				for j := base; j < base+dk; j++ {
-					g += dAtt[r*d+j] * v.Data[s+j]
+					g += float64(dAtt[r*d+j] * v.Data[s+j])
 				}
 				gBuf[p*heads+a] = g
 			}
@@ -386,12 +386,12 @@ func fusedAttentionBackward(q, k, v, ew, att, edgeOut *Tensor,
 				dDenom := 0.0
 				for _, p := range seg {
 					rg := gBuf[int(p)*heads+a] * exBuf[int(p)*heads+a]
-					dDenom += rg * ((-recip) * recip)
+					dDenom += float64(rg * ((-recip) * recip))
 				}
 				base := a * dk
 				for _, p := range seg {
 					pi := int(p)
-					exg := gBuf[pi*heads+a]*recip + dDenom
+					exg := float64(gBuf[pi*heads+a]*recip) + dDenom
 					rdg := (exg * exBuf[pi*heads+a]) * scale
 					gBuf[pi*heads+a] = rdg
 					if q.Grad != nil {
@@ -402,9 +402,9 @@ func fusedAttentionBackward(q, k, v, ew, att, edgeOut *Tensor,
 						}
 						for j := base; j < base+dk; j++ {
 							if ew != nil {
-								q.Grad[r*d+j] += rdg * (k.Data[s+j] * ew.Data[eOff+j])
+								q.Grad[r*d+j] += float64(rdg * (k.Data[s+j] * ew.Data[eOff+j]))
 							} else {
-								q.Grad[r*d+j] += rdg * k.Data[s+j]
+								q.Grad[r*d+j] += float64(rdg * k.Data[s+j])
 							}
 						}
 					}
@@ -439,13 +439,13 @@ func fusedAttentionBackward(q, k, v, ew, att, edgeOut *Tensor,
 						rdg := gBuf[pi*heads+a]
 						base := a * dk
 						for j := base; j < base+dk; j++ {
-							v.Grad[s*d+j] += dAtt[r*d+j] * alpha
-							km := rdg * q.Data[r*d+j]
+							v.Grad[s*d+j] += float64(dAtt[r*d+j] * alpha)
+							km := float64(rdg * q.Data[r*d+j])
 							if dEdge != nil {
-								km += dEdge[eOff+j] * einv
+								km += float64(dEdge[eOff+j] * einv)
 							}
 							if ew != nil {
-								k.Grad[s*d+j] += km * ew.Data[eOff+j]
+								k.Grad[s*d+j] += float64(km * ew.Data[eOff+j])
 							} else {
 								k.Grad[s*d+j] += km
 							}
@@ -478,11 +478,11 @@ func fusedAttentionBackward(q, k, v, ew, att, edgeOut *Tensor,
 						rdg := gBuf[pi*heads+a]
 						base := a * dk
 						for j := base; j < base+dk; j++ {
-							km := rdg * q.Data[r+j]
+							km := float64(rdg * q.Data[r+j])
 							if dEdge != nil {
-								km += dEdge[eOff+j] * einv
+								km += float64(dEdge[eOff+j] * einv)
 							}
-							ew.Grad[eOff+j] += km * k.Data[s+j]
+							ew.Grad[eOff+j] += float64(km * k.Data[s+j])
 						}
 					}
 				}

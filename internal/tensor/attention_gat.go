@@ -37,8 +37,8 @@ func additiveAttentionFwd[T float](wh, aL, aR, att []T, layout panels,
 				al, ar := aL[a*dk:][:dk], aR[a*dk:][:dk]
 				var sl, sr T
 				for j := range w {
-					sl += w[j] * al[j]
-					sr += w[j] * ar[j]
+					sl += T(w[j] * al[j])
+					sr += T(w[j] * ar[j])
 				}
 				rsL[i*heads+a] = sl
 				rsR[i*heads+a] = sr
@@ -94,7 +94,7 @@ func gatScore[T float](x T) T {
 	if relu < 0 {
 		relu = 0
 	}
-	return relu + (x-relu)*0.2
+	return relu + T((x-relu)*0.2)
 }
 
 // FusedAdditiveAttention is the float64, differentiable entry point of
@@ -166,7 +166,7 @@ func fusedAdditiveBackward(wh, aL, aR, att *Tensor, recv, send []int32,
 				base := a * dk
 				g := 0.0
 				for j := base; j < base+dk; j++ {
-					g += dAtt[r*d+j] * wh.Data[s*d+j]
+					g += float64(dAtt[r*d+j] * wh.Data[s*d+j])
 				}
 				gBuf[p*heads+a] = g
 			}
@@ -189,12 +189,12 @@ func fusedAdditiveBackward(wh, aL, aR, att *Tensor, recv, send []int32,
 				dDenom := 0.0
 				for _, p := range seg {
 					rg := gBuf[int(p)*heads+a] * exBuf[int(p)*heads+a]
-					dDenom += rg * ((-recip) * recip)
+					dDenom += float64(rg * ((-recip) * recip))
 				}
 				sum := 0.0
 				for _, p := range seg {
 					pi := int(p)
-					exg := gBuf[pi*heads+a]*recip + dDenom
+					exg := float64(gBuf[pi*heads+a]*recip) + dDenom
 					sg := exg * exBuf[pi*heads+a]
 					dx := sg
 					if rsL[r*heads+a]+rsR[int(send[pi])*heads+a] <= 0 {
@@ -232,8 +232,8 @@ func fusedAdditiveBackward(wh, aL, aR, att *Tensor, recv, send []int32,
 			for a := 0; a < heads; a++ {
 				base := a * dk
 				for j := base; j < base+dk; j++ {
-					wh.Grad[s*d+j] += dsR[s*heads+a] * aR.Data[j]
-					wh.Grad[s*d+j] += dsL[s*heads+a] * aL.Data[j]
+					wh.Grad[s*d+j] += float64(dsR[s*heads+a] * aR.Data[j])
+					wh.Grad[s*d+j] += float64(dsL[s*heads+a] * aL.Data[j])
 				}
 			}
 			for _, p := range seg {
@@ -243,7 +243,7 @@ func fusedAdditiveBackward(wh, aL, aR, att *Tensor, recv, send []int32,
 					alpha := exBuf[pi*heads+a] * (1 / (denomBuf[r*heads+a] + 1e-9))
 					base := a * dk
 					for j := base; j < base+dk; j++ {
-						wh.Grad[s*d+j] += dAtt[r*d+j] * alpha
+						wh.Grad[s*d+j] += float64(dAtt[r*d+j] * alpha)
 					}
 				}
 			}
@@ -257,7 +257,7 @@ func fusedAdditiveBackward(wh, aL, aR, att *Tensor, recv, send []int32,
 		compute.ParallelGrain(d, workGrain(rows), func(jlo, jhi int) {
 			for i := 0; i < rows; i++ {
 				for j := jlo; j < jhi; j++ {
-					aL.Grad[j] += dsL[i*heads+j/dk] * wh.Data[i*d+j]
+					aL.Grad[j] += float64(dsL[i*heads+j/dk] * wh.Data[i*d+j])
 				}
 			}
 		})
@@ -267,7 +267,7 @@ func fusedAdditiveBackward(wh, aL, aR, att *Tensor, recv, send []int32,
 		compute.ParallelGrain(d, workGrain(rows), func(jlo, jhi int) {
 			for i := 0; i < rows; i++ {
 				for j := jlo; j < jhi; j++ {
-					aR.Grad[j] += dsR[i*heads+j/dk] * wh.Data[i*d+j]
+					aR.Grad[j] += float64(dsR[i*heads+j/dk] * wh.Data[i*d+j])
 				}
 			}
 		})

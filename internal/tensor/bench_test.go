@@ -81,7 +81,7 @@ func benchLayerNorm(b *testing.B, threads int) {
 		x.ZeroGrad()
 		g.ZeroGrad()
 		bt.ZeroGrad()
-		Sum(LayerNorm(x, g, bt)).Backward()
+		Sum(MatMulEpilogue(x, nil, Epilogue{Gamma: g, Beta: bt})).Backward()
 	}
 }
 
@@ -198,7 +198,7 @@ func BenchmarkMatMulTrainShapes(b *testing.B) {
 		}
 		products := []product{
 			{"forward", func() { matmulRows(out, x.Data, w.Data, k, 1, k, n, 0, m, matmulTile64) }},
-			{"dA", func() { matmulGradA(dx, g.Data, w.Data, m, k, n) }},
+			{"dA", func() { matmulGradA(dx, g.Data, w.Data, m, k, n, false) }},
 			{"dB", func() { matmulRows(dw, x.Data, g.Data, 1, k, m, n, 0, k, matmulTile64) }},
 			{"forward32", func() { arena.PutF32(MatMul32(x32, w32, arena)) }},
 		}

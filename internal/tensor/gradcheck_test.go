@@ -180,10 +180,30 @@ func TestGradients(t *testing.T) {
 			build: func(ins []*Tensor) *Tensor { return weightedSum(MulMask(ins[0], maskAlt)) }},
 		{name: "LayerNorm", tol: 1e-5,
 			inputs: []*Tensor{randT(34, 7, 6), AddScalar(randT(35, 1, 6), 1.5).Detach(), randT(36, 1, 6)},
-			build: func(ins []*Tensor) *Tensor { return weightedSum(LayerNorm(ins[0], ins[1], ins[2])) }},
+			build:  func(ins []*Tensor) *Tensor { return weightedSum(LayerNorm(ins[0], ins[1], ins[2])) }},
+		{name: "MatMulEpilogue/bias", inputs: []*Tensor{randT(50, 5, 7), randT(51, 7, 4), randT(52, 1, 4)},
+			build: func(ins []*Tensor) *Tensor {
+				return weightedSum(MatMulEpilogue(ins[0], ins[1], Epilogue{Bias: ins[2]}))
+			}},
+		{name: "MatMulEpilogue/bias+relu", inputs: []*Tensor{randT(53, 5, 7), randT(54, 7, 4), randT(55, 1, 4)},
+			build: func(ins []*Tensor) *Tensor {
+				return weightedSum(MatMulEpilogue(ins[0], ins[1], Epilogue{Bias: ins[2], ReLU: true}))
+			}},
+		{name: "MatMulEpilogue/bias+residual+norm", tol: 1e-5,
+			inputs: []*Tensor{randT(56, 7, 5), randT(57, 5, 6), randT(58, 1, 6), randT(59, 7, 6),
+				AddScalar(randT(60, 1, 6), 1.5).Detach(), randT(61, 1, 6)},
+			build: func(ins []*Tensor) *Tensor {
+				return weightedSum(MatMulEpilogue(ins[0], ins[1],
+					Epilogue{Bias: ins[2], Residual: ins[3], Gamma: ins[4], Beta: ins[5]}))
+			}},
+		{name: "MatMulEpilogue/norm", tol: 1e-5,
+			inputs: []*Tensor{randT(62, 7, 6), AddScalar(randT(63, 1, 6), 1.5).Detach(), randT(64, 1, 6)},
+			build: func(ins []*Tensor) *Tensor {
+				return weightedSum(MatMulEpilogue(ins[0], nil, Epilogue{Gamma: ins[1], Beta: ins[2]}))
+			}},
 		{name: "BatchNorm", tol: 1e-5,
 			inputs: []*Tensor{randT(37, 7, 6), AddScalar(randT(38, 1, 6), 1.5).Detach(), randT(39, 1, 6)},
-			build: func(ins []*Tensor) *Tensor { return weightedSum(BatchNorm(ins[0], ins[1], ins[2])) }},
+			build:  func(ins []*Tensor) *Tensor { return weightedSum(BatchNorm(ins[0], ins[1], ins[2])) }},
 		{name: "GatherRows", inputs: []*Tensor{randT(40, 5, 4)},
 			build: func(ins []*Tensor) *Tensor { return weightedSum(GatherRows(ins[0], gatherIdx)) }},
 		{name: "ScatterAddRows", inputs: []*Tensor{randT(41, 7, 4)},

@@ -23,7 +23,7 @@ func GatherRows(x *Tensor, idx []int32) *Tensor { return gatherRows(nil, x, idx)
 
 // gatherRows is GatherRows with its result on tp (see newResultOn).
 func gatherRows(tp *Tape, x *Tensor, idx []int32) *Tensor {
-	out := newResultOn(tp, len(idx), x.cols, x)
+	out := newResultOn(tp, len(idx), x.cols, false, x)
 	cols := x.cols
 	for _, id := range idx {
 		if id < 0 || int(id) >= x.rows {
@@ -142,7 +142,7 @@ func Narrow(x *Tensor, start, n int) *Tensor {
 	if start < 0 || n < 0 || start+n > x.rows {
 		panic(fmt.Sprintf("tensor: narrow [%d,%d) of %d rows", start, start+n, x.rows))
 	}
-	out := newResult(n, x.cols, x)
+	out := newResultRaw(n, x.cols, x)
 	copy(out.Data, x.Data[start*x.cols:(start+n)*x.cols])
 	if out.requiresGrad {
 		out.backFn = func() {

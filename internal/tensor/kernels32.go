@@ -16,9 +16,10 @@ import (
 // bounded divergence envelope measured by MeasureDivergence, not
 // bit-identity. A linear layer's bias, ReLU, residual add and LayerNorm
 // are not passes of their own: they run as the matmul's row epilogue
-// (Epilogue32), on each row chunk while it is still in cache. Every
-// product feeding an add here is rounded on its own (float32(a*b)), so
-// this file, like portable.go, compiles to no fused multiply-add on any
+// (Epilogue32), on each row chunk while it is still in cache, through the
+// one generic body in linear.go that the float64 training op runs too.
+// Every product feeding an add here is rounded on its own (float32(a*b)),
+// so this file, like portable.go, compiles to no fused multiply-add on any
 // GOARCH (`make portable-check` reads its arm64 listing).
 
 // Epilogue32 is the row work MatMulEpilogue32 runs on each output row
@@ -33,11 +34,8 @@ type Epilogue32 struct {
 	// Residual's row is then added: row[j] = Residual[r][j] + row[j].
 	Residual *F32
 	// Gamma and Beta, when set, then normalise the row to zero mean and
-	// unit variance and apply Gamma⊙x̂ + Beta. Statistics accumulate in
-	// float32 in ascending column order (rows are model-dim wide — well
-	// within float32's stable summation range); the rsqrt goes through
-	// float64 like exp32 does, for one correctly-rounded special-function
-	// evaluation per row.
+	// unit variance and apply Gamma⊙x̂ + Beta (layerNormRow: statistics in
+	// float32, the rsqrt through float64).
 	Gamma, Beta []float32
 }
 
@@ -52,7 +50,8 @@ func MatMul32(a, b *F32, arena *Arena) *F32 {
 }
 
 // MatMulEpilogue32 is MatMul32 followed by ep on every output row, inside
-// the same row chunk. out must not alias ep.Residual.
+// the same row chunk: the row epilogue MatMulEpilogue runs at float64
+// (linear.go), at float32. out must not alias ep.Residual.
 func MatMulEpilogue32(a, b *F32, ep Epilogue32, arena *Arena) *F32 {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("tensor: matmul32 %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -63,65 +62,16 @@ func MatMulEpilogue32(a, b *F32, ep Epilogue32, arena *Arena) *F32 {
 		len(ep.Gamma) != len(ep.Beta) || (ep.Gamma != nil && len(ep.Gamma) != cols) {
 		panic(fmt.Sprintf("tensor: matmul32 epilogue does not fit a %dx%d output", a.rows, cols))
 	}
+	re := rowEpilogue[float32]{bias: ep.Bias, relu: ep.ReLU, gamma: ep.Gamma, beta: ep.Beta}
+	if ep.Residual != nil {
+		re.residual = ep.Residual.Data
+	}
 	out := arena.GetF32(a.rows, cols)
 	compute.ParallelGrain(a.rows, workGrain(a.cols*cols), func(lo, hi int) {
 		matmulRows(out.Data, a.Data, b.Data, a.cols, 1, a.cols, cols, lo, hi, matmulTile32)
-		ep.rows(out, lo, hi)
+		re.rows(out.Data, cols, lo, hi, nil, nil)
 	})
 	return out
-}
-
-// rows runs the epilogue on out's rows lo ≤ r < hi.
-func (ep *Epilogue32) rows(out *F32, lo, hi int) {
-	cols := out.cols
-	for r := lo; r < hi; r++ {
-		row := out.Data[r*cols : (r+1)*cols]
-		if ep.Bias != nil {
-			for j, b := range ep.Bias[:len(row)] {
-				row[j] += b
-			}
-		}
-		if ep.ReLU {
-			relu32(row)
-		}
-		if ep.Residual != nil {
-			for j, v := range ep.Residual.Data[r*cols : (r+1)*cols] {
-				row[j] = v + row[j]
-			}
-		}
-		if ep.Gamma != nil {
-			layerNormRow32(row, ep.Gamma, ep.Beta)
-		}
-	}
-}
-
-// relu32 applies max(v, 0) in place. It is branch-free: a compare and
-// branch per element mispredicts on every other one of random sign.
-func relu32(v []float32) {
-	for i, x := range v {
-		v[i] = max(x, 0)
-	}
-}
-
-// layerNormRow32 is Epilogue32's LayerNorm on one row, in place.
-func layerNormRow32(row, gamma, beta []float32) {
-	n := float32(len(row))
-	var mean float32
-	for _, v := range row {
-		mean += v
-	}
-	mean /= n
-	var vari float32
-	for _, v := range row {
-		d := v - mean
-		vari += float32(d * d)
-	}
-	vari /= n
-	is := float32(1 / math.Sqrt(float64(vari)+normEps))
-	gamma, beta = gamma[:len(row)], beta[:len(row)]
-	for j, v := range row {
-		row[j] = float32(gamma[j]*((v-mean)*is)) + beta[j]
-	}
 }
 
 // Add32 returns a + b elementwise. It and ReLU32 are the passes for work
@@ -143,7 +93,7 @@ func Add32(a, b *F32, arena *Arena) *F32 {
 // ReLU32 applies max(x, 0) in place, as Epilogue32.ReLU does.
 func ReLU32(x *F32) {
 	compute.ParallelGrain(len(x.Data), elemGrain, func(lo, hi int) {
-		relu32(x.Data[lo:hi])
+		relu(x.Data[lo:hi])
 	})
 }
 

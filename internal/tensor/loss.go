@@ -22,7 +22,7 @@ func MSELoss(pred, target *Tensor) *Tensor {
 // fixed partition, so the value is thread-count invariant.
 func MAELoss(pred, target *Tensor) *Tensor {
 	assertSameShape("mae", pred, target)
-	out := newResult(1, 1, pred)
+	out := newResultRaw(1, 1, pred)
 	s := compute.ReduceSum(len(pred.Data), func(lo, hi int) float64 {
 		t := 0.0
 		for i := lo; i < hi; i++ {
@@ -65,9 +65,9 @@ func CrossEntropyLoss(logits *Tensor, labels []int) *Tensor {
 			panic(fmt.Sprintf("tensor: label %d (row %d) out of %d classes", l, i, cols))
 		}
 	}
-	out := newResult(1, 1, logits)
-	probs := out.tape.get(len(logits.Data))
-	rowLoss := out.tape.get(logits.rows)
+	out := newResultRaw(1, 1, logits)
+	probs := out.tape.getRaw(len(logits.Data))
+	rowLoss := out.tape.getRaw(logits.rows)
 	compute.ParallelGrain(logits.rows, rowGrain(cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := logits.Data[i*cols : (i+1)*cols]

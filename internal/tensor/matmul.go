@@ -19,33 +19,43 @@ func MatMul(a, b *Tensor) *Tensor {
 		matmulRows(out.Data, a.Data, b.Data, k, 1, k, n, lo, hi, matmulTile64)
 	})
 	if out.requiresGrad {
-		out.backFn = func() {
-			if a.requiresGrad {
-				a.ensureGrad()
-				matmulGradA(a.Grad, out.Grad, b.Data, m, k, n)
-			}
-			if b.requiresGrad {
-				// dB += Aᵀ·dOut is the nest reading a down its columns: row
-				// p of dB accumulates in place over ascending i.
-				b.ensureGrad()
-				compute.ParallelGrain(k, workGrain(m*n), func(lo, hi int) {
-					matmulRows(b.Grad, a.Data, out.Grad, 1, k, m, n, lo, hi, matmulTile64)
-				})
-			}
-		}
+		out.backFn = func() { matmulBackward(a, b, out.Grad) }
 	}
 	return out
+}
+
+// matmulBackward accumulates the gradients of out = a·b into a and b from
+// dout, out's gradient.
+func matmulBackward(a, b *Tensor, dout []float64) {
+	m, k, n := a.rows, a.cols, b.cols
+	if a.requiresGrad {
+		fresh := a.Grad == nil
+		a.ensureGrad()
+		matmulGradA(a.Grad, dout, b.Data, m, k, n, fresh)
+	}
+	if b.requiresGrad {
+		// dB += Aᵀ·dOut is the nest reading a down its columns: row p of
+		// dB accumulates in place over ascending i.
+		b.ensureGrad()
+		compute.ParallelGrain(k, workGrain(m*n), func(lo, hi int) {
+			matmulRows(b.Grad, a.Data, dout, 1, k, m, n, lo, hi, matmulTile64)
+		})
+	}
 }
 
 // matmulScratch lends matmulGradA its packed Bᵀ and its product blocks.
 var matmulScratch bucketPool[float64]
 
-// matmulGradA accumulates dA += dOut·Bᵀ as forward over a packed Bᵀ,
-// matmulKBlock rows at a time into zeroed scratch that is then added to
-// da: da is already non-zero when a feeds several ops, and (da + t₀) + t₁ …
-// is not da + (t₀ + t₁ …). The zero skip only drops ±0 terms from a sum
-// that starts at +0, which changes nothing while b is finite.
-func matmulGradA(da, dout, b []float64, m, k, n int) {
+// matmulGradA accumulates dA += dOut·Bᵀ as forward over a packed Bᵀ. A
+// fresh da (zeroed for this call) takes the product directly. Otherwise the
+// product goes matmulKBlock rows at a time into zeroed scratch that is then
+// added to da: da is already non-zero when a feeds several ops, and
+// (da + t₀) + t₁ … is not da + (t₀ + t₁ …). The scratch chain starts at +0
+// like a fresh da's, and a sum that starts at +0 never reaches -0, so
+// 0 + chain is the chain: both routes give the same bits. The zero skip
+// only drops ±0 terms from such a sum, which changes nothing while b is
+// finite.
+func matmulGradA(da, dout, b []float64, m, k, n int, fresh bool) {
 	bt := matmulScratch.get(n * k)
 	for p := 0; p < k; p++ {
 		for j, v := range b[p*n : (p+1)*n] {
@@ -53,6 +63,10 @@ func matmulGradA(da, dout, b []float64, m, k, n int) {
 		}
 	}
 	compute.ParallelGrain(m, workGrain(k*n), func(lo, hi int) {
+		if fresh {
+			matmulRows(da, dout, bt, n, 1, n, k, lo, hi, matmulTile64)
+			return
+		}
 		prod := matmulScratch.get(matmulKBlock * k)
 		for r := lo; r < hi; r += matmulKBlock {
 			rows := min(matmulKBlock, hi-r)

@@ -6,101 +6,15 @@ import (
 	"mega/internal/compute"
 )
 
-// Fused normalisation ops with hand-written backward passes. Both models
-// use normalisation after every attention block (GatedGCN: batch norm;
-// Graph Transformer: layer norm), so these are hot paths worth fusing.
+// Fused normalisation with a hand-written backward pass. GatedGCN and GAT
+// normalise after every attention block with batch norm; the Graph
+// Transformer's layer norm is a matmul row epilogue (linear.go).
 //
-// LayerNorm statistics live per row, so it splits rows; BatchNorm
-// statistics live per column, so every stage of it splits columns. Either
-// way each mean/variance/gradient accumulator is owned by exactly one
+// BatchNorm statistics live per column, so every stage of it splits
+// columns: each mean/variance/gradient accumulator is owned by exactly one
 // chunk and accumulated in serial order — thread-count invariant.
 
 const normEps = 1e-5
-
-// LayerNorm normalises each row of x to zero mean and unit variance, then
-// applies the affine transform gamma⊙x̂ + beta (gamma, beta of shape
-// 1×cols).
-func LayerNorm(x, gamma, beta *Tensor) *Tensor {
-	if gamma.rows != 1 || gamma.cols != x.cols || beta.rows != 1 || beta.cols != x.cols {
-		panic("tensor: layernorm affine shape mismatch")
-	}
-	n := float64(x.cols)
-	cols := x.cols
-	out := newResult(x.rows, x.cols, x, gamma, beta)
-	xhat := out.tape.get(len(x.Data))
-	invStd := out.tape.get(x.rows)
-	compute.ParallelGrain(x.rows, rowGrain(cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := x.Data[i*cols : (i+1)*cols]
-			mean := 0.0
-			for _, v := range row {
-				mean += v
-			}
-			mean /= n
-			vari := 0.0
-			for _, v := range row {
-				d := v - mean
-				vari += d * d
-			}
-			vari /= n
-			is := 1 / math.Sqrt(vari+normEps)
-			invStd[i] = is
-			for j, v := range row {
-				h := (v - mean) * is
-				xhat[i*cols+j] = h
-				out.Data[i*cols+j] = gamma.Data[j]*h + beta.Data[j]
-			}
-		}
-	})
-	if out.requiresGrad {
-		out.backFn = func() {
-			if gamma.requiresGrad || beta.requiresGrad {
-				if gamma.requiresGrad {
-					gamma.ensureGrad()
-				}
-				if beta.requiresGrad {
-					beta.ensureGrad()
-				}
-				// gamma/beta gradients sum over rows: column split so each
-				// chunk owns disjoint accumulators.
-				compute.ParallelGrain(cols, workGrain(x.rows), func(jlo, jhi int) {
-					for i := 0; i < x.rows; i++ {
-						for j := jlo; j < jhi; j++ {
-							g := out.Grad[i*cols+j]
-							if gamma.requiresGrad {
-								gamma.Grad[j] += g * xhat[i*cols+j]
-							}
-							if beta.requiresGrad {
-								beta.Grad[j] += g
-							}
-						}
-					}
-				})
-			}
-			if x.requiresGrad {
-				x.ensureGrad()
-				compute.ParallelGrain(x.rows, rowGrain(cols), func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						// dxhat = dOut ⊙ gamma; standard layernorm backward:
-						// dx = invStd/n * (n·dxhat − Σdxhat − x̂·Σ(dxhat⊙x̂))
-						var sumD, sumDX float64
-						for j := 0; j < cols; j++ {
-							d := out.Grad[i*cols+j] * gamma.Data[j]
-							sumD += d
-							sumDX += d * xhat[i*cols+j]
-						}
-						for j := 0; j < cols; j++ {
-							d := out.Grad[i*cols+j] * gamma.Data[j]
-							x.Grad[i*cols+j] += invStd[i] / n *
-								(n*d - sumD - xhat[i*cols+j]*sumDX)
-						}
-					}
-				})
-			}
-		}
-	}
-	return out
-}
 
 // BatchNorm normalises each column of x over the batch (rows) to zero mean
 // and unit variance, then applies gamma⊙x̂ + beta. This is training-mode
@@ -112,10 +26,10 @@ func BatchNorm(x, gamma, beta *Tensor) *Tensor {
 	}
 	m := float64(x.rows)
 	cols := x.cols
-	out := newResult(x.rows, x.cols, x, gamma, beta)
-	xhat := out.tape.get(len(x.Data))
-	invStd := out.tape.get(x.cols)
-	means := out.tape.get(x.cols)
+	out := newResultRaw(x.rows, x.cols, x, gamma, beta)
+	xhat := out.tape.getRaw(len(x.Data))
+	invStd := out.tape.getRaw(x.cols)
+	means := out.tape.getRaw(x.cols)
 	colGrain := workGrain(x.rows)
 	compute.ParallelGrain(cols, colGrain, func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {

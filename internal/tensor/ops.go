@@ -10,7 +10,7 @@ import (
 // Add returns a + b (same shape).
 func Add(a, b *Tensor) *Tensor {
 	assertSameShape("add", a, b)
-	out := newResult(a.rows, a.cols, a, b)
+	out := newResultRaw(a.rows, a.cols, a, b)
 	compute.ParallelGrain(len(out.Data), elemGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.Data[i] = a.Data[i] + b.Data[i]
@@ -42,7 +42,7 @@ func Add(a, b *Tensor) *Tensor {
 // Sub returns a - b (same shape).
 func Sub(a, b *Tensor) *Tensor {
 	assertSameShape("sub", a, b)
-	out := newResult(a.rows, a.cols, a, b)
+	out := newResultRaw(a.rows, a.cols, a, b)
 	compute.ParallelGrain(len(out.Data), elemGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.Data[i] = a.Data[i] - b.Data[i]
@@ -74,7 +74,7 @@ func Sub(a, b *Tensor) *Tensor {
 // Mul returns the elementwise product a ⊙ b (same shape).
 func Mul(a, b *Tensor) *Tensor {
 	assertSameShape("mul", a, b)
-	out := newResult(a.rows, a.cols, a, b)
+	out := newResultRaw(a.rows, a.cols, a, b)
 	compute.ParallelGrain(len(out.Data), elemGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.Data[i] = a.Data[i] * b.Data[i]
@@ -103,57 +103,13 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// AddRowVec returns a + v broadcast over rows, for v of shape 1×cols
-// (bias addition).
-func AddRowVec(a, v *Tensor) *Tensor {
-	if v.rows != 1 || v.cols != a.cols {
-		panic(fmt.Sprintf("tensor: addrowvec %dx%d + %dx%d", a.rows, a.cols, v.rows, v.cols))
-	}
-	out := newResult(a.rows, a.cols, a, v)
-	cols := a.cols
-	compute.ParallelGrain(a.rows, rowGrain(cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*cols : (i+1)*cols]
-			orow := out.Data[i*cols : (i+1)*cols]
-			for j := range orow {
-				orow[j] = arow[j] + v.Data[j]
-			}
-		}
-	})
-	if out.requiresGrad {
-		out.backFn = func() {
-			if a.requiresGrad {
-				a.ensureGrad()
-				compute.ParallelGrain(len(out.Grad), elemGrain, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						a.Grad[i] += out.Grad[i]
-					}
-				})
-			}
-			if v.requiresGrad {
-				v.ensureGrad()
-				// v.Grad[j] sums over every row: split the columns so each
-				// chunk owns disjoint accumulators, rows in serial order.
-				compute.ParallelGrain(cols, workGrain(a.rows), func(jlo, jhi int) {
-					for i := 0; i < a.rows; i++ {
-						for j := jlo; j < jhi; j++ {
-							v.Grad[j] += out.Grad[i*cols+j]
-						}
-					}
-				})
-			}
-		}
-	}
-	return out
-}
-
 // MulColVec returns a ⊙ c broadcast over columns, for c of shape rows×1
 // (per-row scaling, e.g. attention coefficients).
 func MulColVec(a, c *Tensor) *Tensor {
 	if c.cols != 1 || c.rows != a.rows {
 		panic(fmt.Sprintf("tensor: mulcolvec %dx%d ⊙ %dx%d", a.rows, a.cols, c.rows, c.cols))
 	}
-	out := newResult(a.rows, a.cols, a, c)
+	out := newResultRaw(a.rows, a.cols, a, c)
 	cols := a.cols
 	compute.ParallelGrain(a.rows, rowGrain(cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -195,7 +151,7 @@ func MulColVec(a, c *Tensor) *Tensor {
 
 // Scale returns s·a for a constant s.
 func Scale(a *Tensor, s float64) *Tensor {
-	out := newResult(a.rows, a.cols, a)
+	out := newResultRaw(a.rows, a.cols, a)
 	compute.ParallelGrain(len(out.Data), elemGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.Data[i] = a.Data[i] * s
@@ -216,7 +172,7 @@ func Scale(a *Tensor, s float64) *Tensor {
 
 // unary builds an elementwise op with derivative df(x, f(x)).
 func unary(a *Tensor, f func(float64) float64, df func(x, y float64) float64) *Tensor {
-	out := newResult(a.rows, a.cols, a)
+	out := newResultRaw(a.rows, a.cols, a)
 	compute.ParallelGrain(len(out.Data), elemGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.Data[i] = f(a.Data[i])
@@ -262,7 +218,7 @@ func Tanh(a *Tensor) *Tensor {
 // RowSoftmax returns softmax over each row. Row-parallel: every row is
 // normalised entirely within one chunk.
 func RowSoftmax(a *Tensor) *Tensor {
-	out := newResult(a.rows, a.cols, a)
+	out := newResultRaw(a.rows, a.cols, a)
 	cols := a.cols
 	compute.ParallelGrain(a.rows, rowGrain(cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -374,7 +330,7 @@ func MaskedRowSoftmax(a *Tensor, mask []bool) *Tensor {
 // partition of compute.ReduceSum, so its value is independent of the
 // thread count.
 func Sum(a *Tensor) *Tensor {
-	out := newResult(1, 1, a)
+	out := newResultRaw(1, 1, a)
 	out.Data[0] = compute.ReduceSum(len(a.Data), func(lo, hi int) float64 {
 		s := 0.0
 		for i := lo; i < hi; i++ {
@@ -415,7 +371,7 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 		}
 		total += t.cols
 	}
-	out := newResult(rows, total, ts...)
+	out := newResultRaw(rows, total, ts...)
 	off := 0
 	for _, t := range ts {
 		t := t

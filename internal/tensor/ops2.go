@@ -37,7 +37,7 @@ func Div(a, b *Tensor) *Tensor {
 // RowSum returns the per-row sum as an m×1 tensor. Row-parallel: each
 // row's sum stays a single serial accumulation.
 func RowSum(a *Tensor) *Tensor {
-	out := newResult(a.rows, 1, a)
+	out := newResultRaw(a.rows, 1, a)
 	cols := a.cols
 	compute.ParallelGrain(a.rows, rowGrain(cols), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -77,7 +77,7 @@ func NarrowCols(x *Tensor, start, n int) *Tensor {
 	if start < 0 || n < 0 || start+n > x.cols {
 		panic(fmt.Sprintf("tensor: narrowcols [%d,%d) of %d cols", start, start+n, x.cols))
 	}
-	out := newResult(x.rows, n, x)
+	out := newResultRaw(x.rows, n, x)
 	compute.ParallelGrain(x.rows, rowGrain(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			copy(out.Data[i*n:(i+1)*n], x.Data[i*x.cols+start:i*x.cols+start+n])

@@ -33,16 +33,25 @@ type Tape struct {
 const tapeChunk = 4 << 20 / 8
 
 // tapePoison is a use-after-release guard for tests: while set, Release
-// fills what it rewinds with NaN instead of zeros (so a stale read poisons
-// the loss) and get clears each slice as it hands it out.
+// fills what it rewinds with NaN, so a stale read, or an op that leaves an
+// element of an uncleared buffer unwritten, poisons the loss.
 var tapePoison bool
 
 // NewTape creates an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// get returns a zeroed n-element slice whose capacity is clipped to n, so
-// an append can never spill into a neighbour.
-func (tp *Tape) get(n int) []float64 {
+// get returns a zeroed n-element slice, for a buffer something accumulates
+// into (a gradient, a product, a scatter sum). It is cleared here, as it is
+// handed out and about to be written, rather than at Release.
+func (tp *Tape) get(n int) []float64 { return tp.take(n, true) }
+
+// getRaw returns an n-element slice holding whatever the tape last held
+// there, for a buffer its op writes in full before anything reads it.
+func (tp *Tape) getRaw(n int) []float64 { return tp.take(n, false) }
+
+// take carves n elements off the tape, clearing them if zero is set. The
+// capacity is clipped to n, so an append can never spill into a neighbour.
+func (tp *Tape) take(n int, zero bool) []float64 {
 	if tp == nil || n == 0 || n > tapeChunk {
 		return make([]float64, n)
 	}
@@ -51,7 +60,7 @@ func (tp *Tape) get(n int) []float64 {
 			u := len(c)
 			tp.chunks[tp.cur] = c[:u+n]
 			s := c[u : u+n : u+n]
-			if tapePoison {
+			if zero {
 				clear(s)
 			}
 			return s
@@ -61,9 +70,9 @@ func (tp *Tape) get(n int) []float64 {
 	return tp.chunks[tp.cur][:n:n]
 }
 
-// Release rewinds the tape, clearing only the prefix of each chunk that was
-// handed out. Every tensor built on the tape since the last Release is
-// invalid afterwards. Release on a nil tape does nothing.
+// Release rewinds the tape. It clears nothing: get clears what it hands
+// out. Every tensor built on the tape since the last Release is invalid
+// afterwards. Release on a nil tape does nothing.
 func (tp *Tape) Release() {
 	if tp == nil {
 		return
@@ -76,8 +85,6 @@ func (tp *Tape) Release() {
 			for j := range c {
 				c[j] = math.NaN()
 			}
-		} else {
-			clear(c)
 		}
 		tp.chunks[i] = c[:0]
 	}

@@ -57,7 +57,10 @@ func TestTapeGetZeroedAndCapClipped(t *testing.T) {
 	nilTape.Release()
 }
 
-func TestTapeReleaseClearsAndRewinds(t *testing.T) {
+// TestTapeReleaseRewindsWithoutClearing pins the tape's hand-out rules:
+// Release only rewinds, get clears as it hands out, getRaw hands out what
+// the tape last held, and under tapePoison that is NaN.
+func TestTapeReleaseRewindsWithoutClearing(t *testing.T) {
 	tp := NewTape()
 	first := tp.get(16)
 	for i := range first {
@@ -70,14 +73,18 @@ func TestTapeReleaseClearsAndRewinds(t *testing.T) {
 			t.Fatalf("chunk %d keeps %d used elements after Release", i, len(c))
 		}
 	}
-	again := tp.get(16)
-	if &again[0] != &first[0] {
+	raw := tp.getRaw(16)
+	if &raw[0] != &first[0] {
 		t.Fatal("Release did not rewind to the start of the first chunk")
 	}
-	for i, v := range again {
-		if v != 0 {
-			t.Fatalf("element %d is %v after Release, want 0", i, v)
+	for i, v := range raw {
+		if v != float64(i+1) {
+			t.Fatalf("getRaw element %d is %v after Release, want the stale %d", i, v, i+1)
 		}
+	}
+	tp.Release()
+	if s := tp.get(16); &s[0] != &first[0] || s[3] != 0 {
+		t.Fatalf("get over the stale prefix returned %v, want 0", s[3])
 	}
 	if len(tp.chunks) != 2 {
 		t.Fatalf("Release dropped chunks: %d left", len(tp.chunks))
@@ -86,8 +93,11 @@ func TestTapeReleaseClearsAndRewinds(t *testing.T) {
 	tapePoison = true
 	defer func() { tapePoison = false }()
 	tp.Release()
-	if !math.IsNaN(again[3]) {
-		t.Fatalf("poisoned Release left %v, want NaN", again[3])
+	if !math.IsNaN(raw[3]) {
+		t.Fatalf("poisoned Release left %v, want NaN", raw[3])
+	}
+	if s := tp.getRaw(16); !math.IsNaN(s[3]) {
+		t.Fatalf("getRaw after a poisoned Release returned %v, want NaN", s[3])
 	}
 	if s := tp.get(16); s[3] != 0 {
 		t.Fatalf("get after a poisoned Release returned %v, want 0", s[3])

@@ -131,14 +131,21 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // newResult builds an op output whose gradient tracking and tape follow
-// its parents.
+// its parents, zeroed for an op that accumulates into it.
 func newResult(rows, cols int, parents ...*Tensor) *Tensor {
-	return newResultOn(nil, rows, cols, parents...)
+	return newResultOn(nil, rows, cols, true, parents...)
+}
+
+// newResultRaw is newResult for an op that writes every element of its
+// output: on a tape the buffer is handed out uncleared.
+func newResultRaw(rows, cols int, parents ...*Tensor) *Tensor {
+	return newResultOn(nil, rows, cols, false, parents...)
 }
 
 // newResultOn is newResult on tape tp, or on the parents' tape when tp is
-// nil. Parents on two different tapes are a caller bug.
-func newResultOn(tp *Tape, rows, cols int, parents ...*Tensor) *Tensor {
+// nil, zeroed if zero is set. Parents on two different tapes are a caller
+// bug.
+func newResultOn(tp *Tape, rows, cols int, zero bool, parents ...*Tensor) *Tensor {
 	out := &Tensor{rows: rows, cols: cols}
 	for _, p := range parents {
 		if p.requiresGrad {
@@ -152,7 +159,7 @@ func newResultOn(tp *Tape, rows, cols int, parents ...*Tensor) *Tensor {
 		}
 	}
 	out.tape = tp
-	out.Data = tp.get(rows * cols)
+	out.Data = tp.take(rows*cols, zero)
 	if out.requiresGrad {
 		out.parents = parents
 	}
