@@ -111,13 +111,14 @@ precision-check:
 # for arm64 (the !amd64 files), and the arm64 compiler listing of the
 # internal/tensor files whose bits one checkpoint must reproduce on every
 # GOARCH — portable.go (the micro-kernels the amd64 assembly is pinned
-# to), linear.go and kernels32.go (the row epilogue of both precisions and
-# the f32 row kernels), attention.go and attention_gat.go (the generic
-# attention forwards and the f64 backwards) — which must show separate
+# to), linear.go (the row epilogue of both precisions), kernels.go (the f32
+# kernels and the gather, segment-mean and batch-norm forwards of both
+# precisions), attention.go and attention_gat.go (the generic attention
+# forwards and the f64 backwards) — which must show separate
 # multiplies and adds and no fused multiply-add, or one checkpoint would
 # predict different bits per GOARCH. The amd64 assembly is held to the
 # same rule: no VFMADD/VFNMADD/VFMSUB/VFNMSUB anywhere in simd_amd64.s.
-PORTABLE = portable|kernels32|linear|attention|attention_gat
+PORTABLE = portable|kernels|linear|attention|attention_gat
 portable-check:
 	GOARCH=arm64 $(GO) vet ./...
 	@if grep -nE 'VFN?M(ADD|SUB)' internal/tensor/simd_amd64.s; then echo "portable-check: fused multiply-add in simd_amd64.s"; exit 1; fi

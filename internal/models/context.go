@@ -49,15 +49,6 @@ type Context struct {
 	// NumGraphs is the batch size for readout.
 	NumGraphs int
 
-	// Sync merges duplicate rows after each layer (MEGA's path revisits);
-	// nil means rows are unique (DGL engine).
-	Sync func(h *tensor.Tensor) *tensor.Tensor
-
-	// ReadoutFn overrides the default per-graph mean pooling; the MEGA
-	// engine uses it to pool nodes rather than path positions so that
-	// revisited nodes are not over-weighted.
-	ReadoutFn func(h *tensor.Tensor) *tensor.Tensor
-
 	// Prof receives simulated-kernel notifications; nil disables
 	// profiling entirely.
 	Prof *Prof
@@ -82,16 +73,16 @@ type Context struct {
 	// CountOps probes.
 	counter *opCounter
 
-	// MEGA-engine structural metadata, recorded so the shard engine can
-	// re-derive the engine's sync/readout arithmetic chunk by chunk. Nil /
-	// zero for the DGL engine.
+	// MEGA-engine structure: what duplicate sync and readout read, at
+	// either precision, and what the shard engine replays chunk by chunk.
+	// Nil / zero for the DGL engine, whose rows are unique and pool per
+	// graph directly.
 	posToNode    []int32 // working row → globally unique node slot
 	nodeGraph    []int32 // node slot → member-graph index
 	numNodeSlots int     // total node slots across the batch
 	maxWindow    int     // widest band half-width ω in the batch
 	// syncPositions lists the rows belonging to duplicate groups (empty
-	// means Sync is the identity); the tape-free f32 forward consults it
-	// directly instead of going through the Sync closure.
+	// means duplicate sync is the identity).
 	syncPositions []int32
 
 	// Lazily-built CSR groupings of the pair list, shared by every fused
@@ -239,12 +230,16 @@ func (c *Context) NormalizeByRecvSum(gate *tensor.Tensor, eps float64) *tensor.T
 	return tensor.Div(gate, denomPer)
 }
 
-// SyncDuplicates applies the engine's duplicate-row synchronisation.
+// SyncDuplicates merges MEGA's duplicate rows after a layer: it averages
+// the rows of each node slot and gathers the means back, one segment
+// reduction charged as a sync kernel. It is the identity when no row
+// repeats (always on the DGL engine).
 func (c *Context) SyncDuplicates(h *tensor.Tensor) *tensor.Tensor {
-	if c.Sync == nil {
+	if len(c.syncPositions) == 0 {
 		return h
 	}
-	return c.Sync(h)
+	c.Prof.SyncCost(h.Cols())
+	return tensor.GatherRows(tensor.SegmentMean(h, c.posToNode, c.numNodeSlots), c.posToNode)
 }
 
 // FusedGTAttention runs the GT layer's whole attention block — per-pair
@@ -309,12 +304,13 @@ func (c *Context) FusedGATAttention(wh, aL, aR *tensor.Tensor, heads int) *tenso
 		c.recvSegments(), c.sendSegments(), heads, c.Scratch)
 }
 
-// Readout mean-pools working rows per member graph (or applies the
-// engine's override).
+// Readout mean-pools working rows per member graph. On a MEGA context it
+// pools positions to node slots first, then nodes to graphs, so that
+// revisited nodes carry the same weight as in the DGL engine.
 func (c *Context) Readout(h *tensor.Tensor) *tensor.Tensor {
 	c.Prof.elementwise(h.Size())
-	if c.ReadoutFn != nil {
-		return c.ReadoutFn(h)
+	if c.posToNode == nil {
+		return tensor.SegmentMean(h, c.GraphSeg, c.NumGraphs)
 	}
-	return tensor.SegmentMean(h, c.GraphSeg, c.NumGraphs)
+	return tensor.SegmentMean(tensor.SegmentMean(h, c.posToNode, c.numNodeSlots), c.nodeGraph, c.NumGraphs)
 }

@@ -270,38 +270,17 @@ func NewMegaContextFromReps(insts []datasets.Instance, preps []*PreparedRep, sim
 		syncPositions = append(syncPositions, s...)
 	}
 
-	// Duplicate synchronisation: average rows per node slot, then gather
-	// back — one segment reduction per layer, charged as a sync kernel.
+	// Node slot → member graph, for the node-level readout.
 	numNodes := int(nodeOff[len(preps)])
-	ctx.Sync = func(h *tensor.Tensor) *tensor.Tensor {
-		if len(syncPositions) == 0 {
-			return h
-		}
-		if ctx.Prof != nil {
-			ctx.Prof.SyncCost(h.Cols())
-		}
-		return tensor.GatherRows(tensor.SegmentMean(h, posToNode, numNodes), posToNode)
-	}
-
-	// Exact node-level readout: pool positions to node slots first, then
-	// nodes to graphs, so revisited nodes carry the same weight as in the
-	// DGL engine.
 	nodeGraph := make([]int32, numNodes)
-	off := int32(0)
-	for gi, inst := range insts {
-		for v := 0; v < inst.G.NumNodes(); v++ {
-			nodeGraph[off+int32(v)] = int32(gi)
+	for gi := range insts {
+		for v := nodeOff[gi]; v < nodeOff[gi+1]; v++ {
+			nodeGraph[v] = int32(gi)
 		}
-		off += int32(inst.G.NumNodes())
-	}
-	numGraphs := len(insts)
-	ctx.ReadoutFn = func(h *tensor.Tensor) *tensor.Tensor {
-		nodes := tensor.SegmentMean(h, posToNode, numNodes)
-		return tensor.SegmentMean(nodes, nodeGraph, numGraphs)
 	}
 
-	// Record the structural metadata behind Sync/ReadoutFn so the shard
-	// engine can replay the same arithmetic distributed across chunks.
+	// The structure duplicate sync and readout read (SyncDuplicates,
+	// Readout), and the shard engine replays across chunks.
 	ctx.posToNode = posToNode
 	ctx.nodeGraph = nodeGraph
 	ctx.numNodeSlots = numNodes

@@ -20,7 +20,7 @@ const (
 
 func TestPrepareF32RejectsBatchDependentModel(t *testing.T) {
 	if _, err := PrepareF32(NewGatedGCN(smallConfig())); err == nil {
-		t.Fatal("GatedGCN must not get an f32 path (batch-dependent normalisation)")
+		t.Fatal("GatedGCN has no float32 forward; PrepareF32 must reject it")
 	}
 	if _, err := PrepareF32(NewGT(smallConfig())); err != nil {
 		t.Fatalf("GT: %v", err)
@@ -52,7 +52,7 @@ func TestPrepareF32Deterministic(t *testing.T) {
 }
 
 // forwardPair runs the same context through the f64 model and its frozen
-// f32 twin and returns the measured divergence.
+// float32 instance and returns the measured divergence.
 func forwardPair(t *testing.T, m Model, ctx *Context) tensor.Divergence {
 	t.Helper()
 	ref := m.Forward(ctx)
@@ -94,6 +94,22 @@ func TestGATF32MatchesF64(t *testing.T) {
 	}
 	d := forwardPair(t, NewGAT(smallConfig()), ctx)
 	t.Logf("GAT divergence: %+v", d)
+}
+
+// TestF32MatchesF64OnDGLContext runs both float32 forwards on a DGL-engine
+// context, whose rows are unique: the identity sync and the readout's
+// plain per-graph pooling, which no MEGA context reaches.
+func TestF32MatchesF64OnDGLContext(t *testing.T) {
+	ctx, err := NewDGLContext(testInstances(t, 6), nil, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Model{NewGT(smallConfig()), NewGAT(smallConfig())} {
+		t.Run(m.Name(), func(t *testing.T) {
+			d := forwardPair(t, m, ctx)
+			t.Logf("%s/DGL divergence: %+v", m.Name(), d)
+		})
+	}
 }
 
 func TestGTF32MatchesF64Classification(t *testing.T) {

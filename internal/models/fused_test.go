@@ -60,8 +60,9 @@ func (m stagedGT) Forward(ctx *Context) *tensor.Tensor {
 	for _, l := range m.layers {
 		ctx.Prof.LayerStart()
 		att, kmod := l.forwardAttnStaged(ctx, h, e, m.cfg.Heads)
-		hOut := l.nodeStream(ctx, h, att)
-		e = l.edgeStream(ctx, e, ctx.EdgeMean(kmod))
+		p := pass64{ctx}
+		hOut := stream[*tensor.Tensor](p, h, att, l.o, l.ffnH1, l.ffnH2, l.lnH1, l.lnH2)
+		e = stream[*tensor.Tensor](p, e, ctx.EdgeMean(kmod), l.oe, l.ffnE1, l.ffnE2, l.lnE1, l.lnE2)
 		h = ctx.SyncDuplicates(hOut)
 	}
 	pooled := ctx.Readout(h)

@@ -78,23 +78,34 @@ func (m *GAT) Params() []*tensor.Tensor {
 
 // Forward implements Model.
 func (m *GAT) Forward(ctx *Context) *tensor.Tensor {
-	h, _ := m.enc.forward(ctx)
-	for _, l := range m.layers {
-		h = l.forward(ctx, h, m.cfg.Heads)
-	}
-	pooled := ctx.Readout(h)
-	ctx.Prof.Linear(pooled.Rows(), pooled.Cols(), m.cfg.OutDim)
-	return m.readout.Forward(pooled)
+	return gatForward[*tensor.Tensor](m, ctx, pass64{ctx})
 }
 
-// forward runs one GAT block: one kernel for score halves, leaky scores,
-// softmax, and aggregation, then residual + batch norm + ReLU.
-func (l *gatLayer) forward(ctx *Context, h *tensor.Tensor, heads int) *tensor.Tensor {
-	ctx.Prof.LayerStart()
-	wh := ctx.Linear(l.w, h)
-	att := ctx.FusedGATAttention(wh, l.aL, l.aR, heads)
-	out := ctx.Act(tensor.ReLU, ctx.Norm(l.bn, tensor.Add(h, att)))
-	return ctx.SyncDuplicates(out)
+// gatForward is the GAT forward at either precision. GAT ignores the edge
+// embeddings, which embed builds anyway: the float64 side's profiled
+// memcpy has always counted them.
+//
+// Each block's BatchNorm takes full-batch statistics, so at both
+// precisions a graph's output depends on the other graphs batched with
+// it: the serving batcher packs whatever requests are queued, so a served
+// GAT answer depends on its co-batched requests. Only a batch of one
+// graph answers for that graph alone.
+func gatForward[M any](m *GAT, ctx *Context, p pass[M]) M {
+	h, e := p.embed(m.enc)
+	p.free(e)
+	for _, l := range m.layers {
+		// One kernel for score halves, leaky scores, softmax and
+		// aggregation, then residual + batch norm + ReLU.
+		ctx.Prof.LayerStart()
+		wh := p.linear(l.w, h, false)
+		att := p.gatAttention(wh, l.aL, l.aR, m.cfg.Heads)
+		p.free(wh)
+		out := p.addNormReLU(h, att, l.bn)
+		p.free(att)
+		p.free(h)
+		h = p.sync(out)
+	}
+	return readoutHead(p, ctx, m.readout, h, m.cfg)
 }
 
 // CountOps reports operation statistics for this model over the context.

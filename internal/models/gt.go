@@ -91,37 +91,46 @@ func (m *GT) Params() []*tensor.Tensor {
 
 // Forward implements Model.
 func (m *GT) Forward(ctx *Context) *tensor.Tensor {
-	h, e := m.enc.forward(ctx)
-	for _, l := range m.layers {
-		h, e = l.forward(ctx, h, e, m.cfg.Heads)
-	}
-	pooled := ctx.Readout(h)
-	ctx.Prof.Linear(pooled.Rows(), pooled.Cols(), m.cfg.OutDim)
-	return m.readout.Forward(pooled)
+	return gtForward[*tensor.Tensor](m, ctx, pass64{ctx})
 }
 
-// forward runs one GT block: the q/k/v/ê projections, one fused kernel for
-// the whole attention block (plus the per-edge mean of k⊙ê the edge stream
-// consumes), then the node and edge streams. The streams are separate
-// stages so the shard engine can run each on its own chunk-local context.
-func (l *gtLayer) forward(ctx *Context, h, e *tensor.Tensor, heads int) (hOut, eOut *tensor.Tensor) {
-	ctx.Prof.LayerStart()
-	qh := ctx.Linear(l.q, h)
-	kh := ctx.Linear(l.k, h)
-	vh := ctx.Linear(l.v, h)
-	eh := ctx.Linear(l.we, e)
-	att, edgeAvg := ctx.FusedGTAttention(qh, kh, vh, eh, heads)
+// gtForward is the GT forward at either precision: the embeddings, the
+// blocks, then the readout head.
+func gtForward[M any](m *GT, ctx *Context, p pass[M]) M {
+	h, e := p.embed(m.enc)
+	for _, l := range m.layers {
+		h, e = gtBlock(p, ctx, l, h, e, m.cfg)
+	}
+	p.free(e)
+	return readoutHead(p, ctx, m.readout, h, m.cfg)
+}
 
-	hOut = l.nodeStream(ctx, h, att)
+// gtBlock runs one GT block, consuming h and e: the q/k/v/ê projections,
+// one fused kernel for the whole attention block (plus the per-edge mean of
+// k⊙ê the edge stream consumes), then the node and edge streams. The
+// streams are separate stages so the shard engine can run each on its own
+// chunk-local context.
+func gtBlock[M any](p pass[M], ctx *Context, l *gtLayer, h, e M, cfg Config) (hOut, eOut M) {
+	ctx.Prof.LayerStart()
+	qh := p.linear(l.q, h, false)
+	kh := p.linear(l.k, h, false)
+	vh := p.linear(l.v, h, false)
+	eh := p.linear(l.we, e, false)
+	att, edgeAvg := p.gtAttention(qh, kh, vh, eh, cfg.Heads)
+	p.free(qh)
+	p.free(kh)
+	p.free(vh)
+	p.free(eh)
+
+	hOut = stream(p, h, att, l.o, l.ffnH1, l.ffnH2, l.lnH1, l.lnH2)
 
 	// The kernel computed the per-edge reduction already; account it here,
 	// at the staged pipeline's emission point (the simulated L2 is
 	// order-sensitive, so emission order is part of the contract).
-	ctx.NoteEdgeMean(h.Cols())
-	eOut = l.edgeStream(ctx, e, edgeAvg)
+	ctx.NoteEdgeMean(cfg.Dim)
+	eOut = stream(p, e, edgeAvg, l.oe, l.ffnE1, l.ffnE2, l.lnE1, l.lnE2)
 
-	hOut = ctx.SyncDuplicates(hOut)
-	return hOut, eOut
+	return p.sync(hOut), eOut
 }
 
 // forwardAttnStaged runs the attention block as composed ops: q/k/v/ê
@@ -160,24 +169,21 @@ func (l *gtLayer) forwardAttnStaged(ctx *Context, h, e *tensor.Tensor, heads int
 	return att, kmod
 }
 
-// nodeStream runs the node half of the block: O projection, residual + LN,
-// FFN, residual + LN — three matmuls, with every bias, ReLU, residual add
-// and LayerNorm in their row epilogues. Every op is row-local, so running
-// it over a chunk's rows produces exactly the chunk's stripe of the full
-// result.
-func (l *gtLayer) nodeStream(ctx *Context, h, att *tensor.Tensor) *tensor.Tensor {
-	h1 := ctx.LinearEpilogue(l.o, att, l.lnH1.AddNorm(h))
-	f := ctx.LinearEpilogue(l.ffnH1, h1, tensor.Epilogue{ReLU: true})
-	return ctx.LinearEpilogue(l.ffnH2, f, l.lnH2.AddNorm(h1))
-}
-
-// edgeStream runs the edge half of the block on an already-reduced per-edge
-// mean eAvg: O_e projection, residual + LN, FFN, residual + LN. Row-local
-// like nodeStream.
-func (l *gtLayer) edgeStream(ctx *Context, e, eAvg *tensor.Tensor) *tensor.Tensor {
-	e1 := ctx.LinearEpilogue(l.oe, eAvg, l.lnE1.AddNorm(e))
-	f := ctx.LinearEpilogue(l.ffnE1, e1, tensor.Epilogue{ReLU: true})
-	return ctx.LinearEpilogue(l.ffnE2, f, l.lnE2.AddNorm(e1))
+// stream runs one half of the block on its attention output x — the node
+// rows' att (o, ffnH*, lnH*) or the edges' mean of k⊙ê (oe, ffnE*, lnE*) —
+// consuming res and x: O projection, residual + LN, FFN, residual + LN.
+// That is three matmuls, with every bias, ReLU, residual add and LayerNorm
+// in their row epilogues. Every op is row-local, so running it over a
+// chunk's rows produces exactly the chunk's stripe of the full result.
+func stream[M any](p pass[M], res, x M, o, ffn1, ffn2 *nn.Linear, ln1, ln2 *nn.Norm) M {
+	h1 := p.linearNorm(o, x, res, ln1)
+	p.free(x)
+	p.free(res)
+	f := p.linear(ffn1, h1, true)
+	out := p.linearNorm(ffn2, f, h1, ln2)
+	p.free(f)
+	p.free(h1)
+	return out
 }
 
 // CountOps reports Table I's operation statistics for this model over the

@@ -67,8 +67,8 @@ func TestMegaContextShape(t *testing.T) {
 	if ctx.NumRows < wantNodes {
 		t.Errorf("rows = %d, want >= %d", ctx.NumRows, wantNodes)
 	}
-	if ctx.Sync == nil {
-		t.Error("mega context must provide duplicate sync")
+	if ctx.posToNode == nil || ctx.numNodeSlots != wantNodes {
+		t.Error("mega context must record its node slots for duplicate sync")
 	}
 	// Full coverage: every undirected edge appears as >= 2 directed pairs.
 	if ctx.NumPairs() < 2*ctx.NumEdges {

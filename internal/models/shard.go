@@ -968,7 +968,7 @@ func (r *shardRun) workerForward(w int) {
 			eRep := tensor.New(len(mc.localEdges), d, append([]float64(nil), r.eLoc[j]...)).RequireGrad()
 			lay := e.reps[j].layers[l]
 			att, kmod := lay.forwardAttnStaged(mc.lctx, hExt, eRep, p.heads)
-			hOutPre := lay.nodeStream(mc.lctx, hExt, att)
+			hOutPre := stream[*tensor.Tensor](pass64{mc.lctx}, hExt, att, lay.o, lay.ffnH1, lay.ffnH2, lay.lnH1, lay.lnH2)
 			t := &r.tapes[j][l]
 			t.hExt, t.eRep, t.kmod, t.hOutPre = hExt, eRep, kmod, hOutPre
 		}
@@ -1103,7 +1103,8 @@ func (r *shardRun) workerForward(w int) {
 				copy(eOwnData[i*d:(i+1)*d], r.eLoc[j][li*d:(li+1)*d])
 			}
 			eOwn := tensor.New(len(mc.ownEdges), d, eOwnData).RequireGrad()
-			eOut := e.reps[j].layers[l].edgeStream(&Context{}, eOwn, eAvg)
+			lay := e.reps[j].layers[l]
+			eOut := stream[*tensor.Tensor](pass64{&Context{}}, eOwn, eAvg, lay.oe, lay.ffnE1, lay.ffnE2, lay.lnE1, lay.lnE2)
 			t := &r.tapes[j][l]
 			t.kf, t.eOwn, t.eOut = kfLeaf, eOwn, eOut
 		}

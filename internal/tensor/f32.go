@@ -134,7 +134,9 @@ type Divergence struct {
 
 // MeasureDivergence compares got against the float64 reference ref.
 // relFloor (> 0) is both the relative-error denominator floor and the
-// magnitude below which elements are excluded from the ULP statistic.
+// magnitude below which elements are excluded from the ULP statistic. A
+// NaN on either side counts as MaxInt64 ULP and an infinite relative and
+// absolute error, below the floor too.
 func MeasureDivergence(got []float32, ref []float64, relFloor float64) Divergence {
 	if len(got) != len(ref) {
 		panic(fmt.Sprintf("tensor: divergence lengths %d/%d", len(got), len(ref)))
@@ -145,6 +147,11 @@ func MeasureDivergence(got []float32, ref []float64, relFloor float64) Divergenc
 	var d Divergence
 	for i, g := range got {
 		r := ref[i]
+		if g != g || r != r { // every comparison below would let a NaN through
+			d.MaxULP, d.MaxRelErr, d.MaxAbsErr = math.MaxInt64, math.Inf(1), math.Inf(1)
+			d.Compared++
+			continue
+		}
 		abs := math.Abs(float64(g) - r)
 		if abs > d.MaxAbsErr {
 			d.MaxAbsErr = abs

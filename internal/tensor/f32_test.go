@@ -79,6 +79,18 @@ func TestMeasureDivergence(t *testing.T) {
 	if tiny.MaxRelErr < 0.09 {
 		t.Fatalf("near-zero rel err floored wrong: %+v", tiny)
 	}
+	// A NaN answer fails the envelope whatever its reference's magnitude,
+	// below the floor included.
+	nan := float32(math.NaN())
+	for _, r := range []float64{1e-9, 0, 1} {
+		d := MeasureDivergence([]float32{nan}, []float64{r}, 1e-6)
+		if d.MaxULP != math.MaxInt64 || !math.IsInf(d.MaxRelErr, 1) || d.Compared != 1 {
+			t.Errorf("NaN vs %g: %+v", r, d)
+		}
+		if d.Within(4, 1e-5) == nil {
+			t.Errorf("NaN vs %g passed Within", r)
+		}
+	}
 }
 
 // randF32Pair builds matched float64/float32 random matrices (the f32 is

@@ -25,17 +25,7 @@ func GatherRows(x *Tensor, idx []int32) *Tensor { return gatherRows(nil, x, idx)
 func gatherRows(tp *Tape, x *Tensor, idx []int32) *Tensor {
 	out := newResultOn(tp, len(idx), x.cols, false, x)
 	cols := x.cols
-	for _, id := range idx {
-		if id < 0 || int(id) >= x.rows {
-			panic(fmt.Sprintf("tensor: gather index %d out of %d rows", id, x.rows))
-		}
-	}
-	compute.ParallelGrain(len(idx), rowGrain(cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			id := int(idx[i])
-			copy(out.Data[i*cols:(i+1)*cols], x.Data[id*cols:(id+1)*cols])
-		}
-	})
+	gatherRowsInto(out.Data, x.Data, x.rows, cols, idx)
 	if out.requiresGrad {
 		out.backFn = func() {
 			x.ensureGrad()
@@ -91,34 +81,10 @@ func ScatterAddRows(x *Tensor, idx []int32, numRows int) *Tensor {
 // rows of x with seg[i] == s. Empty segments stay zero. Used for per-graph
 // readout pooling and MEGA's duplicate-position synchronisation.
 func SegmentMean(x *Tensor, seg []int32, numSeg int) *Tensor {
-	if len(seg) != x.rows {
-		panic(fmt.Sprintf("tensor: segment count %d != rows %d", len(seg), x.rows))
-	}
 	out := newResult(numSeg, x.cols, x)
 	cols := x.cols
 	counts := out.tape.get(numSeg)
-	for _, s := range seg {
-		if s < 0 || int(s) >= numSeg {
-			panic(fmt.Sprintf("tensor: segment id %d out of %d", s, numSeg))
-		}
-		counts[s]++
-	}
-	compute.ParallelGrain(cols, workGrain(len(seg)), func(jlo, jhi int) {
-		for i, s := range seg {
-			for j := jlo; j < jhi; j++ {
-				out.Data[int(s)*cols+j] += x.Data[i*cols+j]
-			}
-		}
-		for s := 0; s < numSeg; s++ {
-			if counts[s] == 0 {
-				continue
-			}
-			inv := 1 / counts[s]
-			for j := jlo; j < jhi; j++ {
-				out.Data[s*cols+j] *= inv
-			}
-		}
-	})
+	segmentMeanInto(out.Data, x.Data, x.rows, cols, seg, counts)
 	if out.requiresGrad {
 		out.backFn = func() {
 			x.ensureGrad()

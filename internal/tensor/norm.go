@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"math"
-
-	"mega/internal/compute"
-)
+import "mega/internal/compute"
 
 // Fused normalisation with a hand-written backward pass. GatedGCN and GAT
 // normalise after every attention block with batch norm; the Graph
@@ -12,7 +8,8 @@ import (
 //
 // BatchNorm statistics live per column, so every stage of it splits
 // columns: each mean/variance/gradient accumulator is owned by exactly one
-// chunk and accumulated in serial order — thread-count invariant.
+// chunk and accumulated in serial order — thread-count invariant. The
+// forward is batchNorm (kernels.go), the body BatchNorm32 runs too.
 
 const normEps = 1e-5
 
@@ -29,34 +26,8 @@ func BatchNorm(x, gamma, beta *Tensor) *Tensor {
 	out := newResultRaw(x.rows, x.cols, x, gamma, beta)
 	xhat := out.tape.getRaw(len(x.Data))
 	invStd := out.tape.getRaw(x.cols)
-	means := out.tape.getRaw(x.cols)
+	batchNorm(out.Data, x.Data, x.rows, cols, gamma.Data, beta.Data, xhat, invStd)
 	colGrain := workGrain(x.rows)
-	compute.ParallelGrain(cols, colGrain, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			mean := 0.0
-			for i := 0; i < x.rows; i++ {
-				mean += x.Data[i*cols+j]
-			}
-			mean /= m
-			means[j] = mean
-			vari := 0.0
-			for i := 0; i < x.rows; i++ {
-				d := x.Data[i*cols+j] - mean
-				vari += d * d
-			}
-			vari /= m
-			invStd[j] = 1 / math.Sqrt(vari+normEps)
-		}
-	})
-	compute.ParallelGrain(x.rows, rowGrain(cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < cols; j++ {
-				h := (x.Data[i*cols+j] - means[j]) * invStd[j]
-				xhat[i*cols+j] = h
-				out.Data[i*cols+j] = gamma.Data[j]*h + beta.Data[j]
-			}
-		}
-	})
 	if out.requiresGrad {
 		out.backFn = func() {
 			if gamma.requiresGrad || beta.requiresGrad {
