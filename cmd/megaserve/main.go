@@ -53,8 +53,8 @@
 // checkpoint's parameters are downcast once at load and the forward pass
 // runs tape-free float32 kernels in the head-major attention layout.
 // Answers carry "precision":"f32" and stay within a measured ULP envelope
-// of the float64 forward (see BENCH_precision.json); degraded fallback
-// answers always run float64. Only GT and GAT checkpoints qualify.
+// of the float64 forward (the f32 serve workloads of benchmark/ check it);
+// degraded fallback answers always run float64. Only GT and GAT checkpoints qualify.
 //
 // -sparsify serves every MEGA representation from an effective-resistance
 // sparsified copy of each posted graph: about that fraction of edges

@@ -1,16 +1,9 @@
-// Package load is an open-loop load-generation and capacity-search harness
-// for the serving stack. It drives a real serve.Server — in-process or over
-// HTTP — with a deterministic Poisson arrival process through configurable
-// rate ramps and workload mixes (graph sizes, cache hit/miss, /predict vs
-// /update), measures latency from client-side timestamps, and reconciles
-// its own request accounting against the server's /metrics counters.
+// Package load generates the deterministic open-loop arrival process the
+// benchmark paces its requests by: Poisson arrivals over a sequence of
+// fixed-rate phases, bit-identical for a fixed seed.
 //
 // Open loop means arrivals are scheduled by the clock, not by responses: a
-// slow server does not throttle the generator, it accumulates queueing —
-// exactly how overload manifests in production. Closed-loop generators
-// (fixed worker count, next request after the last response) hide the
-// retrograde part of the latency-throughput curve behind coordinated
-// omission; the capacity search below needs to see it.
+// slow server does not throttle the generator, it accumulates queueing.
 package load
 
 import (
@@ -72,41 +65,4 @@ func Schedule(seed int64, phases []Phase) ([]Arrival, error) {
 		base += ph.Duration
 	}
 	return arrivals, nil
-}
-
-// ParsePhases parses a ramp spec of the form "100x2s,250x5s,100x2s": a
-// comma-separated list of rate×duration segments. Single-phase shorthand
-// "250x10s" works too.
-func ParsePhases(spec string) ([]Phase, error) {
-	var phases []Phase
-	for i, seg := range splitNonEmpty(spec, ',') {
-		var rate float64
-		var durStr string
-		if _, err := fmt.Sscanf(seg, "%gx%s", &rate, &durStr); err != nil {
-			return nil, fmt.Errorf("load: phase segment %q (want RATExDURATION, e.g. 100x2s): %v", seg, err)
-		}
-		dur, err := time.ParseDuration(durStr)
-		if err != nil {
-			return nil, fmt.Errorf("load: phase segment %q: %v", seg, err)
-		}
-		phases = append(phases, Phase{Name: fmt.Sprintf("phase%d", i), Rate: rate, Duration: dur})
-	}
-	if len(phases) == 0 {
-		return nil, fmt.Errorf("load: empty phase spec %q", spec)
-	}
-	return phases, nil
-}
-
-func splitNonEmpty(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == sep {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -134,31 +134,3 @@ func TestScheduleRejectsBadPhases(t *testing.T) {
 		}
 	}
 }
-
-func TestParsePhases(t *testing.T) {
-	phases, err := ParsePhases("100x2s,250x5s,100x2s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Phase{
-		{Name: "phase0", Rate: 100, Duration: 2 * time.Second},
-		{Name: "phase1", Rate: 250, Duration: 5 * time.Second},
-		{Name: "phase2", Rate: 100, Duration: 2 * time.Second},
-	}
-	if len(phases) != len(want) {
-		t.Fatalf("parsed %d phases, want %d", len(phases), len(want))
-	}
-	for i := range want {
-		if phases[i] != want[i] {
-			t.Errorf("phase %d = %+v, want %+v", i, phases[i], want[i])
-		}
-	}
-	if p, err := ParsePhases("12.5x500ms"); err != nil || p[0].Rate != 12.5 || p[0].Duration != 500*time.Millisecond {
-		t.Errorf("fractional-rate shorthand = %+v, %v", p, err)
-	}
-	for _, bad := range []string{"", ",", "x2s", "100x", "100", "abcx2s", "100xbogus"} {
-		if _, err := ParsePhases(bad); err == nil {
-			t.Errorf("ParsePhases(%q) = nil error, want rejection", bad)
-		}
-	}
-}

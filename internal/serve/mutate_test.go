@@ -3,11 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 
+	"mega/internal/datasets"
 	"mega/internal/graph"
 	"mega/internal/models"
 )
@@ -441,5 +446,131 @@ func TestMutatorPoolEviction(t *testing.T) {
 	}
 	if !up.Adopted {
 		t.Error("evicted lineage should re-adopt")
+	}
+}
+
+// TestMixedPredictUpdateBitIdentity runs a mutation session with
+// predictions issued concurrently against the evolving graph's states and
+// pins the serving invariant end to end: an answer served mid-churn from
+// incrementally repaired representations is bit-identical to the quiesced
+// re-run, and to a fresh server that never saw a mutation and preprocesses
+// the final graph from scratch.
+func TestMixedPredictUpdateBitIdentity(t *testing.T) {
+	s, ds, _ := trainedServer(t, Options{MaxBatch: 4, Workers: 2, QueueDepth: 64})
+	inst := ds.Val[3]
+	n := inst.G.NumNodes()
+	edges := make([][2]int32, inst.G.NumEdges())
+	for i := range edges {
+		e := inst.G.EdgeAt(i)
+		edges[i] = [2]int32{e.Src, e.Dst}
+	}
+	rng := rand.New(rand.NewSource(17))
+	absent := func(g *graph.Graph, taken [][2]int32) [2]int32 {
+		for {
+			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+			if u > v {
+				u, v = v, u
+			}
+			if pair := [2]int32{u, v}; u != v && !g.HasEdge(u, v) && !slices.Contains(taken, pair) {
+				return pair
+			}
+		}
+	}
+
+	const rounds = 16
+	states := make([]datasets.Instance, rounds)
+	preds := make([]Prediction, rounds)
+	errs := make([]error, rounds)
+	var wg sync.WaitGroup
+	fp := ""
+	for k := 0; k < rounds; k++ {
+		g, err := graphFromPairs(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := UpdateRequest{Fingerprint: fp}
+		if k == 0 {
+			req = UpdateRequest{Base: &GraphRequest{NumNodes: n, Edges: edges}}
+		}
+		// Alternate inserts and deletes so the repair sees both splice
+		// directions; every third round batches a second insert.
+		if k%2 == 0 {
+			req.Add = [][2]int32{absent(g, nil)}
+		} else {
+			req.Remove = [][2]int32{edges[rng.Intn(len(edges))]}
+		}
+		if k%3 == 2 {
+			req.Add = append(req.Add, absent(g, req.Add))
+		}
+		up, err := s.Update(req)
+		if err != nil {
+			t.Fatalf("round %d: update: %v", k, err)
+		}
+		edges = mutatedEdges(t, edges, req.Remove, req.Add)
+		mg, err := graphFromPairs(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mg.Fingerprint().String(); got != up.Fingerprint {
+			t.Fatalf("round %d: successor fingerprint %s, client mirror %s", k, up.Fingerprint, got)
+		}
+		fp = up.Fingerprint
+		// Edge features must track the mutating edge count; zeros are in
+		// every vocabulary.
+		states[k] = datasets.Instance{G: mg, NodeFeat: inst.NodeFeat, EdgeFeat: make([]int32, mg.NumEdges())}
+		// Predict this state concurrently with the remaining churn.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			preds[k], errs[k] = s.Predict(states[k])
+		}()
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("round %d: mid-churn predict: %v", k, err)
+		}
+		// Each state was published by its update before its predict was
+		// issued, so preprocessing must come from that snapshot.
+		if !preds[k].CacheHit {
+			t.Errorf("round %d: mid-churn predict missed the published successor snapshot", k)
+		}
+	}
+
+	for k, st := range states {
+		again, err := s.Predict(st)
+		if err != nil {
+			t.Fatalf("round %d: quiesced re-predict: %v", k, err)
+		}
+		assertSameBits(t, fmt.Sprintf("round %d, quiesced re-predict", k), preds[k].Output, again.Output)
+	}
+
+	// Same weights, different provenance: a server that never mutated
+	// preprocesses the final graph from scratch.
+	fresh, err := New(s.model, s.meta, Options{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	ref, err := fresh.Predict(states[rounds-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameBits(t, "final state, fresh server", preds[rounds-1].Output, ref.Output)
+
+	if snap := s.MetricsSnapshot(false); snap.Updates != rounds || snap.UpdateErrors != 0 {
+		t.Errorf("updates = %d (errors %d), want %d clean", snap.Updates, snap.UpdateErrors, rounds)
+	}
+}
+
+func assertSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: output width %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: output[%d] = %x, want %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
 	}
 }

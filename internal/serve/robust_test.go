@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mega/internal/datasets"
 	"mega/internal/faults"
 	"mega/internal/models"
 )
@@ -344,5 +346,192 @@ func TestHTTPTimeoutAndHealth(t *testing.T) {
 	resp.Body.Close()
 	if snap.DeadlineExceeded != 1 || snap.Breaker == "" {
 		t.Fatalf("metrics snapshot = %+v", snap)
+	}
+}
+
+// TestMetricsReconcileWithClients holds the server's accounting to its
+// clients', request for request: concurrent clients send a predict+update
+// mix (cache hits, cache misses, valid mutation batches, and batches that
+// remove a missing edge) into a two-deep queue while four fault points
+// fire, in process and over HTTP. The /metrics deltas of requests, errors,
+// shed, deadline_exceeded, updates and update_errors must equal what the
+// clients counted. Requests carry no deadline of their own: an answer that
+// expires in the queue races its caller's deadline, and only the caller's
+// side counts deadline_exceeded.
+func TestMetricsReconcileWithClients(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wire bool
+	}{{"in-process", false}, {"httptest", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ds, _ := trainedServer(t, Options{
+				MaxBatch: 4, Workers: 2, QueueDepth: 2,
+				BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond,
+			})
+			predict := func(inst datasets.Instance) error {
+				_, err := s.Predict(inst)
+				return err
+			}
+			update := func(req UpdateRequest) error {
+				_, err := s.Update(req)
+				return err
+			}
+			metrics := func() Snapshot { return s.MetricsSnapshot(false) }
+			if tc.wire {
+				hs := httptest.NewServer(s.Handler())
+				t.Cleanup(hs.Close)
+				// post maps a status back onto the error the in-process
+				// call would have returned, as far as the counters care.
+				post := func(path string, body any) error {
+					buf, err := json.Marshal(body)
+					if err != nil {
+						return err
+					}
+					resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(buf))
+					if err != nil {
+						t.Errorf("POST %s: %v", path, err)
+						return err
+					}
+					defer resp.Body.Close()
+					switch resp.StatusCode {
+					case http.StatusOK:
+						return nil
+					case http.StatusTooManyRequests:
+						return ErrOverloaded
+					case http.StatusGatewayTimeout:
+						return context.DeadlineExceeded
+					default:
+						return fmt.Errorf("POST %s: HTTP %d", path, resp.StatusCode)
+					}
+				}
+				predict = func(inst datasets.Instance) error {
+					req := GraphRequest{NumNodes: inst.G.NumNodes(), NodeFeats: inst.NodeFeat, EdgeFeats: inst.EdgeFeat}
+					for _, e := range inst.G.Edges() {
+						req.Edges = append(req.Edges, [2]int32{e.Src, e.Dst})
+					}
+					return post("/predict", req)
+				}
+				update = func(req UpdateRequest) error { return post("/update", req) }
+				metrics = func() Snapshot {
+					resp, err := http.Get(hs.URL + "/metrics")
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer resp.Body.Close()
+					var snap Snapshot
+					if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+						t.Fatal(err)
+					}
+					return snap
+				}
+			}
+
+			// Self-contained mutation batches (a base plus one edge) need
+			// no ordering between clients; every third one removes an edge
+			// the base lacks and must fail validation.
+			var updates []UpdateRequest
+			badUpdates := 0
+			for i, inst := range ds.Val {
+				g := inst.G
+				base := make([][2]int32, g.NumEdges())
+				for j := range base {
+					e := g.EdgeAt(j)
+					base[j] = [2]int32{e.Src, e.Dst}
+				}
+				_, adds := pickMutations(t, g, 0, 1)
+				req := UpdateRequest{Base: &GraphRequest{NumNodes: g.NumNodes(), Edges: base}, Add: adds}
+				if i%3 == 2 {
+					req.Add, req.Remove = nil, adds
+					badUpdates++
+				}
+				updates = append(updates, req)
+			}
+
+			faults.ArmT(t, faults.Plan{Seed: 99, Points: []faults.PointConfig{
+				{Name: faults.ServeCacheGet, Prob: 0.2, Action: faults.ActError},
+				{Name: faults.ServeCachePut, Prob: 0.2, Action: faults.ActError},
+				{Name: faults.ServePrepare, Prob: 0.1, Action: faults.ActError},
+				{Name: faults.ServeForward, Prob: 0.1, Action: faults.ActDelay, Delay: 2 * time.Millisecond},
+			}})
+			before := metrics()
+
+			// Every client sends the same sequence: val graphs repeat
+			// (cache hits), train graphs are new (misses), and every
+			// fourth request is one of the updates.
+			const clients, perClient = 6, 48
+			var mu sync.Mutex
+			var predicts, predictOK, predictErrs, shed, deadline, upSent, upErrs uint64
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var p, ok, pe, sh, dl, us, ue uint64
+					for i := 0; i < perClient; i++ {
+						if i%4 == 3 {
+							us++
+							if update(updates[(c+i/4)%len(updates)]) != nil {
+								ue++
+							}
+							continue
+						}
+						inst := ds.Val[(c+i)%len(ds.Val)]
+						if i%3 == 0 {
+							inst = ds.Train[(c*perClient+i)%len(ds.Train)]
+						}
+						p++
+						switch err := predict(inst); {
+						case err == nil:
+							ok++
+						case errors.Is(err, ErrOverloaded):
+							pe++
+							sh++
+						case errors.Is(err, context.DeadlineExceeded):
+							pe++
+							dl++
+						default:
+							pe++
+						}
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					predicts, predictOK, predictErrs, shed, deadline, upSent, upErrs =
+						predicts+p, predictOK+ok, predictErrs+pe, shed+sh, deadline+dl, upSent+us, upErrs+ue
+				}()
+			}
+			wg.Wait()
+			after := metrics()
+
+			for _, c := range []struct {
+				name           string
+				client, server uint64
+			}{
+				{"requests", predicts, after.Requests - before.Requests},
+				{"errors", predictErrs, after.Errors - before.Errors},
+				{"shed", shed, after.Shed - before.Shed},
+				{"deadline_exceeded", deadline, after.DeadlineExceeded - before.DeadlineExceeded},
+				{"updates", upSent, after.Updates - before.Updates},
+				{"update_errors", upErrs, after.UpdateErrors - before.UpdateErrors},
+			} {
+				if c.client != c.server {
+					t.Errorf("%s: clients counted %d, /metrics delta %d", c.name, c.client, c.server)
+				}
+			}
+			if predictOK == 0 {
+				t.Error("no prediction succeeded")
+			}
+			if upErrs == 0 || upErrs == upSent {
+				t.Errorf("%d of %d updates failed, want the bad ones only", upErrs, upSent)
+			}
+			fired := 0
+			for _, r := range faults.Report() {
+				fired += r.Fired
+			}
+			if fired == 0 {
+				t.Fatal("fault profile armed but nothing fired")
+			}
+			t.Logf("%d predicts (%d ok, %d shed, %d failed otherwise), %d updates (%d failed), %d faults fired",
+				predicts, predictOK, shed, predictErrs-shed, upSent, upErrs, fired)
+		})
 	}
 }

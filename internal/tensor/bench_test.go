@@ -13,8 +13,9 @@ import (
 // one thread (the pre-pool code path: every kernel runs inline on the
 // caller); "Parallel" opens it to every core. Because the kernels are
 // bit-deterministic at any thread count, the two configurations compute
-// identical results — these benchmarks measure pure scheduling win.
-// BENCH_tensor.json in the repo root records a reference run.
+// identical results — these benchmarks measure pure scheduling win. They
+// keep no record: benchmark/ reports tensor.matmul32_gflops and
+// tensor.matmul64_gflops from its traced runs.
 
 func benchMatMul(b *testing.B, threads, size int) {
 	prev := compute.SetMaxThreads(threads)
