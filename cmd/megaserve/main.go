@@ -20,9 +20,6 @@
 //	          [-checkpoint-dir dir] [-queue 256] [-deadline 0]
 //	          [-max-deadline 0] [-breaker-threshold 5]
 //	          [-breaker-cooldown 500ms] [-grace 5s]
-//	          [-shard-workers 0] [-shard-threshold 0]
-//	          [-dist-workers addr,addr,...] [-dist-group-size 0]
-//	          [-dist-job-workers 2]
 //	          [-mutation-sessions 64]
 //	          [-sparsify f] [-sparsify-seed s]
 //
@@ -33,21 +30,6 @@
 // deadlines (server default plus a cap on the wire's timeout_ms override),
 // the circuit breaker that falls back to the DGL engine when MEGA
 // preprocessing keeps failing, and the shutdown drain grace.
-// -shard-workers routes large MEGA batches (total vertices at or above
-// -shard-threshold) through the shard-parallel execution engine; answers
-// stay bit-identical to the single-engine pass, and per-worker timing plus
-// exchange traffic appear on /metrics.
-//
-// -dist-workers hands large MEGA batches to a fleet of megashard worker
-// processes instead: the comma-separated addresses are replica groups of
-// -dist-group-size (group-major; 0 = one group of all workers), graph
-// fingerprints are consistent-hash routed to a group, and each job fans out
-// across -dist-job-workers live replicas. A dead worker mid-batch triggers
-// transparent failover to a peer replica — answers stay bit-identical to
-// the in-process forward — and only a whole group down degrades the batch
-// to the DGL fallback engine. Fleet liveness appears on /healthz, traffic
-// and failover counters on /metrics. Every megashard must serve the same
-// checkpoint file as megaserve.
 //
 // -precision f32 serves MEGA batches through the float32 fast path: the
 // checkpoint's parameters are downcast once at load and the forward pass
@@ -82,11 +64,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"mega/internal/dist"
 	"mega/internal/models"
 	"mega/internal/serve"
 	"mega/internal/traverse"
@@ -119,11 +99,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive preprocessing failures that trip the fallback circuit breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", 500*time.Millisecond, "first breaker open window before a half-open probe")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown drain grace before queued requests are failed")
-	shardWorkers := fs.Int("shard-workers", 0, "shard-parallel workers for large MEGA batches (must divide 8; 0 disables)")
-	shardThreshold := fs.Int("shard-threshold", 0, "min total vertices in a batch before sharding (0 = default 256)")
-	distWorkers := fs.String("dist-workers", "", "comma-separated megashard worker addresses, group-major (enables distributed shard serving)")
-	distGroupSize := fs.Int("dist-group-size", 0, "replica count per megashard group (0 = one group of all workers)")
-	distJobWorkers := fs.Int("dist-job-workers", 2, "shard fan-out per distributed job (clamped to live replicas)")
 	mutationSessions := fs.Int("mutation-sessions", 64, "resident /update mutation sessions (graph lineages kept warm)")
 	sparsify := fs.Float64("sparsify", 0, "effective-resistance keep fraction in (0,1] for MEGA preprocessing (0 = off)")
 	sparsifySeed := fs.Int64("sparsify-seed", 1, "sparsifier seed")
@@ -143,24 +118,14 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 		ShutdownGrace:    *grace,
-
-		ShardWorkers:         *shardWorkers,
-		ShardVertexThreshold: *shardThreshold,
-		MutationSessions:     *mutationSessions,
-		Precision:            *precision,
+		MutationSessions: *mutationSessions,
+		Precision:        *precision,
 	}.WithCacheCapacity(*cacheCap)
 	if *sparsify > 0 {
 		opts.Mega = models.MegaOptions{Traverse: traverse.Options{
 			EdgeCoverage: 1, Start: -1,
 			SparsifyFraction: *sparsify, SparsifySeed: *sparsifySeed,
 		}}
-	}
-	if *distWorkers != "" {
-		opts.Dist = &dist.SuperOptions{
-			Workers:    strings.Split(*distWorkers, ","),
-			GroupSize:  *distGroupSize,
-			JobWorkers: *distJobWorkers,
-		}
 	}
 	switch *engine {
 	case "dgl":

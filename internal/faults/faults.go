@@ -48,20 +48,11 @@ const (
 	TrainCkptSave = "train.ckpt.save"
 	// TrainCkptLoad fires on checkpoint reads, before parsing.
 	TrainCkptLoad = "train.ckpt.load"
-	// DistDial fires before the distributed transport dials a worker or
-	// peer; an injected error is a connection failure (retried with
-	// backoff, then treated as a dead member).
-	DistDial = "dist.dial"
-	// DistSend fires before every wire frame write on the distributed
-	// transport; an injected error poisons that connection, exercising
-	// the supervisor's failover ladder without killing a process.
-	DistSend = "dist.send"
 )
 
 // Names lists every registered injection point, sorted.
 func Names() []string {
 	return []string{
-		DistDial, DistSend,
 		ServeCacheGet, ServeCachePut, ServePrepare, ServeDispatch,
 		ServeForward, TrainCkptSave, TrainCkptLoad,
 	}

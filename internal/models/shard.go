@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mega/internal/compute"
 	"mega/internal/nn"
@@ -42,12 +41,10 @@ var errShardAborted = errors.New("models: shard worker aborted")
 // ErrUnshardable marks contexts the shard plan rejects for structural
 // reasons (not a MEGA context, path shorter than the 8 canonical µchunks,
 // or attention window wider than some µchunk). Callers fall back to the
-// monolithic engine on it — the answer is bit-identical either way — and
-// the distributed supervisor treats it as permanent: retrying on another
-// replica cannot make a context shardable.
+// monolithic engine on it; the answer is bit-identical either way.
 var ErrUnshardable = errors.New("models: context not shardable")
 
-// ShardStats reports the traffic and timing of the last Forward (and, when
+// ShardStats reports the exchange traffic of the last Forward (and, when
 // run, Backward) of a ShardEngine. Forward message and byte counts are
 // logical — one message per (halo boundary, layer), per (duplicate group,
 // non-owner worker, layer, direction), per (edge, non-owner referencing
@@ -68,10 +65,6 @@ type ShardStats struct {
 
 	BackwardMessages int64
 	BackwardBytes    int64
-
-	// Per-worker wall time of the forward and backward waves, in ns.
-	ForwardNs  []int64
-	BackwardNs []int64
 }
 
 // ForwardMessages totals the per-layer exchange messages (halo + duplicate
@@ -589,12 +582,10 @@ const (
 	phGradEdgeFold
 )
 
-// ShardKey identifies one exchange message: unique per (phase, layer, id,
-// sender). It is the unit of addressing for both the in-process channel
-// exchange and a remote transport (internal/dist serialises it verbatim),
-// so a message produced on one side of a process boundary is matched by
-// the same key on the other.
-type ShardKey struct {
+// shardKey identifies one exchange message: unique per (phase, layer, id,
+// sender). A receiver stashes messages that arrive ahead of the key it is
+// waiting on.
+type shardKey struct {
 	Phase int8
 	Layer int16
 	ID    int32
@@ -602,31 +593,13 @@ type ShardKey struct {
 }
 
 type shardMsg struct {
-	key  ShardKey
+	key  shardKey
 	data []float64
 }
 
-func mkey(phase int8, layer, id, from int) ShardKey {
-	return ShardKey{Phase: phase, Layer: int16(layer), ID: int32(id), From: int8(from)}
+func mkey(phase int8, layer, id, from int) shardKey {
+	return shardKey{Phase: phase, Layer: int16(layer), ID: int32(id), From: int8(from)}
 }
-
-// ShardLink carries one worker's cross-worker exchange messages when the
-// shard workers do not share an address space. Send must deliver data to
-// worker `to` under key; Recv must return the payload sent to this worker
-// under key (stashing out-of-order arrivals internally). Payloads must be
-// preserved bit-for-bit — the engine's bit-identity invariant survives
-// serialisation only if the link does not renormalise floats. A returned
-// error aborts the worker's wave cleanly (RunShardWorkerForward surfaces
-// it); links should fail fast on peer death or deadline rather than block
-// forever.
-type ShardLink interface {
-	Send(to int, key ShardKey, data []float64) error
-	Recv(key ShardKey) ([]float64, error)
-}
-
-// shardLinkError unwinds a worker whose link failed (peer death, message
-// deadline); RunShardWorkerForward converts it back into the link's error.
-type shardLinkError struct{ err error }
 
 // mcTape holds one µchunk's per-layer autograd tapes: the A1 tape
 // (attention + node stream over the extended range) and, for owner
@@ -640,13 +613,8 @@ type mcTape struct {
 type shardRun struct {
 	eng *ShardEngine
 
-	// link, when non-nil, replaces the in-process channels: this run hosts
-	// exactly one worker and every cross-worker message flows through the
-	// link (a remote transport). The channel/stash fields are unused then.
-	link ShardLink
-
 	ch       []chan shardMsg
-	stash    []map[ShardKey][]float64
+	stash    []map[shardKey][]float64
 	failed   chan struct{}
 	failOnce sync.Once
 	panicVal any
@@ -666,7 +634,6 @@ type shardRun struct {
 	edgeMsgs, edgeBytes       int64
 	collectMsgs, collectBytes int64
 	bwdMsgs, bwdBytes         int64
-	fwdNs, bwdNs              []int64
 }
 
 func newShardRun(e *ShardEngine) *shardRun {
@@ -674,7 +641,7 @@ func newShardRun(e *ShardEngine) *shardRun {
 	r := &shardRun{
 		eng:       e,
 		ch:        make([]chan shardMsg, p.workers),
-		stash:     make([]map[ShardKey][]float64, p.workers),
+		stash:     make([]map[shardKey][]float64, p.workers),
 		failed:    make(chan struct{}),
 		hw:        make([][]float64, p.workers),
 		eLoc:      make([][]float64, shardChunks),
@@ -683,8 +650,6 @@ func newShardRun(e *ShardEngine) *shardRun {
 		enc0h:     make([]*tensor.Tensor, shardChunks),
 		enc0e:     make([]*tensor.Tensor, shardChunks),
 		eGradSeed: make([][]float64, shardChunks),
-		fwdNs:     make([]int64, p.workers),
-		bwdNs:     make([]int64, p.workers),
 	}
 	for w := 0; w < p.workers; w++ {
 		cap := p.fwdCap[w]
@@ -692,7 +657,7 @@ func newShardRun(e *ShardEngine) *shardRun {
 			cap = p.bwdCap[w]
 		}
 		r.ch[w] = make(chan shardMsg, cap)
-		r.stash[w] = make(map[ShardKey][]float64)
+		r.stash[w] = make(map[shardKey][]float64)
 		bufLo, bufHi := r.bufRange(w)
 		r.hw[w] = make([]float64, (bufHi-bufLo)*p.dim)
 	}
@@ -720,15 +685,9 @@ func (r *shardRun) bufRange(w int) (int, int) {
 	return lo, hi
 }
 
-func (r *shardRun) send(to int, key ShardKey, data []float64, msgs, bytes *int64) {
+func (r *shardRun) send(to int, key shardKey, data []float64, msgs, bytes *int64) {
 	atomic.AddInt64(msgs, 1)
 	atomic.AddInt64(bytes, int64(len(data)*8))
-	if r.link != nil {
-		if err := r.link.Send(to, key, data); err != nil {
-			panic(&shardLinkError{err})
-		}
-		return
-	}
 	select {
 	case r.ch[to] <- shardMsg{key: key, data: data}:
 	case <-r.failed:
@@ -736,14 +695,7 @@ func (r *shardRun) send(to int, key ShardKey, data []float64, msgs, bytes *int64
 	}
 }
 
-func (r *shardRun) recv(w int, key ShardKey) []float64 {
-	if r.link != nil {
-		data, err := r.link.Recv(key)
-		if err != nil {
-			panic(&shardLinkError{err})
-		}
-		return data
-	}
+func (r *shardRun) recv(w int, key shardKey) []float64 {
 	if d, ok := r.stash[w][key]; ok {
 		delete(r.stash[w], key)
 		return d
@@ -761,18 +713,14 @@ func (r *shardRun) recv(w int, key ShardKey) []float64 {
 	}
 }
 
-// guard times a worker wave and converts peer-abort panics into a clean
-// exit; a genuine panic is recorded once and re-raised on the caller.
-func (r *shardRun) guard(ns *int64) func() {
-	start := time.Now()
-	return func() {
-		atomic.StoreInt64(ns, int64(time.Since(start)))
-		if rec := recover(); rec != nil && rec != errShardAborted {
-			r.failOnce.Do(func() {
-				r.panicVal = rec
-				close(r.failed)
-			})
-		}
+// guard converts peer-abort panics into a clean exit of a worker wave; a
+// genuine panic is recorded once and re-raised on the caller.
+func (r *shardRun) guard() {
+	if rec := recover(); rec != nil && rec != errShardAborted {
+		r.failOnce.Do(func() {
+			r.panicVal = rec
+			close(r.failed)
+		})
 	}
 }
 
@@ -803,7 +751,7 @@ func (e *ShardEngine) Forward() *tensor.Tensor {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer run.guard(&run.fwdNs[w])()
+			defer run.guard()
 			run.workerForward(w)
 		}(w)
 	}
@@ -838,7 +786,7 @@ func (e *ShardEngine) Backward() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			defer run.guard(&run.bwdNs[w])()
+			defer run.guard()
 			run.workerBackward(w)
 		}(w)
 	}
@@ -882,7 +830,7 @@ func (e *ShardEngine) WorkerBounds() []int {
 	return append([]int(nil), e.plan.wb...)
 }
 
-// Stats reports the traffic and timing of the current run (valid after
+// Stats reports the exchange traffic of the current run (valid after
 // Forward returns; backward fields populate after Backward).
 func (e *ShardEngine) Stats() ShardStats {
 	r := e.run
@@ -900,8 +848,6 @@ func (e *ShardEngine) Stats() ShardStats {
 	s.CollectBytes = atomic.LoadInt64(&r.collectBytes)
 	s.BackwardMessages = atomic.LoadInt64(&r.bwdMsgs)
 	s.BackwardBytes = atomic.LoadInt64(&r.bwdBytes)
-	s.ForwardNs = append([]int64(nil), r.fwdNs...)
-	s.BackwardNs = append([]int64(nil), r.bwdNs...)
 	return s
 }
 
@@ -1463,85 +1409,4 @@ func (r *shardRun) workerBackward(w int) {
 		}
 		tensor.BackwardFrom(eEnc)
 	}
-}
-
-// ShardWorkerResult is one worker's share of a distributed forward: its
-// owned final-embedding rows and the traffic it originated (send-side
-// counters only, so summing the k results reproduces the in-process
-// engine's totals exactly).
-type ShardWorkerResult struct {
-	Lo, Hi  int       // owned path-row range [Lo, Hi)
-	PathLen int       // total path rows L across all workers
-	Rows    []float64 // (Hi-Lo)×dim row-major final embeddings
-	Stats   ShardStats
-}
-
-// RunShardWorkerForward runs worker w's forward wave of a k-worker shard
-// plan in this process, exchanging cross-worker messages over link. It is
-// the process-boundary counterpart of ShardEngine.Forward: when every
-// worker of the plan runs somewhere (any mix of processes) over a link
-// that preserves payload bits, the concatenated Rows are bit-identical to
-// the in-process engine's final embeddings, and ReadoutFromFinal on the
-// assembled rows reproduces m.Forward(ctx) exactly.
-//
-// A link error (peer death, deadline) aborts the wave and is returned;
-// any other panic inside the wave is also converted to an error so a
-// malformed job cannot kill a worker process.
-func RunShardWorkerForward(m *GT, ctx *Context, workers, w int, link ShardLink) (ShardWorkerResult, error) {
-	if w < 0 || w >= workers {
-		return ShardWorkerResult{}, fmt.Errorf("models: shard worker index %d out of range [0,%d)", w, workers)
-	}
-	eng, err := NewShardEngine(m, ctx, workers)
-	if err != nil {
-		return ShardWorkerResult{}, err
-	}
-	run := newShardRun(eng)
-	run.link = link
-	eng.run = run
-	err = func() (err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if le, ok := rec.(*shardLinkError); ok {
-					err = le.err
-				} else {
-					err = fmt.Errorf("models: shard worker %d/%d panicked: %v", w, workers, rec)
-				}
-			}
-		}()
-		start := time.Now()
-		run.workerForward(w)
-		atomic.StoreInt64(&run.fwdNs[w], int64(time.Since(start)))
-		return nil
-	}()
-	if err != nil {
-		return ShardWorkerResult{}, err
-	}
-	lo, hi := eng.plan.wb[w], eng.plan.wb[w+1]
-	d := eng.plan.dim
-	return ShardWorkerResult{
-		Lo:      lo,
-		Hi:      hi,
-		PathLen: eng.plan.L,
-		Rows:    append([]float64(nil), run.finalH[lo*d:hi*d]...),
-		Stats:   eng.Stats(),
-	}, nil
-}
-
-// ReadoutFromFinal applies the readout tail — SegmentMean over node slots,
-// SegmentMean over member graphs, readout head — to externally assembled
-// final embeddings (NumRows×dim row-major). It is exactly the root tape of
-// ShardEngine.Forward, so feeding it the rows collected from a distributed
-// run yields output bit-identical to m.Forward(ctx).
-func (m *GT) ReadoutFromFinal(ctx *Context, finalH []float64) (*tensor.Tensor, error) {
-	if ctx.posToNode == nil {
-		return nil, fmt.Errorf("%w: readout tail requires a MEGA context", ErrUnshardable)
-	}
-	if len(finalH) != ctx.NumRows*m.cfg.Dim {
-		return nil, fmt.Errorf("models: final embeddings have %d values, want %d×%d",
-			len(finalH), ctx.NumRows, m.cfg.Dim)
-	}
-	hFinal := tensor.New(ctx.NumRows, m.cfg.Dim, finalH)
-	nodes := tensor.SegmentMean(hFinal, ctx.posToNode, ctx.numNodeSlots)
-	pooled := tensor.SegmentMean(nodes, ctx.nodeGraph, ctx.NumGraphs)
-	return m.readout.Forward(pooled), nil
 }

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -163,5 +164,20 @@ func TestShardReusableAcrossSteps(t *testing.T) {
 	second := eng.Forward()
 	if !bitsEqual(second.Data, firstData) {
 		t.Error("second forward over unchanged parameters differs from first")
+	}
+}
+
+// TestErrUnshardableClassification pins which rejections are structural:
+// train attributes a fallback to "unshardable" only for ErrUnshardable, so
+// a bad worker count must not carry it.
+func TestErrUnshardableClassification(t *testing.T) {
+	m, ctx := shardTestSetup(t, 6)
+	if _, err := NewShardEngine(m, &Context{NumRows: 4}, 2); !errors.Is(err, ErrUnshardable) {
+		t.Errorf("non-MEGA context: got %v, want ErrUnshardable", err)
+	}
+	if _, err := NewShardEngine(m, ctx, 3); err == nil {
+		t.Error("expected error for k=3")
+	} else if errors.Is(err, ErrUnshardable) {
+		t.Error("worker-count mismatch must not be ErrUnshardable")
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mega/internal/dist"
-	"mega/internal/models"
 	"mega/internal/tensor"
 )
 
@@ -198,23 +196,6 @@ type Metrics struct {
 	workerRestarts       atomic.Uint64 // panicked workers replaced
 	checkpointRecoveries atomic.Uint64 // corrupt checkpoints quarantined at load
 
-	// Shard-engine counters (PR 5): traffic and per-worker time of batches
-	// served by the shard-parallel engine. Messages and bytes use the same
-	// logical granularity dist.AnalyzePathPartition predicts, so observed
-	// serving traffic can be checked against the analytical model.
-	shardedBatches atomic.Uint64 // batches forwarded by the shard engine
-	shardFallbacks atomic.Uint64 // shard-eligible batches that fell back
-	shardMessages  atomic.Uint64 // exchange messages across sharded batches
-	shardBytes     atomic.Uint64 // exchange payload bytes across sharded batches
-	shardMu        sync.Mutex
-	shardWorkerNs  []int64 // cumulative forward wall time per shard worker
-	// shardFallbackReasons breaks shardFallbacks down by cause (PR 9):
-	// "unshardable" (path too short / window too wide), "f32_suppressed"
-	// (float32 fast path takes precedence), "group_down" (distributed
-	// fleet unavailable — the batch degraded to the fallback engine).
-	shardFallbackMu      sync.Mutex
-	shardFallbackReasons map[string]uint64
-
 	// Mutation-subsystem counters (PR 7): POST /update traffic and how its
 	// incremental repairs resolved. repairSplices vs repairRebuilds is the
 	// serving-side view of the patch-vs-rebuild policy — a rebuild-heavy
@@ -251,36 +232,6 @@ func (m *Metrics) observeBatch(size int, forward time.Duration) {
 	m.forward.observe(forward)
 }
 
-// shardFallback counts one shard-eligible batch that fell back, both in
-// the total and under its reason — the per-reason breakdown surfaces the
-// fallbacks that used to be silent.
-func (m *Metrics) shardFallback(reason string) {
-	m.shardFallbacks.Add(1)
-	m.shardFallbackMu.Lock()
-	if m.shardFallbackReasons == nil {
-		m.shardFallbackReasons = make(map[string]uint64)
-	}
-	m.shardFallbackReasons[reason]++
-	m.shardFallbackMu.Unlock()
-}
-
-// observeShard records one batch served by the shard-parallel engine.
-func (m *Metrics) observeShard(st models.ShardStats) {
-	m.shardedBatches.Add(1)
-	m.shardMessages.Add(uint64(st.ForwardMessages()))
-	m.shardBytes.Add(uint64(st.ForwardBytes()))
-	m.shardMu.Lock()
-	if len(m.shardWorkerNs) < len(st.ForwardNs) {
-		grown := make([]int64, len(st.ForwardNs))
-		copy(grown, m.shardWorkerNs)
-		m.shardWorkerNs = grown
-	}
-	for i, ns := range st.ForwardNs {
-		m.shardWorkerNs[i] += ns
-	}
-	m.shardMu.Unlock()
-}
-
 // Snapshot is the full JSON document served on /metrics.
 type Snapshot struct {
 	UptimeSec     float64 `json:"uptime_sec"`
@@ -306,21 +257,6 @@ type Snapshot struct {
 	QueueDepth           int    `json:"queue_depth"`
 	QueueCapacity        int    `json:"queue_capacity"`
 	Workers              int    `json:"workers"`
-
-	// Shard-engine counters (zero unless Options.ShardWorkers > 1).
-	ShardedBatches uint64 `json:"sharded_batches"`
-	ShardFallbacks uint64 `json:"shard_fallbacks"`
-	ShardMessages  uint64 `json:"shard_messages"`
-	ShardBytes     uint64 `json:"shard_bytes"`
-	// ShardWorkerMs is the cumulative forward wall time per shard worker,
-	// for spotting load imbalance across the partition.
-	ShardWorkerMs []float64 `json:"shard_worker_ms,omitempty"`
-	// ShardFallbackReasons breaks ShardFallbacks down by cause.
-	ShardFallbackReasons map[string]uint64 `json:"shard_fallback_reasons,omitempty"`
-
-	// Dist is the distributed shard supervisor's counters (jobs, retries,
-	// failovers, group-down degradations); nil unless Options.Dist is set.
-	Dist *dist.SuperStats `json:"dist,omitempty"`
 
 	// Mutation-subsystem counters (zero unless /update is exercised).
 	Updates          uint64 `json:"updates"`
@@ -380,11 +316,6 @@ func (m *Metrics) Snapshot(cache CacheStats, withBuckets bool) Snapshot {
 		WorkerRestarts:       m.workerRestarts.Load(),
 		CheckpointRecoveries: m.checkpointRecoveries.Load(),
 
-		ShardedBatches: m.shardedBatches.Load(),
-		ShardFallbacks: m.shardFallbacks.Load(),
-		ShardMessages:  m.shardMessages.Load(),
-		ShardBytes:     m.shardBytes.Load(),
-
 		Updates:          m.updates.Load(),
 		UpdateErrors:     m.updateErrors.Load(),
 		MutationsApplied: m.mutationsApplied.Load(),
@@ -405,21 +336,5 @@ func (m *Metrics) Snapshot(cache CacheStats, withBuckets bool) Snapshot {
 	if batches > 0 {
 		s.MeanBatchSize = float64(batched) / float64(batches)
 	}
-	m.shardMu.Lock()
-	if len(m.shardWorkerNs) > 0 {
-		s.ShardWorkerMs = make([]float64, len(m.shardWorkerNs))
-		for i, ns := range m.shardWorkerNs {
-			s.ShardWorkerMs[i] = ms(time.Duration(ns))
-		}
-	}
-	m.shardMu.Unlock()
-	m.shardFallbackMu.Lock()
-	if len(m.shardFallbackReasons) > 0 {
-		s.ShardFallbackReasons = make(map[string]uint64, len(m.shardFallbackReasons))
-		for k, v := range m.shardFallbackReasons {
-			s.ShardFallbackReasons[k] = v
-		}
-	}
-	m.shardFallbackMu.Unlock()
 	return s
 }

@@ -268,7 +268,7 @@ func (s *Server) resolveSession(req UpdateRequest) (*mutSession, bool, error) {
 		if !ok {
 			return nil, false, fmt.Errorf("%w: %s", ErrUnknownFingerprint, req.Fingerprint)
 		}
-		m, err := dynamic.Adopt(prep.Rep, prep.Res, s.opts.Mega.TraverseOptions(), s.opts.MutationPolicy)
+		m, err := dynamic.Adopt(prep.Rep, prep.Res, s.opts.Mega.TraverseOptions(), dynamic.Policy{})
 		if err != nil {
 			return nil, false, err
 		}
@@ -286,9 +286,9 @@ func (s *Server) resolveSession(req UpdateRequest) (*mutSession, bool, error) {
 	}
 	var m *dynamic.Maintainer
 	if prep, ok := s.cache.Get(s.repKey(fp)); ok {
-		m, err = dynamic.Adopt(prep.Rep, prep.Res, s.opts.Mega.TraverseOptions(), s.opts.MutationPolicy)
+		m, err = dynamic.Adopt(prep.Rep, prep.Res, s.opts.Mega.TraverseOptions(), dynamic.Policy{})
 	} else {
-		m, err = dynamic.NewMaintainerPolicy(inst.G, s.opts.Mega.TraverseOptions(), s.opts.MutationPolicy)
+		m, err = dynamic.NewMaintainer(inst.G, s.opts.Mega.TraverseOptions())
 		if err == nil {
 			s.cache.Put(s.repKey(fp), &models.PreparedRep{Rep: m.Rep(), Res: m.Result()})
 		}

@@ -351,63 +351,6 @@ func TestUpdateErrorMapping(t *testing.T) {
 	}
 }
 
-// TestUpdateShardedBitIdentity repeats the acceptance check with the
-// shard-parallel engine serving the repaired representation.
-func TestUpdateShardedBitIdentity(t *testing.T) {
-	s, ds, _ := trainedServer(t, Options{
-		MaxBatch: 1, ShardWorkers: 2, ShardVertexThreshold: 1,
-	})
-	inst := ds.Val[4]
-	g := inst.G
-	base := make([][2]int32, g.NumEdges())
-	for i := range base {
-		e := g.EdgeAt(i)
-		base[i] = [2]int32{e.Src, e.Dst}
-	}
-	removes, adds := pickMutations(t, g, 1, 1)
-	up, err := s.Update(UpdateRequest{
-		Base:   &GraphRequest{NumNodes: g.NumNodes(), Edges: base},
-		Remove: removes,
-		Add:    adds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mg, err := graphFromPairs(g.NumNodes(), mutatedEdges(t, base, removes, adds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mg.Fingerprint().String() != up.Fingerprint {
-		t.Fatal("canonical fingerprint mismatch")
-	}
-	mi := inst
-	mi.G = mg
-	mi.EdgeFeat = make([]int32, mg.NumEdges())
-
-	got, err := s.Predict(mi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.CacheHit {
-		t.Error("sharded predict should hit the published repaired rep")
-	}
-	mono, err := New(s.model, s.meta, Options{MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mono.Close()
-	want, err := mono.Predict(mi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Output {
-		if math.Float64bits(got.Output[i]) != math.Float64bits(want.Output[i]) {
-			t.Fatalf("sharded repaired output[%d] differs from monolithic fresh: %g vs %g",
-				i, got.Output[i], want.Output[i])
-		}
-	}
-}
-
 // TestMutatorPoolEviction bounds resident lineages and confirms evicted
 // ones remain addressable through their cached snapshots.
 func TestMutatorPoolEviction(t *testing.T) {

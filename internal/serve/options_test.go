@@ -7,30 +7,30 @@ import (
 	"mega/internal/datasets"
 	"mega/internal/models"
 	"mega/internal/train"
+	"mega/internal/traverse"
 )
 
-// TestOptionsValidate is the regression net over the silent-fallback paths
-// PR 5 documented: a ShardWorkers value that cannot divide the 8 path
-// µchunks used to serve unsharded with only a fallback counter. It is now
-// rejected at construction with ErrBadOptions.
+// TestOptionsValidate pins what Validate rejects rather than defaulting
+// silently: a Precision that names neither arithmetic, and a
+// sparsification fraction outside [0, 1].
 func TestOptionsValidate(t *testing.T) {
+	sparsify := func(f float64) Options {
+		return Options{Mega: models.MegaOptions{Traverse: traverse.Options{SparsifyFraction: f}}}
+	}
 	cases := []struct {
 		name string
 		opts Options
 		ok   bool
 	}{
 		{"zero value", Options{}, true},
-		{"shard disabled", Options{ShardWorkers: 0}, true},
-		{"shard single", Options{ShardWorkers: 1}, true},
-		{"shard 2", Options{ShardWorkers: 2}, true},
-		{"shard 4", Options{ShardWorkers: 4}, true},
-		{"shard 8", Options{ShardWorkers: 8}, true},
-		{"shard 3", Options{ShardWorkers: 3}, false},
-		{"shard 5", Options{ShardWorkers: 5}, false},
-		{"shard 6", Options{ShardWorkers: 6}, false},
-		{"shard 7", Options{ShardWorkers: 7}, false},
-		{"shard 16", Options{ShardWorkers: 16}, false},
-		{"shard negative", Options{ShardWorkers: -2}, false},
+		{"precision f64", Options{Precision: PrecisionF64}, true},
+		{"precision f32", Options{Precision: PrecisionF32}, true},
+		{"precision f16", Options{Precision: "f16"}, false},
+		{"sparsify 0", sparsify(0), true},
+		{"sparsify half", sparsify(0.5), true},
+		{"sparsify 1", sparsify(1), true},
+		{"sparsify negative", sparsify(-0.1), false},
+		{"sparsify above 1", sparsify(1.5), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,8 +62,8 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	meta := train.Checkpoint{Model: "GT", Config: cfg, Task: datasets.TaskRegression, Dataset: "ZINC"}
 
 	for _, opts := range []Options{
-		{ShardWorkers: 3},
-		{ShardWorkers: 5},
+		{Precision: "f16"},
+		{Mega: models.MegaOptions{Traverse: traverse.Options{SparsifyFraction: 2}}},
 	} {
 		s, err := New(model, meta, opts)
 		if !errors.Is(err, ErrBadOptions) {
@@ -73,16 +73,5 @@ func TestNewRejectsBadOptions(t *testing.T) {
 			s.Close()
 			t.Fatalf("New(%+v) returned a live server alongside the error", opts)
 		}
-	}
-
-	// The valid shard worker counts still construct (and still default the
-	// vertex threshold).
-	s, err := New(model, meta, Options{ShardWorkers: 4})
-	if err != nil {
-		t.Fatalf("New(ShardWorkers=4) = %v, want ok", err)
-	}
-	defer s.Close()
-	if got := s.EffectiveOptions().ShardVertexThreshold; got != 256 {
-		t.Fatalf("effective ShardVertexThreshold = %d, want defaulted 256", got)
 	}
 }

@@ -355,9 +355,10 @@ func TestHTTPTimeoutAndHealth(t *testing.T) {
 // remove a missing edge) into a two-deep queue while four fault points
 // fire, in process and over HTTP. The /metrics deltas of requests, errors,
 // shed, deadline_exceeded, updates and update_errors must equal what the
-// clients counted. Requests carry no deadline of their own: an answer that
-// expires in the queue races its caller's deadline, and only the caller's
-// side counts deadline_exceeded.
+// clients counted. Every second predict carries a deadline short enough to
+// expire behind the delayed forward, so the request is answered either by
+// its caller's deadline or by the worker's "expired in queue" error, and
+// deadline_exceeded must count it alike on both branches.
 func TestMetricsReconcileWithClients(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -368,8 +369,14 @@ func TestMetricsReconcileWithClients(t *testing.T) {
 				MaxBatch: 4, Workers: 2, QueueDepth: 2,
 				BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond,
 			})
-			predict := func(inst datasets.Instance) error {
-				_, err := s.Predict(inst)
+			predict := func(inst datasets.Instance, timeout time.Duration) error {
+				ctx := context.Background()
+				if timeout > 0 {
+					var cancel context.CancelFunc
+					ctx, cancel = context.WithTimeout(ctx, timeout)
+					defer cancel()
+				}
+				_, err := s.PredictCtx(ctx, inst)
 				return err
 			}
 			update := func(req UpdateRequest) error {
@@ -404,8 +411,8 @@ func TestMetricsReconcileWithClients(t *testing.T) {
 						return fmt.Errorf("POST %s: HTTP %d", path, resp.StatusCode)
 					}
 				}
-				predict = func(inst datasets.Instance) error {
-					req := GraphRequest{NumNodes: inst.G.NumNodes(), NodeFeats: inst.NodeFeat, EdgeFeats: inst.EdgeFeat}
+				predict = func(inst datasets.Instance, timeout time.Duration) error {
+					req := GraphRequest{NumNodes: inst.G.NumNodes(), NodeFeats: inst.NodeFeat, EdgeFeats: inst.EdgeFeat, TimeoutMs: int(timeout / time.Millisecond)}
 					for _, e := range inst.G.Edges() {
 						req.Edges = append(req.Edges, [2]int32{e.Src, e.Dst})
 					}
@@ -456,9 +463,11 @@ func TestMetricsReconcileWithClients(t *testing.T) {
 			before := metrics()
 
 			// Every client sends the same sequence: val graphs repeat
-			// (cache hits), train graphs are new (misses), and every
-			// fourth request is one of the updates.
-			const clients, perClient = 6, 48
+			// (cache hits), train graphs are new (misses), every fourth
+			// request is one of the updates, and every second predict
+			// carries a 1 ms deadline.
+			const clients, perClient, deadlineEvery = 6, 48, 2
+			const shortDeadline = time.Millisecond
 			var mu sync.Mutex
 			var predicts, predictOK, predictErrs, shed, deadline, upSent, upErrs uint64
 			var wg sync.WaitGroup
@@ -479,8 +488,12 @@ func TestMetricsReconcileWithClients(t *testing.T) {
 						if i%3 == 0 {
 							inst = ds.Train[(c*perClient+i)%len(ds.Train)]
 						}
+						var timeout time.Duration
+						if p%deadlineEvery == deadlineEvery-1 {
+							timeout = shortDeadline
+						}
 						p++
-						switch err := predict(inst); {
+						switch err := predict(inst, timeout); {
 						case err == nil:
 							ok++
 						case errors.Is(err, ErrOverloaded):
@@ -520,6 +533,9 @@ func TestMetricsReconcileWithClients(t *testing.T) {
 			if predictOK == 0 {
 				t.Error("no prediction succeeded")
 			}
+			if deadline == 0 {
+				t.Error("no predict exceeded its deadline")
+			}
 			if upErrs == 0 || upErrs == upSent {
 				t.Errorf("%d of %d updates failed, want the bad ones only", upErrs, upSent)
 			}
@@ -530,8 +546,8 @@ func TestMetricsReconcileWithClients(t *testing.T) {
 			if fired == 0 {
 				t.Fatal("fault profile armed but nothing fired")
 			}
-			t.Logf("%d predicts (%d ok, %d shed, %d failed otherwise), %d updates (%d failed), %d faults fired",
-				predicts, predictOK, shed, predictErrs-shed, upSent, upErrs, fired)
+			t.Logf("%d predicts (%d ok, %d shed, %d past deadline, %d failed otherwise), %d updates (%d failed), %d faults fired",
+				predicts, predictOK, shed, deadline, predictErrs-shed-deadline, upSent, upErrs, fired)
 		})
 	}
 }

@@ -13,8 +13,6 @@ import (
 
 	"mega/internal/compute"
 	"mega/internal/datasets"
-	"mega/internal/dist"
-	"mega/internal/dynamic"
 	"mega/internal/faults"
 	"mega/internal/graph"
 	"mega/internal/models"
@@ -72,36 +70,11 @@ type Options struct {
 	// a digest of these options, so servers with different preprocessing
 	// can never alias each other's reps.
 	Mega models.MegaOptions
-	// ShardWorkers enables the shard-parallel execution engine for large
-	// MEGA batches: when > 1 (it must divide 8) and the batch's total
-	// vertex count reaches ShardVertexThreshold, the forward pass runs
-	// across this many shard workers instead of one monolithic pass.
-	// Outputs are bit-identical to the single-engine pass (GT checkpoints
-	// under the MEGA engine only), so the switch is purely an intra-batch
-	// parallelism trade. Default 0 = disabled.
-	ShardWorkers int
-	// ShardVertexThreshold is the minimum total vertices across a batch
-	// before sharding kicks in; below it the per-batch worker handoff
-	// costs more than it saves. Default 256 when ShardWorkers > 1.
-	ShardVertexThreshold int
-	// Dist enables distributed shard serving: when non-nil, shard-eligible
-	// MEGA batches (GT checkpoints, total vertices ≥ ShardVertexThreshold)
-	// are dispatched to the megashard worker fleet it describes through a
-	// dist.Supervisor — consistent-hash replica routing, heartbeats, and
-	// transparent failover to peer replicas. Answers stay bit-identical to
-	// the in-process forward. Only when a whole replica group is down does
-	// the dist circuit breaker degrade those batches to the DGL fallback
-	// engine. Takes precedence over the in-process ShardWorkers engine for
-	// eligible batches.
-	Dist *dist.SuperOptions
 	// MutationSessions bounds the POST /update session pool: how many
 	// mutable graph lineages (live maintainers with WL trackers) stay
 	// resident between updates. Evicted lineages re-adopt from their last
 	// published cache snapshot on the next update (default 64).
 	MutationSessions int
-	// MutationPolicy tunes the patch-vs-rebuild decision for incremental
-	// repairs (zero value = the dynamic package defaults).
-	MutationPolicy dynamic.Policy
 	// Precision selects the inference arithmetic: PrecisionF64 (default)
 	// runs the training-grade float64 forward; PrecisionF32 serves MEGA
 	// batches through the frozen float32 fast path (checkpoint parameters
@@ -126,27 +99,18 @@ const (
 // ErrBadOptions rejects an Options value New cannot honour. The
 // constructor refuses outright instead of silently falling back to a
 // default — a misconfigured knob that quietly serves with different
-// batching or no sharding would invalidate every capacity number measured
+// arithmetic or preprocessing would invalidate every number measured
 // against it.
 var ErrBadOptions = errors.New("serve: invalid options")
 
-// Validate checks the knobs that used to fall back silently. ShardWorkers
-// must divide the 8 canonical path µchunks (2, 4, or 8 — the shard engine's
-// invariant), with <= 1 meaning disabled.
+// Validate checks the knobs that have no sensible default to fall back
+// to: Precision must name one of the two arithmetics, and the
+// sparsification fraction must lie in [0, 1].
 func (o Options) Validate() error {
-	if o.ShardWorkers < 0 {
-		return fmt.Errorf("%w: ShardWorkers %d is negative (0 disables sharding)", ErrBadOptions, o.ShardWorkers)
-	}
-	if o.ShardWorkers > 1 && 8%o.ShardWorkers != 0 {
-		return fmt.Errorf("%w: ShardWorkers %d does not divide the 8 path µchunks (want 2, 4, or 8)", ErrBadOptions, o.ShardWorkers)
-	}
 	switch o.Precision {
 	case "", PrecisionF64, PrecisionF32:
 	default:
 		return fmt.Errorf("%w: Precision %q (want %q or %q)", ErrBadOptions, o.Precision, PrecisionF64, PrecisionF32)
-	}
-	if o.Dist != nil && o.Engine != 0 && o.Engine != models.EngineMega {
-		return fmt.Errorf("%w: distributed shard serving requires the MEGA engine", ErrBadOptions)
 	}
 	if f := o.Mega.TraverseOptions().SparsifyFraction; f < 0 || f > 1 {
 		return fmt.Errorf("%w: SparsifyFraction %v outside [0, 1]", ErrBadOptions, f)
@@ -192,9 +156,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ShutdownGrace <= 0 {
 		o.ShutdownGrace = 5 * time.Second
-	}
-	if (o.ShardWorkers > 1 || o.Dist != nil) && o.ShardVertexThreshold <= 0 {
-		o.ShardVertexThreshold = 256
 	}
 	if o.MutationSessions <= 0 {
 		o.MutationSessions = 64
@@ -250,15 +211,6 @@ type Server struct {
 	// sends without blocking and sheds when it is full; free workers
 	// receive from it.
 	queue chan *pending
-	// super dispatches shard-eligible batches to the megashard worker
-	// fleet (Options.Dist); nil when distributed serving is disabled.
-	super *dist.Supervisor
-	// distBreaker trips after consecutive whole-group failures on the
-	// distributed path, short-circuiting eligible batches straight to the
-	// DGL degrade instead of stalling each one on fleet timeouts. A
-	// structural ErrUnshardable never counts against it — that is a
-	// property of the graph, not the fleet.
-	distBreaker *breaker
 	// arena pools fused-attention scratch across batches; shared by all
 	// workers (Arena is concurrency-safe), so steady-state serving stops
 	// allocating in the attention path.
@@ -310,16 +262,6 @@ func New(model models.Model, meta train.Checkpoint, opts Options) (*Server, erro
 			return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
 		}
 	}
-	var super *dist.Supervisor
-	if opts.Dist != nil {
-		if _, ok := model.(*models.GT); !ok {
-			return nil, fmt.Errorf("%w: distributed shard serving requires a GT checkpoint (got %s)", ErrBadOptions, meta.Model)
-		}
-		var err error
-		if super, err = dist.NewSupervisor(*opts.Dist); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
-		}
-	}
 	compute.SetMaxThreads(opts.ComputeBudget)
 	s := &Server{
 		model:        model,
@@ -331,17 +273,10 @@ func New(model models.Model, meta train.Checkpoint, opts Options) (*Server, erro
 		metrics:      NewMetrics(),
 		queue:        make(chan *pending, opts.QueueDepth),
 		mutators:     newMutatorPool(opts.MutationSessions),
-		super:        super,
 		arena:        tensor.NewArena(),
 		shutdownDone: make(chan struct{}),
 	}
 	s.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(from, to BreakerState) {
-		s.metrics.breakerTransitions.Add(1)
-		if to == BreakerOpen {
-			s.metrics.breakerOpens.Add(1)
-		}
-	})
-	s.distBreaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(from, to BreakerState) {
 		s.metrics.breakerTransitions.Add(1)
 		if to == BreakerOpen {
 			s.metrics.breakerOpens.Add(1)
@@ -435,10 +370,6 @@ func (s *Server) MetricsSnapshot(withBuckets bool) Snapshot {
 	snap.QueueDepth = len(s.queue)
 	snap.QueueCapacity = cap(s.queue)
 	snap.Workers = s.opts.Workers
-	if s.super != nil {
-		st := s.super.Stats()
-		snap.Dist = &st
-	}
 	return snap
 }
 
@@ -473,9 +404,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		case <-ctx.Done():
 			s.abortDrain(drained)
 		}
-		if s.super != nil {
-			s.super.Close()
-		}
 		close(s.shutdownDone)
 	})
 	<-s.shutdownDone
@@ -508,8 +436,7 @@ func (s *Server) PredictCtx(ctx context.Context, inst datasets.Instance) (Predic
 	s.metrics.requests.Add(1)
 	start := time.Now()
 	if err := s.validate(inst); err != nil {
-		s.metrics.errors.Add(1)
-		return Prediction{}, err
+		return Prediction{}, s.failed(err)
 	}
 	ctx, cancel := s.requestContext(ctx)
 	defer cancel()
@@ -524,8 +451,7 @@ func (s *Server) PredictCtx(ctx context.Context, inst datasets.Instance) (Predic
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		s.metrics.errors.Add(1)
-		return Prediction{}, ErrClosed
+		return Prediction{}, s.failed(ErrClosed)
 	}
 	p.enqueued = time.Now()
 	select {
@@ -534,30 +460,37 @@ func (s *Server) PredictCtx(ctx context.Context, inst datasets.Instance) (Predic
 	default:
 		s.mu.RUnlock()
 		s.metrics.shed.Add(1)
-		s.metrics.errors.Add(1)
-		return Prediction{}, ErrOverloaded
+		return Prediction{}, s.failed(ErrOverloaded)
 	}
 
 	select {
 	case out := <-p.done:
 		s.metrics.total.observe(time.Since(start))
 		if out.err != nil {
-			s.metrics.errors.Add(1)
-			return Prediction{}, out.err
+			return Prediction{}, s.failed(out.err)
 		}
 		return out.pred, nil
 	case <-ctx.Done():
 		// The worker may still answer into the buffered channel; the
 		// caller stops waiting now. Workers drop expired requests before
 		// forwarding, so an abandoned request does not burn a pass.
-		s.metrics.errors.Add(1)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.metrics.deadlineExceeded.Add(1)
-		} else {
-			s.metrics.canceled.Add(1)
-		}
-		return Prediction{}, fmt.Errorf("serve: request abandoned: %w", ctx.Err())
+		return Prediction{}, s.failed(fmt.Errorf("serve: request abandoned: %w", ctx.Err()))
 	}
+}
+
+// failed counts one failed predict by the error its caller receives, so a
+// request whose deadline expired counts in deadline_exceeded whether the
+// caller's own deadline branch answered it or the worker's "expired in
+// queue" error did.
+func (s *Server) failed(err error) error {
+	s.metrics.errors.Add(1)
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.metrics.deadlineExceeded.Add(1)
+	case errors.Is(err, context.Canceled):
+		s.metrics.canceled.Add(1)
+	}
+	return err
 }
 
 // requestContext applies the server's deadline policy: the caller's
@@ -742,41 +675,16 @@ func (s *Server) forward(batch []*pending, engine models.EngineKind) (preds []Pr
 		return nil, err
 	}
 	ctx.Scratch = s.arena
+	// Two arms: a MEGA batch on a PrecisionF32 server runs the frozen
+	// float32 model; every other batch, degraded ones included, runs the
+	// float64 model.
 	var out *tensor.Tensor
 	precision := ""
 	if engine == models.EngineMega && s.modelF32 != nil {
-		// Float32 fast path. The shard engines (in-process and
-		// distributed) are float64 constructs; batches that would have
-		// sharded count as fallbacks so capacity dashboards see the trade
-		// explicitly.
-		if (s.opts.ShardWorkers > 1 || s.super != nil) && batchVertices(insts) >= s.opts.ShardVertexThreshold {
-			s.metrics.shardFallback("f32_suppressed")
-		}
 		f32out := s.modelF32.Forward(ctx, s.arena)
 		out = f32out.Upcast()
 		s.arena.PutF32(f32out)
 		precision = PrecisionF32
-	} else if s.super != nil && engine == models.EngineMega && batchVertices(insts) >= s.opts.ShardVertexThreshold {
-		out, err = s.distForward(ctx, insts)
-		if err != nil {
-			// The whole replica group is down (or the dist breaker is
-			// open): degrade this batch to the DGL fallback engine — a
-			// different attention layout, never a lost response.
-			s.metrics.shardFallback("group_down")
-			if ctx, err = models.NewDGLContext(insts, nil, s.meta.Config.Dim); err != nil {
-				return nil, err
-			}
-			ctx.Scratch = s.arena
-			for _, p := range batch {
-				if !p.degraded {
-					s.degrade(p)
-				}
-			}
-			out = s.model.Forward(ctx)
-		}
-	} else if eng := s.shardEngine(ctx, engine, insts); eng != nil {
-		out = eng.Forward()
-		s.metrics.observeShard(eng.Stats())
 	} else {
 		out = s.model.Forward(ctx)
 	}
@@ -799,76 +707,6 @@ func (s *Server) forward(batch []*pending, engine models.EngineKind) (preds []Pr
 		preds[i] = pred
 	}
 	return preds, nil
-}
-
-// distForward runs one shard-eligible MEGA batch through the megashard
-// worker fleet and assembles the answer from the returned final embeddings.
-// The failover ladder inside the supervisor (retry on the same replica,
-// transparent failover to a peer, only then ErrGroupDown) keeps answers
-// bit-identical to the in-process forward; this method adds the serve-side
-// rungs: a structural ErrUnshardable falls back to the exact local MEGA
-// forward (counted per-reason on /metrics, never against the dist breaker),
-// and any fleet error feeds the dist breaker so the caller degrades to DGL.
-func (s *Server) distForward(ctx *models.Context, insts []datasets.Instance) (*tensor.Tensor, error) {
-	if !s.distBreaker.allow() {
-		return nil, fmt.Errorf("%w: dist breaker open", ErrGroupDegraded)
-	}
-	gt := s.model.(*models.GT) // guaranteed by New when Options.Dist is set
-	outcome, err := s.super.Forward(context.Background(), insts, s.opts.Mega.TraverseOptions(), s.meta.Config.Dim, insts[0].G.Fingerprint())
-	if err != nil {
-		if errors.Is(err, models.ErrUnshardable) {
-			// A property of the graph, not the fleet: serve the exact
-			// answer locally and leave the breaker alone.
-			s.metrics.shardFallback("unshardable")
-			return s.model.Forward(ctx), nil
-		}
-		s.distBreaker.failure()
-		return nil, err
-	}
-	s.distBreaker.success()
-	s.metrics.observeShard(outcome.Stats)
-	return gt.ReadoutFromFinal(ctx, outcome.FinalH)
-}
-
-// ErrGroupDegraded reports that the distributed shard path was unavailable
-// (whole replica group down, or the dist breaker open after consecutive
-// group failures) and the batch was served by the DGL fallback engine.
-var ErrGroupDegraded = errors.New("serve: distributed shard group unavailable")
-
-// shardEngine decides whether a batch is large enough to run through the
-// shard-parallel execution engine and builds one over the batch context if
-// so. It returns nil whenever the batch should take the plain
-// single-engine forward instead: sharding disabled, wrong engine or model,
-// total vertices under the threshold, or an unshardable path (e.g. too
-// short to cut into 8 µchunks) — the last case also counts a fallback on
-// /metrics. The shard forward is bit-identical to the single-engine pass,
-// so falling back never changes an answer.
-func (s *Server) shardEngine(ctx *models.Context, engine models.EngineKind, insts []datasets.Instance) *models.ShardEngine {
-	if s.opts.ShardWorkers <= 1 || engine != models.EngineMega {
-		return nil
-	}
-	gt, ok := s.model.(*models.GT)
-	if !ok {
-		return nil
-	}
-	if batchVertices(insts) < s.opts.ShardVertexThreshold {
-		return nil
-	}
-	eng, err := models.NewShardEngine(gt, ctx, s.opts.ShardWorkers)
-	if err != nil {
-		s.metrics.shardFallback("unshardable")
-		return nil
-	}
-	return eng
-}
-
-// batchVertices totals the batch's node count — the shard-threshold input.
-func batchVertices(insts []datasets.Instance) int {
-	vertices := 0
-	for _, inst := range insts {
-		vertices += inst.G.NumNodes()
-	}
-	return vertices
 }
 
 // GraphRequest is the /predict JSON body: an explicit graph with
@@ -922,13 +760,6 @@ type Health struct {
 	// automatic replacement); WorkerRestarts counts replacements.
 	Workers        int    `json:"workers"`
 	WorkerRestarts uint64 `json:"worker_restarts"`
-	// DistWorkers lists per-worker liveness for the megashard fleet
-	// (distributed serving only): address, replica group, alive/dead, time
-	// since the last heartbeat, and per-worker job/failure counts.
-	DistWorkers []dist.WorkerHealth `json:"dist_workers,omitempty"`
-	// DistGroupsAlive counts live members per replica group; a zero entry
-	// means that group's batches are degrading to the fallback engine.
-	DistGroupsAlive []int `json:"dist_groups_alive,omitempty"`
 }
 
 // HealthSnapshot builds the /healthz document.
@@ -940,16 +771,6 @@ func (s *Server) HealthSnapshot() Health {
 		Workers:        s.opts.Workers,
 		WorkerRestarts: s.metrics.workerRestarts.Load(),
 	}
-	groupDown := false
-	if s.super != nil {
-		h.DistWorkers = s.super.Health()
-		h.DistGroupsAlive = s.super.GroupsAlive()
-		for _, alive := range h.DistGroupsAlive {
-			if alive == 0 {
-				groupDown = true
-			}
-		}
-	}
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
@@ -957,8 +778,6 @@ func (s *Server) HealthSnapshot() Health {
 	case closed:
 		h.Status = "stopping"
 	case h.Breaker != string(BreakerClosed):
-		h.Status = "degraded"
-	case groupDown || s.distBreaker.State() != BreakerClosed:
 		h.Status = "degraded"
 	default:
 		h.Status = "ok"

@@ -29,16 +29,20 @@ type pinnedLossCase struct {
 }
 
 // pinnedLossCases are the benchmark's training configuration (GT, dim 64,
-// 4 layers, 4 heads, batch 16, fused attention) on both engines, and one
-// epoch of each other model family.
+// 4 layers, 4 heads, batch 16, fused attention) on both engines, two epochs
+// of it through the shard engine at k=2, and one epoch of each other model
+// family. The sharded case pins the shard engine's own bits, which
+// TestShardedTrainingTrajectoryBitIdentical only holds equal across k.
 func pinnedLossCases() []pinnedLossCase {
 	gt := Options{Model: "GT", Dim: 64, Layers: 4, Heads: 4, BatchSize: 16, Epochs: 4, Seed: 42, Attention: "fused"}
 	mega, dgl := gt, gt
 	mega.Engine, dgl.Engine = models.EngineMega, models.EngineDGL
+	shards2 := mega
+	shards2.Shards, shards2.Epochs = 2, 2
 	gcn, gat := mega, mega
 	gcn.Model, gcn.Epochs = "GCN", 1
 	gat.Model, gat.Epochs = "GAT", 1
-	return []pinnedLossCase{{"GT/mega", mega}, {"GT/dgl", dgl}, {"GCN/mega", gcn}, {"GAT/mega", gat}}
+	return []pinnedLossCase{{"GT/mega", mega}, {"GT/dgl", dgl}, {"GT/mega/shards2", shards2}, {"GCN/mega", gcn}, {"GAT/mega", gat}}
 }
 
 func pinnedLossBits(t *testing.T, ds *datasets.Dataset, c pinnedLossCase, threads int) []string {

@@ -105,8 +105,7 @@ func TestShardFallbackCountedAndLogged(t *testing.T) {
 		t.Errorf("ShardFallbacks = %d, want 2 (every context)", res.ShardFallbacks)
 	}
 	// The structural rejection (path shorter than 8 µchunks) must be
-	// attributed, not hidden: per-reason counts mirror serve's
-	// shard_fallback_reasons taxonomy.
+	// attributed, not hidden.
 	if got := res.ShardFallbackReasons["unshardable"]; got != 2 {
 		t.Errorf("ShardFallbackReasons[unshardable] = %d, want 2 (got %v)", got, res.ShardFallbackReasons)
 	}

@@ -164,9 +164,8 @@ type Result struct {
 	// (path too short to cut into µchunks); those contexts trained through
 	// the monolithic path instead. Only meaningful when Options.Shards > 0.
 	ShardFallbacks int
-	// ShardFallbackReasons breaks ShardFallbacks down by cause, mirroring
-	// serve's shard_fallback_reasons taxonomy: "unshardable" for
-	// structural rejections (models.ErrUnshardable — path too short, band
+	// ShardFallbackReasons breaks ShardFallbacks down by cause:
+	// "unshardable" for structural rejections (models.ErrUnshardable — path too short, band
 	// wider than a µchunk), "error" for anything else. nil when nothing
 	// fell back.
 	ShardFallbackReasons map[string]int
@@ -312,8 +311,8 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 		if shardFallbacks > 0 {
 			// One line for the whole run, not one per context: the
 			// rejection criteria are chunk-level and static, so every epoch
-			// would repeat the same message. The reasons map mirrors serve's
-			// shard_fallback_reasons so the fallback is never silent.
+			// would repeat the same message. The reasons map attributes
+			// each fallback, so none is silent.
 			log.Printf("train: %d/%d contexts fell back to the monolithic engine (shards=%d, reasons=%v): %v",
 				shardFallbacks, len(trainCtxs), opts.Shards, shardFallbackReasons, fallbackErr)
 		}
