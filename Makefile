@@ -59,8 +59,8 @@ shard-check:
 # dynamic-check runs the mutation-subsystem gates: the differential fuzz
 # corpus (maintained rep bit-identical to a from-scratch rebuild after
 # random add/remove streams, including fused batches), prediction
-# bit-identity through the monolithic and sharded engines, splice-vs-build
-# equivalence, batch atomicity, and the serve /update end-to-end tests
+# bit-identity through the monolithic and sharded engines, batch
+# atomicity, and the serve /update end-to-end tests
 # (session continuation, forking, eviction, error taxonomy). It starts
 # with what every repair runs on: the traversal and band pinned byte for
 # byte to the recorded output of the hash-map walker they replaced, and
@@ -70,7 +70,7 @@ shard-check:
 # quiesced re-run and to a fresh server's from-scratch answer.
 dynamic-check:
 	$(GO) test ./internal/traverse/ -run 'TestTraversalMatchesPinnedDigests|TestRunRejectsDirectedGraph|TestSelfLoopsTerminate' -count=1
-	$(GO) test ./internal/dynamic/ -run 'TestPredictionBitIdentity|TestAdoptedRepPredictionIdentity|TestSpliceMatchesBuild|TestBatchAtomicity' -count=1
+	$(GO) test ./internal/dynamic/ -run 'TestPredictionBitIdentity|TestAdoptedRepPredictionIdentity|TestBatchAtomicity' -count=1
 	$(GO) test ./internal/dynamic/ -run '^$$' -fuzz FuzzMaintainerEquivalence -fuzztime 10s
 	$(GO) test ./internal/serve/ -run 'TestUpdate|TestMutatorPool|TestMixedPredictUpdateBitIdentity' -count=1
 

@@ -43,13 +43,13 @@
 // survives seeded importance sampling (-sparsify-seed), shrinking the
 // attention band and the path. Cached reps are keyed by topology AND a
 // digest of the traverse/sparsify options, so servers with different
-// preprocessing never alias. Sparsified serving rejects POST /update
-// (incremental repair assumes the full topology).
+// preprocessing never alias. Sparsified serving rejects POST /update (an
+// update is defined on the full topology).
 //
-// POST /update maintains path representations incrementally for evolving
-// graphs: a batch of edge inserts/deletes against a cached fingerprint
-// repairs the representation in place of a full re-preprocess and publishes
-// it under the successor fingerprint, so the next /predict of the mutated
+// POST /update maintains path representations for evolving graphs: a batch
+// of edge inserts/deletes against a cached fingerprint is applied, the
+// successor graph is preprocessed once, and its representation is published
+// under the successor fingerprint, so the next /predict of the mutated
 // graph is a cache hit. -mutation-sessions bounds the resident mutable
 // lineages.
 package main

@@ -60,7 +60,8 @@ func BuildMultiPath(tg *TypedGraph, opts TraverseOptions) (*MultiRep, error) {
 // updates (the §IV-B8 latency-constrained scenario).
 type Maintainer = dynamic.Maintainer
 
-// Repair reports how the Maintainer absorbed one update.
+// Repair reports how the Maintainer absorbed one update. Every update is
+// one rebuild of the mutated graph; PathRows is the path length after it.
 type Repair = dynamic.Repair
 
 // NewMaintainer traverses g once and maintains its representation under

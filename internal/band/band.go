@@ -58,14 +58,7 @@ func Build(g *graph.Graph, res *traverse.Result, window int) (*Rep, error) {
 	if window < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrWindowTooSmall, window)
 	}
-	return fill(g, res.Path, window, nil, 0, nil)
-}
-
-// fill is the one band-construction loop: Build is the case with nothing
-// to reuse, Splice the case where pairs inside the first prefix positions
-// are copied from old (edge IDs translated through eidRemap, nil meaning
-// identity) and only the rest are looked up in g.
-func fill(g *graph.Graph, path []graph.NodeID, window int, old *Rep, prefix int, eidRemap []int32) (*Rep, error) {
+	path := res.Path
 	L, n := len(path), g.NumNodes()
 	rep := &Rep{
 		Path:       append([]graph.NodeID(nil), path...),
@@ -106,47 +99,27 @@ func fill(g *graph.Graph, path []graph.NodeID, window int, old *Rep, prefix int,
 		maskBuf, eidBuf = maskBuf[size:], eidBuf[size:]
 	}
 	covered := make([]bool, g.NumEdges())
-	set := func(o, i int, e int32) {
-		rep.Mask[o-1][i], rep.EdgeID[o-1][i] = true, e
-		if !covered[e] {
-			covered[e] = true
-			rep.CoveredEdges++
-		}
-	}
 	// adj[w].row == i+1 says w is adjacent to path[i], through edge
 	// adj[w].eid: one pass over path[i]'s row answers all of position i's
 	// pairs.
 	adj := make([]struct{ row, eid int32 }, n)
 	for i, u := range path {
 		last := min(window, L-1-i)
-		// Pairs entirely inside the prefix (i+o < prefix) are unchanged:
-		// both endpoints avoid the mutated vertices, so the connecting
-		// edge exists in g iff it existed before.
-		reuse := min(max(prefix-1-i, 0), last)
-		for o := 1; o <= reuse; o++ {
-			if !old.Mask[o-1][i] {
-				continue
-			}
-			e := old.EdgeID[o-1][i]
-			if eidRemap != nil {
-				e = eidRemap[e]
-			}
-			if e < 0 {
-				return nil, fmt.Errorf("band: splice prefix references removed edge (offset %d, position %d)", o, i)
-			}
-			set(o, i, e)
-		}
-		if reuse == last {
-			continue
-		}
 		// Descending, so that among parallel edges the row's first wins.
 		row, eids := g.Neighbors(u), g.NeighborEdges(u)
 		for k := len(row) - 1; k >= 0; k-- {
 			adj[row[k]].row, adj[row[k]].eid = int32(i+1), eids[k]
 		}
-		for o := reuse + 1; o <= last; o++ {
-			if v := path[i+o]; v != u && adj[v].row == int32(i+1) {
-				set(o, i, adj[v].eid)
+		for o := 1; o <= last; o++ {
+			v := path[i+o]
+			if v == u || adj[v].row != int32(i+1) {
+				continue
+			}
+			e := adj[v].eid
+			rep.Mask[o-1][i], rep.EdgeID[o-1][i] = true, e
+			if !covered[e] {
+				covered[e] = true
+				rep.CoveredEdges++
 			}
 		}
 	}

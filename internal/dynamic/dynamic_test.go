@@ -80,35 +80,11 @@ func TestAddEdgeCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Kind != RepairSplice && rep.Kind != RepairRebuild {
+	if rep.Kind != RepairRebuild {
 		t.Errorf("repair kind = %v", rep.Kind)
 	}
 	if m.NumEdges() != 30 {
 		t.Errorf("edges = %d, want 30", m.NumEdges())
-	}
-	checkCanonical(t, m)
-}
-
-func TestSpliceReplaysPrefix(t *testing.T) {
-	// A long path with a far-from-start mutation should replay a long
-	// prefix instead of re-deciding everything.
-	g := graph.Path(400)
-	m, err := NewMaintainer(g, traverse.Options{Window: 2, EdgeCoverage: 1, Start: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.AddEdge(300, 350)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Kind != RepairSplice {
-		t.Fatalf("repair kind = %v (%s), want splice", rep.Kind, rep.Reason)
-	}
-	if rep.PrefixRows == 0 {
-		t.Error("splice replayed no prefix")
-	}
-	if m.Splices() != 1 {
-		t.Errorf("splices = %d, want 1", m.Splices())
 	}
 	checkCanonical(t, m)
 }
@@ -144,15 +120,15 @@ func TestRemoveEdge(t *testing.T) {
 }
 
 func TestRemoveInBandAndSplicedEdges(t *testing.T) {
-	// Remove an edge captured by the original build, then an edge that
-	// arrived through a splice — both must leave a canonical rep.
+	// Remove an edge an earlier update inserted, then an edge the original
+	// build captured — both must leave a canonical rep.
 	g := graph.Cycle(40)
 	m := newMaintainer(t, g)
 	if _, err := m.AddEdge(5, 20); err != nil {
 		t.Fatal(err)
 	}
 	checkCanonical(t, m)
-	if _, err := m.RemoveEdge(5, 20); err != nil { // spliced-in edge
+	if _, err := m.RemoveEdge(5, 20); err != nil { // inserted by the update above
 		t.Fatal(err)
 	}
 	checkCanonical(t, m)
@@ -285,7 +261,7 @@ func TestAdopt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Adopt(rep, res, opts, Policy{})
+	m, err := Adopt(rep, res, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,16 +278,24 @@ func TestAdopt(t *testing.T) {
 	}
 }
 
-func TestAdoptWithoutSourceFallsBack(t *testing.T) {
+// Adopt reads no step trace: a rep whose Result carries no Source is
+// adopted as is, and the next batch rebuilds it canonically.
+func TestAdoptNeedsNoSource(t *testing.T) {
 	g := graph.Cycle(10)
 	opts := traverse.DefaultOptions()
 	rep, res, err := band.FromGraph(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Source = nil // simulate a rep produced before source recording
-	m, err := Adopt(rep, res, opts, Policy{})
+	res.Source = nil
+	m, err := Adopt(rep, res, opts)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Rep() != rep {
+		t.Error("adopt re-traversed a rep without a step trace")
+	}
+	if _, err := m.AddEdge(0, 5); err != nil {
 		t.Fatal(err)
 	}
 	checkCanonical(t, m)
@@ -370,43 +354,6 @@ func TestNonSimpleGraphNamesFirstOffenderInEdgeOrder(t *testing.T) {
 	}
 }
 
-func TestPolicyForcedRebuild(t *testing.T) {
-	// MinPrefixFraction above 1 makes every prefix "too short".
-	g := graph.Path(50)
-	m, err := NewMaintainerPolicy(g, traverse.Options{Window: 2, EdgeCoverage: 1, Start: 0},
-		Policy{MinPrefixFraction: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.AddEdge(40, 45)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Kind != RepairRebuild || rep.Reason != "short-prefix" {
-		t.Errorf("repair = %+v, want short-prefix rebuild", rep)
-	}
-	if m.Rebuilds() != 1 {
-		t.Errorf("rebuilds = %d, want 1", m.Rebuilds())
-	}
-	checkCanonical(t, m)
-}
-
-func TestPolicyDisabledWL(t *testing.T) {
-	g := graph.Cycle(20)
-	m, err := NewMaintainerPolicy(g, traverse.DefaultOptions(), Policy{WLRounds: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.AddEdge(0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WLChanged != -1 {
-		t.Errorf("WLChanged = %d with WL disabled, want -1", rep.WLChanged)
-	}
-	checkCanonical(t, m)
-}
-
 func TestWindowChangeTriggersRebuild(t *testing.T) {
 	// A near-complete graph where one more edge moves the adaptive window
 	// (mean degree crosses a rounding boundary).
@@ -423,20 +370,16 @@ func TestWindowChangeTriggersRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaintainerPolicy(g, traverse.DefaultOptions(), Policy{WLRounds: -1, MinPrefixFraction: -1})
+	m, err := NewMaintainer(g, traverse.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldWindow := m.Rep().Window
-	rep, err := m.AddEdge(0, 1)
-	if err != nil {
+	if _, err := m.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if m.Rep().Window == oldWindow {
 		t.Skip("mutation did not move the adaptive window on this graph")
-	}
-	if rep.Kind != RepairRebuild {
-		t.Errorf("window move repaired by %v, want rebuild", rep.Kind)
 	}
 	checkCanonical(t, m)
 }
@@ -504,35 +447,4 @@ func TestRepairKindStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), s)
 		}
 	}
-}
-
-// BenchmarkIncrementalVsRebuild quantifies the latency win of incremental
-// repair over full re-traversal — the reason this package exists.
-func BenchmarkIncrementalVsRebuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := graph.BarabasiAlbert(rng, 2000, 3)
-	b.Run("incremental", func(b *testing.B) {
-		m, err := NewMaintainer(g, traverse.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			u := graph.NodeID(rng.Intn(2000))
-			v := graph.NodeID(rng.Intn(2000))
-			if u == v {
-				continue
-			}
-			if _, err := m.AddEdge(u, v); err != nil {
-				continue
-			}
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := band.FromGraph(g, traverse.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

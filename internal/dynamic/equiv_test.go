@@ -5,17 +5,17 @@ import (
 	"math/rand"
 	"testing"
 
-	"mega/internal/band"
 	"mega/internal/datasets"
 	"mega/internal/graph"
 	"mega/internal/models"
 	"mega/internal/traverse"
 )
 
-// FuzzMaintainerEquivalence drives random AddEdge/RemoveEdge sequences —
-// including removals of spliced-in and in-band edges — and asserts the
-// maintained rep is byte-identical to a from-scratch rebuild of the final
-// graph. This is the corpus the dynamic-check CI gate runs.
+// FuzzMaintainerEquivalence drives random AddEdge/RemoveEdge sequences and
+// fused batches — including removals of edges earlier updates inserted —
+// and asserts the maintained rep is byte-identical to a from-scratch
+// preprocess of the live graph, mid-stream and at the end. This is the
+// corpus the dynamic-check CI gate runs.
 func FuzzMaintainerEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(int64(42), []byte{1, 1, 1, 1, 0, 0, 0, 0, 9, 9})
@@ -149,28 +149,17 @@ func TestPredictionBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	splices := 0
 	for i := 0; i < 40; i++ {
 		u := graph.NodeID(rng.Intn(80))
 		v := graph.NodeID(rng.Intn(80))
 		if u == v {
 			continue
 		}
-		var rep Repair
 		if rng.Intn(3) == 0 {
-			rep, err = m.RemoveEdge(u, v)
+			_, _ = m.RemoveEdge(u, v)
 		} else {
-			rep, err = m.AddEdge(u, v)
+			_, _ = m.AddEdge(u, v)
 		}
-		if err != nil {
-			continue
-		}
-		if rep.Kind == RepairSplice {
-			splices++
-		}
-	}
-	if splices == 0 {
-		t.Log("warning: mutation stream produced no splices; identity still checked")
 	}
 
 	model := models.NewGT(models.Config{
@@ -203,7 +192,7 @@ func TestAdoptedRepPredictionIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Adopt(prep.Rep, prep.Res, opts.TraverseOptions(), Policy{})
+	m, err := Adopt(prep.Rep, prep.Res, opts.TraverseOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,32 +221,4 @@ func TestAdoptedRepPredictionIdentity(t *testing.T) {
 	got := forwardWith(t, model, inst, &models.PreparedRep{Rep: m.Rep(), Res: m.Result()})
 	want := forwardWith(t, model, inst, fresh)
 	assertBitsEqual(t, "adopted", got, want)
-}
-
-// TestSpliceMatchesBuild pins band.Splice against band.Build directly on a
-// replayed traversal, independent of the maintainer.
-func TestSpliceMatchesBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	g := graph.ErdosRenyiM(rng, 40, 90)
-	opts := traverse.DefaultOptions()
-	m, err := NewMaintainer(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		u := graph.NodeID(rng.Intn(40))
-		v := graph.NodeID(rng.Intn(40))
-		if u == v {
-			continue
-		}
-		_, _ = m.AddEdge(u, v)
-		_, _ = m.RemoveEdge(graph.NodeID(rng.Intn(40)), graph.NodeID(rng.Intn(40)))
-	}
-	built, err := band.Build(m.Graph(), m.Result(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rep().CoveredEdges != built.CoveredEdges || m.Rep().Len() != built.Len() {
-		t.Fatal("maintained rep disagrees with direct Build of its own traversal")
-	}
 }

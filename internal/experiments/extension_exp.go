@@ -117,7 +117,9 @@ func ExtHetero(s Scale) (*Report, error) {
 	return r, nil
 }
 
-// ExtDynamic measures incremental repair latency against full re-traversal.
+// ExtDynamic measures the per-update latency of dynamic.Maintainer, which
+// rebuilds the successor graph once per batch, against one full
+// re-traversal of the final graph.
 func ExtDynamic(s Scale) (*Report, error) {
 	r := &Report{ID: "ext-dynamic", Title: "dynamic graph maintenance latency (extension, §IV-B8)"}
 	rng := rand.New(rand.NewSource(s.Seed))
@@ -128,7 +130,6 @@ func ExtDynamic(s Scale) (*Report, error) {
 	}
 
 	const updates = 200
-	var prefixSum int
 	start := time.Now()
 	for i := 0; i < updates; {
 		u := graph.NodeID(rng.Intn(3000))
@@ -136,14 +137,12 @@ func ExtDynamic(s Scale) (*Report, error) {
 		if u == v {
 			continue
 		}
-		rep, err := m.AddEdge(u, v)
-		if err != nil {
+		if _, err := m.AddEdge(u, v); err != nil {
 			continue
 		}
-		prefixSum += rep.PrefixRows
 		i++
 	}
-	incTotal := time.Since(start)
+	perUpdate := time.Since(start) / updates
 
 	start = time.Now()
 	if _, _, err := band.FromGraph(m.Graph(), traverse.DefaultOptions()); err != nil {
@@ -151,15 +150,13 @@ func ExtDynamic(s Scale) (*Report, error) {
 	}
 	rebuildOnce := time.Since(start)
 
-	perUpdate := incTotal / updates
-	r.Add("%d updates: %d splices, %d rebuilds, mean replayed prefix %.0f rows, expansion %.2fx",
-		updates, m.Splices(), m.Rebuilds(), float64(prefixSum)/updates, m.Rep().Expansion())
-	r.Add("incremental: %v/update;  full re-traversal: %v", perUpdate, rebuildOnce)
+	r.Add("%d single-edge updates, expansion %.2fx", updates, m.Rep().Expansion())
+	r.Add("per update: %v;  full re-traversal: %v", perUpdate, rebuildOnce)
 	if perUpdate > 0 {
-		r.Add("latency ratio: one rebuild costs %.2fx one incremental update",
+		r.Add("latency ratio: one full re-traversal costs %.2fx one update",
 			float64(rebuildOnce)/float64(perUpdate))
 	}
-	r.Note("an incremental update is exact (byte-identical to a rebuild) and costs about one rebuild: replay skips only candidate ranking, which is one load per candidate")
+	r.Note("an update is validation, building the successor graph and one full re-traversal, so the ratio sits near 1")
 	return r, nil
 }
 

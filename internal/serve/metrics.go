@@ -196,16 +196,11 @@ type Metrics struct {
 	workerRestarts       atomic.Uint64 // panicked workers replaced
 	checkpointRecoveries atomic.Uint64 // corrupt checkpoints quarantined at load
 
-	// Mutation-subsystem counters (PR 7): POST /update traffic and how its
-	// incremental repairs resolved. repairSplices vs repairRebuilds is the
-	// serving-side view of the patch-vs-rebuild policy — a rebuild-heavy
-	// mix means mutations keep landing early in the traversal (or the
-	// WL-delta policy needs retuning), erasing the incremental win.
+	// Mutation-subsystem counters: POST /update traffic. Every batch is
+	// one rebuild of the successor graph, timed by the repair histogram.
 	updates          atomic.Uint64 // /update requests
 	updateErrors     atomic.Uint64 // /update requests that failed
 	mutationsApplied atomic.Uint64 // individual edge mutations committed
-	repairSplices    atomic.Uint64 // mutations repaired by prefix splice
-	repairRebuilds   atomic.Uint64 // mutations repaired by full rebuild
 	sessionAdoptions atomic.Uint64 // sessions created from snapshot/base
 
 	queue      histogram
@@ -213,7 +208,7 @@ type Metrics struct {
 	forward    histogram
 	total      histogram
 	update     histogram // whole /update request, including session setup
-	repair     histogram // ApplyBatch alone (replay + splice or rebuild)
+	repair     histogram // ApplyBatch alone: validation and one rebuild
 }
 
 // NewMetrics creates a metrics registry anchored at now.
@@ -262,8 +257,6 @@ type Snapshot struct {
 	Updates          uint64 `json:"updates"`
 	UpdateErrors     uint64 `json:"update_errors"`
 	MutationsApplied uint64 `json:"mutations_applied"`
-	RepairSplices    uint64 `json:"repair_splices"`
-	RepairRebuilds   uint64 `json:"repair_rebuilds"`
 	SessionAdoptions uint64 `json:"session_adoptions"`
 	MutationSessions int    `json:"mutation_sessions"`
 
@@ -319,8 +312,6 @@ func (m *Metrics) Snapshot(cache CacheStats, withBuckets bool) Snapshot {
 		Updates:          m.updates.Load(),
 		UpdateErrors:     m.updateErrors.Load(),
 		MutationsApplied: m.mutationsApplied.Load(),
-		RepairSplices:    m.repairSplices.Load(),
-		RepairRebuilds:   m.repairRebuilds.Load(),
 		SessionAdoptions: m.sessionAdoptions.Load(),
 
 		QueueLatency:      m.queue.snapshot(withBuckets),

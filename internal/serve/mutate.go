@@ -16,11 +16,10 @@ import (
 
 // The mutation subsystem turns the server's read-only representation cache
 // into a versioned store over evolving graphs: POST /update applies an edge
-// insert/delete batch against a cached fingerprint, repairs the path
-// representation incrementally (prefix replay + band splice, falling back
-// to a rebuild when the WL-delta policy says patching would not pay), and
-// publishes the result under the successor fingerprint so the next /predict
-// of the mutated graph is a cache hit.
+// insert/delete batch against a cached fingerprint, rebuilds the path
+// representation of the successor graph once (dynamic.Maintainer), and
+// publishes it under the successor fingerprint so the next /predict of the
+// mutated graph is a cache hit.
 //
 // Sessions are copy-on-write by construction: a dynamic.Maintainer never
 // mutates a committed rep in place, so the PreparedRep snapshots published
@@ -42,8 +41,9 @@ var (
 
 // mutSession is one mutable lineage: a maintainer plus the lock that
 // serialises batches against it. The pool hands a session to at most one
-// request at a time (take removes it), so the mutex only guards against a
-// session being re-keyed while a late Rebuild call still holds it.
+// request at a time (take removes it, put re-homes it) and its lock orders
+// those hand-overs, so the mutex is never contended: it keeps a session's
+// batches serial for any caller that holds one outside the pool.
 type mutSession struct {
 	mu sync.Mutex
 	m  *dynamic.Maintainer
@@ -51,7 +51,7 @@ type mutSession struct {
 
 // mutatorPool is an LRU of mutation sessions keyed by their current
 // (pre-update) fingerprint. Capacity bounds resident maintainers — each
-// holds a live graph, WL tracker, and traversal — independently of the
+// holds a live graph and its representation — independently of the
 // RepCache, whose entries stay cheap immutable snapshots.
 type mutatorPool struct {
 	mu       sync.Mutex
@@ -151,14 +151,6 @@ type UpdateResponse struct {
 	// NumNodes (the paper's path-expansion diagnostic).
 	PathLen   int     `json:"path_len"`
 	Expansion float64 `json:"expansion"`
-	// Splices/Rebuilds count the repair operations this batch performed —
-	// a multi-mutation batch is absorbed by ONE fused repair, so these sum
-	// to 1 for batches of 2+ mutations. PrefixRows totals the replayed
-	// prefix rows across splices (the work incremental maintenance avoided
-	// re-deciding).
-	Splices    int `json:"splices"`
-	Rebuilds   int `json:"rebuilds"`
-	PrefixRows int `json:"prefix_rows"`
 	// Adopted reports that this update started a fresh session (from a
 	// cached snapshot or the supplied base) rather than continuing a
 	// resident one.
@@ -200,7 +192,7 @@ func (s *Server) update(req UpdateRequest) (UpdateResponse, error) {
 	removes := pairList(req.Remove)
 	adds := pairList(req.Add)
 	t0 := time.Now()
-	repairs, err := sess.m.ApplyBatch(removes, adds)
+	_, err = sess.m.ApplyBatch(removes, adds)
 	s.metrics.repair.observe(time.Since(t0))
 	if err != nil {
 		// Validation failures leave the maintainer untouched; keep the
@@ -226,22 +218,11 @@ func (s *Server) update(req UpdateRequest) (UpdateResponse, error) {
 	if resp.NumNodes > 0 {
 		resp.Expansion = float64(resp.PathLen) / float64(resp.NumNodes)
 	}
-	for _, r := range repairs {
-		switch r.Kind {
-		case dynamic.RepairSplice:
-			resp.Splices++
-			resp.PrefixRows += r.PrefixRows
-		case dynamic.RepairRebuild:
-			resp.Rebuilds++
-		}
-	}
-	s.metrics.repairSplices.Add(uint64(resp.Splices))
-	s.metrics.repairRebuilds.Add(uint64(resp.Rebuilds))
 
 	// Publish the successor snapshot so /predict of the mutated graph is a
 	// cache hit, then re-home the session under the new fingerprint. The
-	// snapshot shares no mutable state with the session: repairs always
-	// build fresh reps and swap pointers.
+	// snapshot shares no mutable state with the session: every batch builds
+	// a fresh rep and swaps pointers.
 	s.cache.Put(s.repKey(next), &models.PreparedRep{Rep: sess.m.Rep(), Res: sess.m.Result()})
 	s.mutators.put(next, sess)
 	return resp, nil
@@ -268,7 +249,7 @@ func (s *Server) resolveSession(req UpdateRequest) (*mutSession, bool, error) {
 		if !ok {
 			return nil, false, fmt.Errorf("%w: %s", ErrUnknownFingerprint, req.Fingerprint)
 		}
-		m, err := dynamic.Adopt(prep.Rep, prep.Res, s.opts.Mega.TraverseOptions(), dynamic.Policy{})
+		m, err := dynamic.Adopt(prep.Rep, prep.Res, s.opts.Mega.TraverseOptions())
 		if err != nil {
 			return nil, false, err
 		}
@@ -286,7 +267,7 @@ func (s *Server) resolveSession(req UpdateRequest) (*mutSession, bool, error) {
 	}
 	var m *dynamic.Maintainer
 	if prep, ok := s.cache.Get(s.repKey(fp)); ok {
-		m, err = dynamic.Adopt(prep.Rep, prep.Res, s.opts.Mega.TraverseOptions(), dynamic.Policy{})
+		m, err = dynamic.Adopt(prep.Rep, prep.Res, s.opts.Mega.TraverseOptions())
 	} else {
 		m, err = dynamic.NewMaintainer(inst.G, s.opts.Mega.TraverseOptions())
 		if err == nil {

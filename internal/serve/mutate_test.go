@@ -133,9 +133,6 @@ func TestUpdateEndToEnd(t *testing.T) {
 	if !up.Adopted {
 		t.Error("first update should report a fresh adoption")
 	}
-	if up.Splices+up.Rebuilds != 1 {
-		t.Errorf("repairs %d+%d, want 1 fused repair for the batch", up.Splices, up.Rebuilds)
-	}
 
 	// Client-side reconstruction of the canonical successor graph.
 	mutated := mutatedEdges(t, base, removes, adds)
@@ -195,10 +192,6 @@ func TestUpdateEndToEnd(t *testing.T) {
 	}
 	if snap.MutationsApplied != uint64(len(removes)+len(adds)) {
 		t.Errorf("mutations_applied=%d, want %d", snap.MutationsApplied, len(removes)+len(adds))
-	}
-	if snap.RepairSplices+snap.RepairRebuilds != 1 {
-		t.Errorf("splices %d + rebuilds %d, want 1 fused repair",
-			snap.RepairSplices, snap.RepairRebuilds)
 	}
 	if snap.MutationSessions != 1 || snap.SessionAdoptions != 1 {
 		t.Errorf("sessions=%d adoptions=%d, want 1/1", snap.MutationSessions, snap.SessionAdoptions)
@@ -395,7 +388,7 @@ func TestMutatorPoolEviction(t *testing.T) {
 // TestMixedPredictUpdateBitIdentity runs a mutation session with
 // predictions issued concurrently against the evolving graph's states and
 // pins the serving invariant end to end: an answer served mid-churn from
-// incrementally repaired representations is bit-identical to the quiesced
+// representations /update rebuilt is bit-identical to the quiesced
 // re-run, and to a fresh server that never saw a mutation and preprocesses
 // the final graph from scratch.
 func TestMixedPredictUpdateBitIdentity(t *testing.T) {
@@ -435,7 +428,7 @@ func TestMixedPredictUpdateBitIdentity(t *testing.T) {
 		if k == 0 {
 			req = UpdateRequest{Base: &GraphRequest{NumNodes: n, Edges: edges}}
 		}
-		// Alternate inserts and deletes so the repair sees both splice
+		// Alternate inserts and deletes so the lineage sees both
 		// directions; every third round batches a second insert.
 		if k%2 == 0 {
 			req.Add = [][2]int32{absent(g, nil)}

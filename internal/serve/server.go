@@ -71,7 +71,7 @@ type Options struct {
 	// can never alias each other's reps.
 	Mega models.MegaOptions
 	// MutationSessions bounds the POST /update session pool: how many
-	// mutable graph lineages (live maintainers with WL trackers) stay
+	// mutable graph lineages (live maintainers, each a graph and its rep) stay
 	// resident between updates. Evicted lineages re-adopt from their last
 	// published cache snapshot on the next update (default 64).
 	MutationSessions int

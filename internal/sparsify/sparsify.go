@@ -108,7 +108,7 @@ func New(g *graph.Graph, opts Options) (*Plan, error) {
 // Apply materialises the plan: a graph over the same vertex set holding
 // exactly the kept edges, in their original relative order (order
 // stability is what lets two independent edge filters compose
-// commutatively — see traverse.NewWalker).
+// commutatively — see traverse.Run).
 func (p *Plan) Apply(g *graph.Graph) (*graph.Graph, error) {
 	kept := make([]graph.Edge, 0, p.Kept)
 	for i, e := range g.Edges() {

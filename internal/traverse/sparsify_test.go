@@ -163,7 +163,7 @@ func TestSparsifyDropIndependentStreams(t *testing.T) {
 
 // TestSparsifyDropOrderBitIdentity applies the two keep-masks in both
 // orders over the original edge list and asserts the surviving edge lists
-// are bit-identical to each other and to what NewWalker builds — the
+// are bit-identical to each other and to what Run walks — the
 // mask-intersection design makes application order structurally incapable
 // of mattering.
 func TestSparsifyDropOrderBitIdentity(t *testing.T) {
@@ -194,7 +194,7 @@ func TestSparsifyDropOrderBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !edgesEqual(res.Graph.Edges(), dropFirst) {
-		t.Fatal("NewWalker's composed filter disagrees with the hand-applied masks")
+		t.Fatal("Run's composed filter disagrees with the hand-applied masks")
 	}
 	res2, err := Run(g, Options{EdgeCoverage: 1, Start: -1,
 		DropEdges: 0.25, Seed: seed, SparsifyFraction: 0.5, SparsifySeed: seed})

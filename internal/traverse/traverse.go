@@ -106,11 +106,8 @@ type Result struct {
 	// virtual edge: the two vertices are not adjacent in the (possibly
 	// edge-dropped) input graph. Virtual[0] is always false.
 	Virtual []bool
-	// Source[i] records which candidate pool produced Path[i]. The trace
-	// lets a later run replay this path step-for-step without re-ranking
-	// candidates (package dynamic's prefix replay): every pool choice is a
-	// pure function of the traversal state except the stack pop, which the
-	// trace lets the replayer reproduce exactly.
+	// Source[i] records which candidate pool produced Path[i]: a trace of
+	// the decision loop, one entry per path step.
 	Source []StepSource
 	// Window is the effective ω used.
 	Window int
@@ -207,14 +204,10 @@ func (s StepSource) String() string {
 	}
 }
 
-// Errors returned by Run and the Walker.
+// Errors returned by Run.
 var (
 	ErrEmptyGraph = errors.New("traverse: graph has no vertices")
 	ErrBadOptions = errors.New("traverse: invalid options")
-	// ErrReplayDiverged is returned by Walker.Replay when a replayed step
-	// is inconsistent with the traversal state — the recorded path cannot
-	// have been produced by this graph from this prefix.
-	ErrReplayDiverged = errors.New("traverse: replay diverged from recorded path")
 )
 
 // AdaptiveWindow returns the adaptive ω for a graph: max(1, round(mean
@@ -249,23 +242,20 @@ func RevisitLowerBound(degrees []int, omega int) int {
 // Run executes the objective traversal on g and returns the path
 // representation.
 func Run(g *graph.Graph, opts Options) (*Result, error) {
-	w, err := NewWalker(g, opts)
+	w, err := newWalker(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	return w.Complete(), nil
+	w.t.visit(w.start, false)
+	w.sources = append(w.sources, SourceStart)
+	w.runLoop()
+	return w.result(), nil
 }
 
-// Walker is a resumable objective traversal: the decision loop of Run,
-// split so a caller can first *replay* a known-good path prefix (no
-// candidate ranking, O(ω) per step) and then let the decision loop finish
-// the suffix. Package dynamic uses this for incremental repair: after an
-// edge mutation, the traversal of the new graph provably matches the old
-// path up to the first appearance of a mutated endpoint, so that prefix is
-// replayed and only the remainder is re-decided.
-//
-// A Walker is single-use: Replay zero or more steps, then Complete once.
-type Walker struct {
+// walker is one objective traversal: the graph it walks (after any edge
+// filtering), the resolved window, start vertex and coverage target, and
+// the decision loop's state.
+type walker struct {
 	t            *traversal
 	work         *graph.Graph
 	omega        int
@@ -275,13 +265,12 @@ type Walker struct {
 	sparsified   int
 	sparsWeights []float64
 	sources      []StepSource
-	done         bool
 }
 
-// NewWalker validates options, applies edge dropping, and resolves the
-// effective window, start vertex, and coverage target without taking any
-// steps.
-func NewWalker(g *graph.Graph, opts Options) (*Walker, error) {
+// newWalker validates options, applies edge dropping and sparsification,
+// and resolves the effective window, start vertex, and coverage target
+// without taking any steps.
+func newWalker(g *graph.Graph, opts Options) (*walker, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, ErrEmptyGraph
@@ -381,7 +370,7 @@ func NewWalker(g *graph.Graph, opts Options) (*Walker, error) {
 	} else if int(start) >= n {
 		return nil, fmt.Errorf("%w: start vertex %d out of range", ErrBadOptions, start)
 	}
-	return &Walker{
+	return &walker{
 		t:            t,
 		work:         work,
 		omega:        omega,
@@ -393,81 +382,7 @@ func NewWalker(g *graph.Graph, opts Options) (*Walker, error) {
 	}, nil
 }
 
-// Window returns the effective band half-width ω.
-func (w *Walker) Window() int { return w.omega }
-
-// Start returns the resolved starting vertex.
-func (w *Walker) Start() graph.NodeID { return w.start }
-
-// Target returns the edge-coverage target ⌊θ·m⌋.
-func (w *Walker) Target() int { return w.target }
-
-// Covered returns the number of edges covered so far.
-func (w *Walker) Covered() int { return w.t.covered }
-
-// PathLen returns the number of steps taken so far.
-func (w *Walker) PathLen() int { return len(w.t.path) }
-
-// Graph returns the graph being walked (post-drop).
-func (w *Walker) Graph() *graph.Graph { return w.work }
-
-// Replay takes one step along a previously recorded path without ranking
-// candidates, applying exactly the state updates the decision loop would
-// have applied for a step of the given source. The caller must guarantee
-// the recorded decision is still valid for this graph; the one invariant
-// Replay itself verifies is the stack pop (SourceStack must pop the
-// recorded vertex), since that is the only pool choice with side effects.
-func (w *Walker) Replay(v graph.NodeID, src StepSource) error {
-	if w.done {
-		return fmt.Errorf("%w: walker already completed", ErrReplayDiverged)
-	}
-	if len(w.t.path) == 0 {
-		if src != SourceStart || v != w.start {
-			return fmt.Errorf("%w: step 0 must be the start vertex %d", ErrReplayDiverged, w.start)
-		}
-		w.t.visit(v, false)
-		w.sources = append(w.sources, SourceStart)
-		return nil
-	}
-	curr := w.t.path[len(w.t.path)-1]
-	virtual := false
-	switch src {
-	case SourceStart:
-		return fmt.Errorf("%w: start source after step 0", ErrReplayDiverged)
-	case SourceNeighbor, SourceNeighborRevisit:
-		// Real-edge transition by construction.
-	case SourceStack:
-		next, ok := w.t.popStack()
-		if !ok || next != v {
-			return fmt.Errorf("%w: stack pop produced %v, recorded %v", ErrReplayDiverged, next, v)
-		}
-		virtual = !w.work.HasEdge(curr, v)
-	case SourceWindow, SourceJump:
-		virtual = !w.work.HasEdge(curr, v)
-	default:
-		return fmt.Errorf("%w: unknown step source %d", ErrReplayDiverged, int(src))
-	}
-	w.t.visit(v, virtual)
-	w.sources = append(w.sources, src)
-	return nil
-}
-
-// Complete runs the decision loop from the current state to termination
-// and assembles the Result. If no steps were replayed it visits the start
-// vertex first, making NewWalker(g, opts) + Complete() exactly Run(g, opts).
-func (w *Walker) Complete() *Result {
-	if !w.done {
-		if len(w.t.path) == 0 {
-			w.t.visit(w.start, false)
-			w.sources = append(w.sources, SourceStart)
-		}
-		w.runLoop()
-		w.done = true
-	}
-	return w.result()
-}
-
-func (w *Walker) runLoop() {
+func (w *walker) runLoop() {
 	t, work, target := w.t, w.work, w.target
 	for {
 		nodesDone := t.numUnvisited == 0
@@ -518,7 +433,7 @@ func (w *Walker) runLoop() {
 	}
 }
 
-func (w *Walker) result() *Result {
+func (w *walker) result() *Result {
 	t := w.t
 	res := &Result{
 		Path:            t.path,
@@ -971,7 +886,7 @@ func (s DropStrategy) String() string {
 
 // dropKeepMask computes the DropEdges filter's per-edge keep decisions
 // over g's original edge list (true = survives). Returning a mask rather
-// than a rebuilt graph lets NewWalker intersect this filter with the
+// than a rebuilt graph lets newWalker intersect this filter with the
 // sparsifier's: each decides against the original list, so neither can
 // perturb the other's stream. The DropRandom stream (one sequential
 // rng.Float64 per original edge, seeded seed^0xD20B) is the pre-existing

@@ -278,8 +278,8 @@ func TestRunRejectsDirectedGraph(t *testing.T) {
 	// On this input the walker used to chase arc 0->1 through pool 1b and
 	// the stack forever: covering removed it from one row only.
 	g := graph.MustNew(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}}, true)
-	if _, err := NewWalker(g, DefaultOptions()); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("NewWalker on a directed graph: %v, want ErrBadOptions", err)
+	if _, err := Run(g, DefaultOptions()); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("Run on a directed graph: %v, want ErrBadOptions", err)
 	}
 }
 
