@@ -46,14 +46,13 @@ chaos:
 chaos-short:
 	CHAOS_REPORT=$(CURDIR)/chaos-report.log $(GO) test -race -short -run TestChaosEndToEnd -count=1 -v ./internal/serve/
 
-# shard-check runs the shard-engine equivalence gates: bit-identical
-# forward against the single engine at every worker count, k-invariant
-# gradients, bit-identical training trajectories at k ∈ {2,4} vs k=1, and
-# observed-vs-analytical exchange traffic. The engine's own training bits
-# are pinned by TestLossTrajectoryMatchesPinned's GT/mega/shards2 case.
+# shard-check runs the gates of the forward-only shard engine, the
+# traffic witness of §IV-B6: forward bit-identity against the single
+# engine at any worker count (divisors of the path length or not), and
+# traffic identity — the observed exchange equals the closed-form path
+# partition analysis times the layer count, exactly.
 shard-check:
 	$(GO) test ./internal/models/ -run 'TestShard' -count=1
-	$(GO) test ./internal/train/ -run 'TestShardedTraining' -count=1
 	$(GO) test ./internal/dist/ -run 'TestRunHaloExchange|TestAnalyzePathPartition' -count=1
 
 # dynamic-check runs the mutation-subsystem gates: the differential fuzz
@@ -128,7 +127,6 @@ sparsify-check:
 	$(GO) test ./internal/traverse/ -run 'Sparsif|TestOptionsDigest' -count=1
 	$(GO) test ./internal/serve/ -run 'TestRepCacheKeyCoversOptions|TestServerRepKeyIncludesSparsify|TestRepCache' -count=1
 	$(GO) test ./internal/models/ -run 'Sparsified' -count=1
-	$(GO) test ./internal/train/ -run 'TestShardFallback' -count=1
 	$(GO) test ./internal/dynamic/ -run 'TestUnsupportedConfigurations' -count=1
 	$(GO) test ./internal/experiments/ -run 'TestSparsifyAcceptance' -count=1
 

@@ -7,8 +7,7 @@
 //	megatrain [-dataset ZINC] [-model GCN|GT] [-engine dgl|mega]
 //	          [-dim d] [-layers L] [-batch B] [-epochs E] [-lr r]
 //	          [-train n] [-val n] [-drop f] [-sparsify f] [-sparsify-seed s]
-//	          [-seed s] [-profile]
-//	          [-shards k] [-checkpoint model.ckpt]
+//	          [-seed s] [-profile] [-checkpoint model.ckpt]
 //	          [-checkpoint-dir dir] [-checkpoint-every 1] [-resume]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -17,9 +16,6 @@
 // checkpoint (atomic rename, CRC-verified) every -checkpoint-every epochs;
 // -resume continues from the newest good checkpoint in that directory,
 // quarantining corrupt files instead of failing.
-// -shards runs each batch's forward/backward across k shard workers
-// (GT + mega engine; k must divide 8) with real halo/duplicate-sync/edge
-// exchange; the trained parameters are bit-identical to -shards 1.
 // -sparsify keeps only that fraction of edges via effective-resistance
 // importance sampling (mega engine) before traversal; -sparsify-seed pins
 // the sampler independently of -seed (default: same value as -seed).
@@ -65,7 +61,6 @@ func run(args []string) error {
 	sparsifySeed := fs.Int64("sparsify-seed", 0, "sparsifier seed (0 = use -seed)")
 	seed := fs.Int64("seed", 1, "seed")
 	profile := fs.Bool("profile", true, "attach the GPU simulator")
-	shards := fs.Int("shards", 0, "shard-parallel workers per batch (GT + mega engine; must divide 8; disables -profile)")
 	ckpt := fs.String("checkpoint", "", "write the trained model here for megaserve")
 	ckptDir := fs.String("checkpoint-dir", "", "directory for periodic crash-safe checkpoints")
 	ckptEvery := fs.Int("checkpoint-every", 1, "epochs between periodic checkpoints (with -checkpoint-dir)")
@@ -128,13 +123,6 @@ func run(args []string) error {
 		BatchSize: *batch, LR: *lr, Epochs: *epochs, Seed: *seed,
 		Profile:       *profile,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,
-		Shards: *shards,
-	}
-	if *shards > 0 && *profile {
-		// The shard engine runs real concurrent workers; the simulated
-		// GPU clock models a single device and would misattribute them.
-		fmt.Println("megatrain: -shards set, disabling the GPU simulator")
-		opts.Profile = false
 	}
 	if *drop > 0 || *sparsify > 0 {
 		ss := *sparsifySeed
@@ -150,9 +138,6 @@ func run(args []string) error {
 	res, err := train.Run(ds, opts)
 	if err != nil {
 		return err
-	}
-	if res.ShardFallbacks > 0 {
-		fmt.Printf("shard fallbacks: %d (reasons %v)\n", res.ShardFallbacks, res.ShardFallbackReasons)
 	}
 
 	if *ckpt != "" {

@@ -216,7 +216,7 @@ func TestRunHaloExchangeMatchesAnalysis(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := revisitHeavyGraph(seed, 40)
 		rep, res := buildFor(t, g, 2)
-		for _, k := range []int{2, 4, 8} {
+		for _, k := range []int{2, 3, 4, 5, 6, 8} {
 			if spanningChunks(rep, k) > 2 {
 				spanned = true
 			}
@@ -253,7 +253,8 @@ func TestRunHaloExchangeTrafficProperty(t *testing.T) {
 		if err != nil || rep.Len() < 16 {
 			return true // skip degenerate shapes
 		}
-		k := []int{2, 4, 8}[int(kRaw)%3]
+		ks := []int{2, 3, 4, 5, 6, 8}
+		k := ks[int(kRaw)%len(ks)]
 		obs, err := RunHaloExchange(g, rep, res, k, 4, 2)
 		if err != nil {
 			return false
@@ -300,7 +301,7 @@ func TestRunHaloExchangeMatchesSingleWorker(t *testing.T) {
 	if single.Messages != 0 {
 		t.Errorf("single worker sent %d messages", single.Messages)
 	}
-	for _, k := range []int{2, 4, 8} {
+	for _, k := range []int{2, 3, 4, 5, 6, 8} {
 		multi, err := RunHaloExchange(g, rep, res, k, 4, 3)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -68,6 +69,41 @@ func (m stagedGT) Forward(ctx *Context) *tensor.Tensor {
 	pooled := ctx.Readout(h)
 	ctx.Prof.Linear(pooled.Rows(), pooled.Cols(), m.cfg.OutDim)
 	return m.readout.Forward(pooled)
+}
+
+// forwardAttnStaged runs the attention block as composed ops: q/k/v/ê
+// projections, per-pair gathers (the GT's five edge-indexed scatters of
+// Table I), edge-modulated per-head scaled dot-product attention. It
+// returns the aggregated attention output and the per-pair modulated keys
+// k⊙ê, which the edge stream reduces per edge. It is the reference the
+// fused kernel is pinned against bit for bit.
+func (l *gtLayer) forwardAttnStaged(ctx *Context, h, e *tensor.Tensor, heads int) (att, kmod *tensor.Tensor) {
+	d := h.Cols()
+	dk := d / heads
+
+	qh := ctx.Linear(l.q, h)
+	kh := ctx.Linear(l.k, h)
+	vh := ctx.Linear(l.v, h)
+	eh := ctx.Linear(l.we, e)
+
+	qp := ctx.GatherRecv(qh)
+	kp := ctx.GatherSend(kh)
+	vp := ctx.GatherSend(vh)
+	ep := ctx.GatherEdges(eh)
+
+	kmod = tensor.Mul(kp, ep) // edge features modulate keys
+	headOuts := make([]*tensor.Tensor, heads)
+	scale := 1 / math.Sqrt(float64(dk))
+	for a := 0; a < heads; a++ {
+		qa := tensor.NarrowCols(qp, a*dk, dk)
+		ka := tensor.NarrowCols(kmod, a*dk, dk)
+		va := tensor.NarrowCols(vp, a*dk, dk)
+		score := tensor.Scale(tensor.RowDot(qa, ka), scale)
+		alpha := ctx.SegmentSoftmaxByRecv(score)
+		headOuts[a] = ctx.AggregateByRecv(tensor.MulColVec(va, alpha))
+	}
+	att = tensor.ConcatCols(headOuts...)
+	return att, kmod
 }
 
 // stagedGAT is the reference oracle for GAT, likewise.

@@ -1,7 +1,6 @@
 package models
 
 import (
-	"math"
 	"math/rand"
 
 	"mega/internal/nn"
@@ -131,42 +130,6 @@ func gtBlock[M any](p pass[M], ctx *Context, l *gtLayer, h, e M, cfg Config) (hO
 	eOut = stream(p, e, edgeAvg, l.oe, l.ffnE1, l.ffnE2, l.lnE1, l.lnE2)
 
 	return p.sync(hOut), eOut
-}
-
-// forwardAttnStaged runs the attention block as composed ops: q/k/v/ê
-// projections, per-pair gathers (the GT's five edge-indexed scatters of
-// Table I), edge-modulated per-head scaled dot-product attention. It
-// returns the aggregated attention output and the per-pair modulated keys
-// k⊙ê, which the edge stream reduces per edge. The shard engine runs it
-// (it needs the per-pair k⊙ê); it is also the reference the fused kernel
-// is pinned against bit for bit.
-func (l *gtLayer) forwardAttnStaged(ctx *Context, h, e *tensor.Tensor, heads int) (att, kmod *tensor.Tensor) {
-	d := h.Cols()
-	dk := d / heads
-
-	qh := ctx.Linear(l.q, h)
-	kh := ctx.Linear(l.k, h)
-	vh := ctx.Linear(l.v, h)
-	eh := ctx.Linear(l.we, e)
-
-	qp := ctx.GatherRecv(qh)
-	kp := ctx.GatherSend(kh)
-	vp := ctx.GatherSend(vh)
-	ep := ctx.GatherEdges(eh)
-
-	kmod = tensor.Mul(kp, ep) // edge features modulate keys
-	headOuts := make([]*tensor.Tensor, heads)
-	scale := 1 / math.Sqrt(float64(dk))
-	for a := 0; a < heads; a++ {
-		qa := tensor.NarrowCols(qp, a*dk, dk)
-		ka := tensor.NarrowCols(kmod, a*dk, dk)
-		va := tensor.NarrowCols(vp, a*dk, dk)
-		score := tensor.Scale(tensor.RowDot(qa, ka), scale)
-		alpha := ctx.SegmentSoftmaxByRecv(score)
-		headOuts[a] = ctx.AggregateByRecv(tensor.MulColVec(va, alpha))
-	}
-	att = tensor.ConcatCols(headOuts...)
-	return att, kmod
 }
 
 // stream runs one half of the block on its attention output x — the node

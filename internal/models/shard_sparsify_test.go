@@ -28,7 +28,7 @@ func TestShardForwardBitIdenticalSparsified(t *testing.T) {
 	for _, frac := range []float64{0.75, 0.5} {
 		m, ctx := sparsifiedShardSetup(t, 6, frac)
 		want := m.Forward(ctx)
-		for _, k := range []int{1, 2, 4, 8} {
+		for _, k := range []int{1, 2, 3, 4, 5, 8} {
 			eng, err := NewShardEngine(m, ctx, k)
 			if err != nil {
 				t.Fatalf("frac=%v k=%d: %v", frac, k, err)

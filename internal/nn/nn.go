@@ -138,35 +138,6 @@ func (m *MLP) Params() []*tensor.Tensor {
 	return append(m.L1.Params(), m.L2.Params()...)
 }
 
-// Replicate returns a view of the layer sharing the parameter Data slices
-// but carrying independent Grad buffers. The shard engine builds one
-// replica per chunk so each worker's tape accumulates gradients privately;
-// values stay in lockstep for free because the optimiser mutates the
-// shared Data in place.
-func (l *Linear) Replicate() *Linear {
-	return &Linear{W: replicaOf(l.W), B: replicaOf(l.B)}
-}
-
-// Replicate returns a grad-isolated, data-shared view (see Linear.Replicate).
-func (e *Embedding) Replicate() *Embedding {
-	return &Embedding{Table: replicaOf(e.Table)}
-}
-
-// Replicate returns a grad-isolated, data-shared view (see Linear.Replicate).
-func (n *Norm) Replicate() *Norm {
-	return &Norm{Gamma: replicaOf(n.Gamma), Beta: replicaOf(n.Beta), kind: n.kind}
-}
-
-// Replicate returns a grad-isolated, data-shared view (see Linear.Replicate).
-func (m *MLP) Replicate() *MLP {
-	return &MLP{L1: m.L1.Replicate(), L2: m.L2.Replicate()}
-}
-
-// replicaOf wraps p's backing data in a fresh trainable leaf.
-func replicaOf(p *tensor.Tensor) *tensor.Tensor {
-	return tensor.New(p.Rows(), p.Cols(), p.Data).RequireGrad()
-}
-
 // CollectParams flattens the parameters of many layers.
 func CollectParams(layers ...Layer) []*tensor.Tensor {
 	var out []*tensor.Tensor

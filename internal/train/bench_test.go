@@ -36,7 +36,7 @@ func BenchmarkTrainStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := step(ds.Task, model, opt, ctxs[0], nil); !ok {
+		if _, ok := step(ds.Task, model, opt, ctxs[0]); !ok {
 			b.Fatal("non-finite loss")
 		}
 	}

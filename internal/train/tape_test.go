@@ -12,13 +12,12 @@ import (
 //go:linkname tapePoison mega/internal/tensor.tapePoison
 var tapePoison bool
 
-// TestTapeReleaseLeavesNothingLive reruns the bit-identity gates with the
-// poison on: the pinned loss trajectories (tape-backed, threads 1 and 2)
-// and the sharded trajectories (heap-backed) must not move, so nothing
-// the trainer or optimiser reads after a Release lives on the tape.
+// TestTapeReleaseLeavesNothingLive reruns the bit-identity gate with the
+// poison on: the pinned loss trajectories (threads 1 and 2) must not move,
+// so nothing the trainer or optimiser reads after a Release lives on the
+// tape.
 func TestTapeReleaseLeavesNothingLive(t *testing.T) {
 	tapePoison = true
 	defer func() { tapePoison = false }()
 	TestLossTrajectoryMatchesPinned(t)
-	TestShardedTrainingTrajectoryBitIdentical(t)
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"os"
 	"time"
 
@@ -73,17 +72,6 @@ type Options struct {
 	// Optimiser moments are not checkpointed: the resumed run restarts
 	// Adam at the loaded parameters.
 	Resume bool
-	// Shards enables shard-parallel execution of the MEGA engine: each
-	// training batch runs forward and backward across Shards chunk
-	// workers (GT + EngineMega only; Shards must divide 8). The training
-	// trajectory is bit-identical at every Shards value >= 1 — Shards=1
-	// runs the same chunked engine on one worker — but differs from the
-	// Shards=0 monolithic path, whose gradient reductions accumulate in
-	// a different (equally valid) order. Contexts the planner rejects
-	// (path shorter than 8 chunks, window wider than a chunk) fall back
-	// to the monolithic path; the fallback is worker-count-independent,
-	// so trajectories stay comparable across Shards values. 0 disables.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -160,15 +148,6 @@ type Result struct {
 	// QuarantinedCheckpoints counts corrupt files quarantined while
 	// resuming.
 	QuarantinedCheckpoints int
-	// ShardFallbacks counts training contexts the shard planner rejected
-	// (path too short to cut into µchunks); those contexts trained through
-	// the monolithic path instead. Only meaningful when Options.Shards > 0.
-	ShardFallbacks int
-	// ShardFallbackReasons breaks ShardFallbacks down by cause:
-	// "unshardable" for structural rejections (models.ErrUnshardable — path too short, band
-	// wider than a µchunk), "error" for anything else. nil when nothing
-	// fell back.
-	ShardFallbackReasons map[string]int
 }
 
 // FinalMetric returns the last epoch's validation metric.
@@ -239,23 +218,6 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 		}
 	}
 
-	// Sharded execution: validated here, after any checkpoint resume, so
-	// shardGT always points at the model that will actually train.
-	var shardGT *models.GT
-	if opts.Shards > 0 {
-		if opts.Engine != models.EngineMega {
-			return nil, fmt.Errorf("train: sharded execution requires the MEGA engine")
-		}
-		if opts.Profile {
-			return nil, fmt.Errorf("train: sharded execution does not support profiling")
-		}
-		gt, ok := model.(*models.GT)
-		if !ok {
-			return nil, fmt.Errorf("train: sharded execution requires the GT model, got %s", opts.Model)
-		}
-		shardGT = gt
-	}
-
 	var sim *gpusim.Sim
 	if opts.Profile {
 		sim = gpusim.New(gpusim.GTX1080())
@@ -265,14 +227,9 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	valInsts := capInstances(ds.Val, opts.MaxVal)
 	// One arena for the whole run: every batch reuses the same scratch
 	// buffers, so the steady-state fused-attention path allocates nothing.
-	// One tape likewise holds each step's graph, released after the step;
-	// the shard engine's workers build their graphs concurrently, so a
-	// sharded run keeps the heap.
+	// One tape likewise holds each step's graph, released after the step.
 	arena := tensor.NewArena()
-	var tape *tensor.Tape
-	if opts.Shards == 0 {
-		tape = tensor.NewTape()
-	}
+	tape := tensor.NewTape()
 	trainCtxs, err := buildContexts(trainInsts, opts, sim, arena, tape)
 	if err != nil {
 		return nil, err
@@ -281,50 +238,11 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Per-context shard engines, built once and reused every epoch (the
-	// plan and parameter replicas are static; only tapes are per-step).
-	// A context the planner rejects keeps a nil engine and trains through
-	// the monolithic path — the rejection criteria are chunk-level, so a
-	// context falls back identically at every worker count.
-	var shardEngines []*models.ShardEngine
-	shardFallbacks := 0
-	var shardFallbackReasons map[string]int
-	if shardGT != nil {
-		shardEngines = make([]*models.ShardEngine, len(trainCtxs))
-		var fallbackErr error
-		for i, ctx := range trainCtxs {
-			if eng, err := models.NewShardEngine(shardGT, ctx, opts.Shards); err == nil {
-				shardEngines[i] = eng
-			} else {
-				shardFallbacks++
-				fallbackErr = err
-				reason := "error"
-				if errors.Is(err, models.ErrUnshardable) {
-					reason = "unshardable"
-				}
-				if shardFallbackReasons == nil {
-					shardFallbackReasons = make(map[string]int)
-				}
-				shardFallbackReasons[reason]++
-			}
-		}
-		if shardFallbacks > 0 {
-			// One line for the whole run, not one per context: the
-			// rejection criteria are chunk-level and static, so every epoch
-			// would repeat the same message. The reasons map attributes
-			// each fallback, so none is silent.
-			log.Printf("train: %d/%d contexts fell back to the monolithic engine (shards=%d, reasons=%v): %v",
-				shardFallbacks, len(trainCtxs), opts.Shards, shardFallbackReasons, fallbackErr)
-		}
-	}
-
 	opt := nn.NewAdam(model.Params(), opts.LR)
 	res := &Result{
 		Sim: sim, Params: opt.NumParams(), Task: ds.Task,
 		Model: model, ModelName: opts.Model, Config: cfg,
 		QuarantinedCheckpoints: quarantined,
-		ShardFallbacks:         shardFallbacks,
-		ShardFallbackReasons:   shardFallbackReasons,
 	}
 	if startEpoch > 1 {
 		res.ResumedEpoch = startEpoch - 1
@@ -337,12 +255,8 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	start := time.Now()
 	for epoch := startEpoch; epoch <= opts.Epochs; epoch++ {
 		trainLoss := 0.0
-		for i, ctx := range trainCtxs {
-			var eng *models.ShardEngine
-			if shardEngines != nil {
-				eng = shardEngines[i]
-			}
-			loss, ok := step(ds.Task, model, opt, ctx, eng)
+		for _, ctx := range trainCtxs {
+			loss, ok := step(ds.Task, model, opt, ctx)
 			if !ok {
 				// Divergence guard: a NaN/Inf loss poisons every later
 				// step; abort and report what completed.
@@ -392,28 +306,17 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// step runs one optimiser step on ctx — through eng when it is non-nil —
-// and releases the context's tape. It returns the step's loss, or false
-// without stepping when the loss is non-finite.
-func step(task datasets.Task, model models.Model, opt *nn.Adam, ctx *models.Context, eng *models.ShardEngine) (float64, bool) {
+// step runs one optimiser step on ctx and releases the context's tape. It
+// returns the step's loss, or false without stepping when the loss is
+// non-finite.
+func step(task datasets.Task, model models.Model, opt *nn.Adam, ctx *models.Context) (float64, bool) {
 	opt.ZeroGrad()
-	var out *tensor.Tensor
-	if eng != nil {
-		out = eng.Forward()
-	} else {
-		out = model.Forward(ctx)
-	}
+	out := model.Forward(ctx)
 	loss := lossFor(task, out, ctx)
 	if !loss.IsFinite() {
 		return 0, false
 	}
 	loss.Backward()
-	if eng != nil {
-		// loss.Backward seeded the readout and final-embedding
-		// gradients; the shard workers now push them through the
-		// layers and fold replica gradients into the model.
-		eng.Backward()
-	}
 	ctx.Prof.Backward()
 	opt.Step()
 	l := loss.Item()
