@@ -62,9 +62,9 @@ shard-check:
 # atomicity, and the serve /update end-to-end tests
 # (session continuation, forking, eviction, error taxonomy). It starts
 # with what every repair runs on: the traversal and band pinned byte for
-# byte to the recorded output of the hash-map walker they replaced, and
-# the three inputs that walker never returned on (a directed graph,
-# self loops under most-correlated and under FIFO revisits). It ends with
+# byte to the recorded output of the hash-map walker they replaced, the
+# directed graph that walker never returned on, and two graphs dense in
+# self loops, which must end fully covered. It ends with
 # predictions issued during an /update session: bit-identical to the
 # quiesced re-run and to a fresh server's from-scratch answer.
 dynamic-check:

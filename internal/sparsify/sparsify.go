@@ -105,32 +105,6 @@ func New(g *graph.Graph, opts Options) (*Plan, error) {
 	return p, nil
 }
 
-// Apply materialises the plan: a graph over the same vertex set holding
-// exactly the kept edges, in their original relative order (order
-// stability is what lets two independent edge filters compose
-// commutatively — see traverse.Run).
-func (p *Plan) Apply(g *graph.Graph) (*graph.Graph, error) {
-	kept := make([]graph.Edge, 0, p.Kept)
-	for i, e := range g.Edges() {
-		if p.Keep[i] {
-			kept = append(kept, e)
-		}
-	}
-	return graph.New(g.NumNodes(), kept, g.Directed())
-}
-
-// KeptWeights returns the reweighting coefficients aligned with the edge
-// list of Apply's output (kept edges only, original relative order).
-func (p *Plan) KeptWeights() []float64 {
-	out := make([]float64, 0, p.Kept)
-	for i, w := range p.Weight {
-		if p.Keep[i] {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // Scores approximates the effective resistance of every edge of g with the
 // random-projection sketch: for each of t probes, a signed edge vector
 // yⱼ = Σₑ ±(e_u − e_v)/√t is solved against the regularised Laplacian

@@ -140,40 +140,6 @@ func TestPlanFractionOneIsIdentity(t *testing.T) {
 	}
 }
 
-func TestApplyAndKeptWeights(t *testing.T) {
-	g := graph.ErdosRenyiM(rand.New(rand.NewSource(8)), 25, 80)
-	p, err := New(g, Options{Fraction: 0.5, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, err := p.Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sg.NumNodes() != g.NumNodes() {
-		t.Fatalf("apply changed node count: %d vs %d", sg.NumNodes(), g.NumNodes())
-	}
-	if sg.NumEdges() != p.Kept {
-		t.Fatalf("applied graph has %d edges, plan kept %d", sg.NumEdges(), p.Kept)
-	}
-	// Kept edges appear in original relative order.
-	want := make([]graph.Edge, 0, p.Kept)
-	for i, e := range g.Edges() {
-		if p.Keep[i] {
-			want = append(want, e)
-		}
-	}
-	got := sg.Edges()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("edge %d: got %v want %v (order not preserved)", i, got[i], want[i])
-		}
-	}
-	if w := p.KeptWeights(); len(w) != p.Kept {
-		t.Fatalf("KeptWeights length %d, want %d", len(w), p.Kept)
-	}
-}
-
 func TestBadFraction(t *testing.T) {
 	g := graph.MustNew(3, []graph.Edge{{Src: 0, Dst: 1}}, false)
 	for _, f := range []float64{0, -0.2, 1.5} {

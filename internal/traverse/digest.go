@@ -19,8 +19,8 @@ type OptionsDigest [sha256.Size]byte
 // Floats are rendered with %g, which is injective on float64 in Go.
 func (o Options) Digest() OptionsDigest {
 	return sha256.Sum256([]byte(fmt.Sprintf(
-		"mega/traverse-options.v1\nw=%d ec=%g de=%g ds=%d rp=%d ob=%d st=%d sd=%d sf=%g ss=%d\n",
-		o.Window, o.EdgeCoverage, o.DropEdges, o.DropStrategy, o.RevisitPolicy,
-		o.Objective, o.Start, o.Seed, o.SparsifyFraction, o.SparsifySeed,
+		"mega/traverse-options.v2\nw=%d ec=%g de=%g ds=%d st=%d sd=%d sf=%g ss=%d\n",
+		o.Window, o.EdgeCoverage, o.DropEdges, o.DropStrategy, o.Start, o.Seed,
+		o.SparsifyFraction, o.SparsifySeed,
 	)))
 }

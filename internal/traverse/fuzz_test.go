@@ -10,7 +10,7 @@ import (
 
 // FuzzTraverse drives the objective traversal over fuzzer-chosen random
 // multigraphs (independent uniform endpoints, so self loops and parallel
-// edges occur), windows, and policies, under a per-input deadline, and
+// edges occur) and windows, under a per-input deadline, and
 // checks the structural invariants every full-coverage path representation
 // must satisfy:
 //
@@ -26,23 +26,21 @@ import (
 //     figure Σ⌈d_i/ω⌉ − n counts one-sided coverage and is routinely
 //     beaten by real paths.)
 func FuzzTraverse(f *testing.F) {
-	f.Add(uint8(10), uint16(15), int64(1), uint8(0), uint8(0))
-	f.Add(uint8(5), uint16(10), int64(2), uint8(1), uint8(1))
-	f.Add(uint8(30), uint16(200), int64(3), uint8(3), uint8(2))
-	f.Add(uint8(1), uint16(0), int64(4), uint8(2), uint8(3))
-	f.Add(uint8(17), uint16(40), int64(-5), uint8(5), uint8(4))
-	f.Add(uint8(3), uint16(9), int64(6), uint8(1), uint8(1)) // dense in self loops, FIFO, ω=1
+	f.Add(uint8(10), uint16(15), int64(1), uint8(0))
+	f.Add(uint8(5), uint16(10), int64(2), uint8(1))
+	f.Add(uint8(30), uint16(200), int64(3), uint8(3))
+	f.Add(uint8(1), uint16(0), int64(4), uint8(2))
+	f.Add(uint8(17), uint16(40), int64(-5), uint8(5))
+	f.Add(uint8(3), uint16(9), int64(6), uint8(1)) // dense in self loops, ω=1
 
-	f.Fuzz(func(t *testing.T, nRaw uint8, mRaw uint16, seed int64, wRaw, policyRaw uint8) {
+	f.Fuzz(func(t *testing.T, nRaw uint8, mRaw uint16, seed int64, wRaw uint8) {
 		n := int(nRaw)%40 + 1
 		m := int(mRaw) % (3*n + 1)
 		g := RandomMultigraph(rand.New(rand.NewSource(seed)), n, m)
 		opts := Options{
-			Window:        int(wRaw) % 6, // 0 selects the adaptive window
-			EdgeCoverage:  1,
-			Start:         -1,
-			RevisitPolicy: RevisitPolicy(int(policyRaw) % 3),
-			Objective:     Objective(int(policyRaw/3) % 2),
+			Window:       int(wRaw) % 6, // 0 selects the adaptive window
+			EdgeCoverage: 1,
+			Start:        -1,
 		}
 		res := RunWithin(t, 10*time.Second, g, opts)
 

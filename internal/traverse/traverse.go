@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"mega/internal/graph"
@@ -62,16 +61,6 @@ type Options struct {
 	// endpoints have the most alternative connections first — the
 	// SparseGAT-inspired sparsity exploration of §IV-B8.
 	DropStrategy DropStrategy
-	// RevisitPolicy selects which pending vertex a revisit returns to
-	// when the local pools are exhausted. The zero value is RevisitLIFO,
-	// the paper's stack ("the topmost vertex popped from the stack is the
-	// most correlated to the recently traversed path").
-	RevisitPolicy RevisitPolicy
-	// Objective selects the candidate-ranking function. The zero value
-	// is ObjectiveCorrelate, the paper's Eq. (2); ObjectiveCoverage ranks
-	// by how many *uncovered* edges the candidate would close, a greedy
-	// variant that packs more edges per appearance.
-	Objective Objective
 	// Start pins the starting vertex. Negative selects the default:
 	// the highest-degree vertex (ties to the lowest ID), a deterministic
 	// choice that tends to anchor the path in a dense cluster.
@@ -125,11 +114,6 @@ type Result struct {
 	// the sparsifier rejected. TotalEdges + DroppedEdges + SparsifiedEdges
 	// equals the original edge count.
 	SparsifiedEdges int
-	// SparsifyWeights holds the importance-sampling reweighting (1/pₑ)
-	// aligned with Graph's edge list when SparsifyFraction was active, nil
-	// otherwise. Downstream consumers that want the Laplacian-preserving
-	// estimator scale edge contributions by these.
-	SparsifyWeights []float64
 	// Revisits is len(Path) minus the number of distinct vertices.
 	Revisits int
 	// VirtualEdges counts true entries of Virtual.
@@ -256,15 +240,14 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 // filtering), the resolved window, start vertex and coverage target, and
 // the decision loop's state.
 type walker struct {
-	t            *traversal
-	work         *graph.Graph
-	omega        int
-	start        graph.NodeID
-	target       int
-	dropped      int
-	sparsified   int
-	sparsWeights []float64
-	sources      []StepSource
+	t          *traversal
+	work       *graph.Graph
+	omega      int
+	start      graph.NodeID
+	target     int
+	dropped    int
+	sparsified int
+	sources    []StepSource
 }
 
 // newWalker validates options, applies edge dropping and sparsification,
@@ -297,7 +280,6 @@ func newWalker(g *graph.Graph, opts Options) (*walker, error) {
 
 	work := g
 	dropped, sparsified := 0, 0
-	var sparsWeights []float64
 	dropOn := opts.DropEdges > 0
 	sparsOn := opts.SparsifyFraction > 0 && opts.SparsifyFraction < 1
 	if dropOn || sparsOn {
@@ -319,10 +301,8 @@ func newWalker(g *graph.Graph, opts Options) (*walker, error) {
 				}
 			}
 		}
-		var plan *sparsify.Plan
 		if sparsOn {
-			var err error
-			plan, err = sparsify.New(g, sparsify.Options{Fraction: opts.SparsifyFraction, Seed: opts.SparsifySeed})
+			plan, err := sparsify.New(g, sparsify.Options{Fraction: opts.SparsifyFraction, Seed: opts.SparsifySeed})
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
 			}
@@ -341,14 +321,6 @@ func newWalker(g *graph.Graph, opts Options) (*walker, error) {
 				kept = append(kept, e)
 			}
 		}
-		if sparsOn {
-			sparsWeights = make([]float64, 0, len(kept))
-			for i := range keep {
-				if keep[i] {
-					sparsWeights = append(sparsWeights, plan.Weight[i])
-				}
-			}
-		}
 		var err error
 		work, err = graph.New(g.NumNodes(), kept, g.Directed())
 		if err != nil {
@@ -362,8 +334,6 @@ func newWalker(g *graph.Graph, opts Options) (*walker, error) {
 	}
 
 	t := newTraversal(work, omega)
-	t.revisit = opts.RevisitPolicy
-	t.objective = opts.Objective
 	start := opts.Start
 	if start < 0 {
 		start = maxDegreeVertex(work)
@@ -371,14 +341,13 @@ func newWalker(g *graph.Graph, opts Options) (*walker, error) {
 		return nil, fmt.Errorf("%w: start vertex %d out of range", ErrBadOptions, start)
 	}
 	return &walker{
-		t:            t,
-		work:         work,
-		omega:        omega,
-		start:        start,
-		target:       int(opts.EdgeCoverage * float64(work.NumEdges())),
-		dropped:      dropped,
-		sparsified:   sparsified,
-		sparsWeights: sparsWeights,
+		t:          t,
+		work:       work,
+		omega:      omega,
+		start:      start,
+		target:     int(opts.EdgeCoverage * float64(work.NumEdges())),
+		dropped:    dropped,
+		sparsified: sparsified,
 	}, nil
 }
 
@@ -444,7 +413,6 @@ func (w *walker) result() *Result {
 		TotalEdges:      w.work.NumEdges(),
 		DroppedEdges:    w.dropped,
 		SparsifiedEdges: w.sparsified,
-		SparsifyWeights: w.sparsWeights,
 		Graph:           w.work,
 	}
 	res.Revisits = len(t.path) - (w.work.NumNodes() - t.numUnvisited)
@@ -478,8 +446,6 @@ type traversal struct {
 	numUnvisited int
 	stack        []graph.NodeID
 	onStack      []bool
-	revisit      RevisitPolicy
-	objective    Objective
 
 	path    []graph.NodeID
 	virtual []bool
@@ -490,12 +456,6 @@ type traversal struct {
 	score    []int32
 
 	covered int
-
-	// Revisit-livelock detection, see livelocked.
-	popLen, popCovered  int
-	stall               int
-	snapStack, snapTail []graph.NodeID
-	draining            bool
 }
 
 func newTraversal(g *graph.Graph, omega int) *traversal {
@@ -519,7 +479,6 @@ func newTraversal(g *graph.Graph, omega int) *traversal {
 		numUnvisited: n,
 		path:         make([]graph.NodeID, 0, n+n/2),
 		virtual:      make([]bool, 0, n+n/2),
-		popLen:       -1,
 	}
 	for v := 0; v < n; v++ {
 		t.unvisited[v] = true
@@ -612,43 +571,11 @@ func (t *traversal) visit(v graph.NodeID, isVirtual bool) {
 	}
 }
 
-// Objective selects the candidate-ranking function.
-type Objective int
-
-// Objectives.
-const (
-	// ObjectiveCorrelate ranks by Eq. (2): neighbours in the trailing
-	// window (the paper's objective).
-	ObjectiveCorrelate Objective = iota
-	// ObjectiveCoverage ranks by the number of uncovered edges appending
-	// the candidate would close — greedy edge packing.
-	ObjectiveCoverage
-)
-
-// String implements fmt.Stringer.
-func (o Objective) String() string {
-	if o == ObjectiveCoverage {
-		return "coverage"
-	}
-	return "correlate"
-}
-
-// correlate ranks a candidate under the configured objective. The default
-// implements Eq. (2): the number of v's original neighbours among the
-// trailing ω path entries (counting window multiplicity, so a neighbour
-// appearing twice in the window scores twice — it will be attended twice).
-// The coverage objective counts only window members whose edge to v is
-// still uncovered.
+// correlate ranks a candidate by Eq. (2): the number of v's original
+// neighbours among the trailing ω path entries (counting window
+// multiplicity, so a neighbour appearing twice in the window scores twice —
+// it will be attended twice).
 func (t *traversal) correlate(v graph.NodeID) int {
-	if t.objective == ObjectiveCoverage {
-		score := 0
-		for _, s := range t.liveSlots(v) {
-			if t.inWindow[t.nbr[s]] > 0 {
-				score++
-			}
-		}
-		return score
-	}
 	return int(t.score[v])
 }
 
@@ -703,134 +630,20 @@ func (t *traversal) bestWindowCoveringUnvisited() (graph.NodeID, bool) {
 	return best, true
 }
 
-// RevisitPolicy selects the pending-vertex order for revisits.
-type RevisitPolicy int
-
-// Revisit policies.
-const (
-	// RevisitLIFO pops the most recently deferred vertex (the paper's
-	// stack design).
-	RevisitLIFO RevisitPolicy = iota
-	// RevisitFIFO dequeues the oldest deferred vertex — the ablation
-	// contrast showing why recency matters for window correlation.
-	RevisitFIFO
-	// RevisitMostCorrelated scans all pending vertices for the one with
-	// the highest correlate() score — slower per step but revisits land
-	// closest to their remaining neighbourhoods.
-	RevisitMostCorrelated
-)
-
-// String implements fmt.Stringer.
-func (p RevisitPolicy) String() string {
-	switch p {
-	case RevisitFIFO:
-		return "fifo"
-	case RevisitMostCorrelated:
-		return "correlated"
-	default:
-		return "lifo"
-	}
-}
-
-// popStack discards exhausted pending entries and selects the next revisit
-// vertex per the configured policy.
+// popStack discards exhausted pending entries and returns the topmost
+// vertex that still has uncovered incident edges: the paper's stack, whose
+// top is the pending vertex most correlated with the recently traversed
+// path.
 func (t *traversal) popStack() (graph.NodeID, bool) {
-	policy := t.revisit
-	if policy == RevisitLIFO {
-		return t.pop(policy)
-	}
-	if t.livelocked() {
-		policy = RevisitLIFO
-	}
-	v, ok := t.pop(policy)
-	if ok {
-		t.popLen, t.popCovered = len(t.path), t.covered
-	} else {
-		t.popLen, t.draining = -1, false
-	}
-	return v, ok
-}
-
-// livelocked reports whether the revisits of a non-LIFO policy have
-// entered a cycle, and keeps reporting it until the stack has drained. A
-// self loop is covered only by revisiting its vertex while the vertex is
-// still in the window. LIFO does that by popping the vertex twice in a
-// row; the other policies can alternate between two or more such vertices
-// forever. A revisit that covers nothing changes only the stack order and
-// the window, so meeting an earlier (stack, window) pair again inside one
-// run of such revisits proves the walk periodic; the comparison point is
-// re-anchored at every power-of-two run length (Brent), which finds any
-// cycle and fires on no walk that would have terminated. From there the
-// pending vertices are popped LIFO, two visits each.
-func (t *traversal) livelocked() bool {
-	if t.draining {
-		return true
-	}
-	if len(t.path) == t.popLen+1 && t.covered == t.popCovered {
-		t.stall++
-	} else {
-		t.stall = 0
-	}
-	if t.stall < 2 {
-		return false
-	}
-	tail := t.path[max(0, len(t.path)-t.omega):]
-	if t.stall&(t.stall-1) == 0 {
-		t.snapStack = append(t.snapStack[:0], t.stack...)
-		t.snapTail = append(t.snapTail[:0], tail...)
-		return false
-	}
-	t.draining = slices.Equal(t.snapStack, t.stack) && slices.Equal(t.snapTail, tail)
-	return t.draining
-}
-
-func (t *traversal) pop(policy RevisitPolicy) (graph.NodeID, bool) {
-	switch policy {
-	case RevisitFIFO:
-		for len(t.stack) > 0 {
-			head := t.stack[0]
-			t.stack = t.stack[1:]
-			t.onStack[head] = false
-			if t.liveLen[head] > 0 {
-				return head, true
-			}
+	for len(t.stack) > 0 {
+		top := t.stack[len(t.stack)-1]
+		t.stack = t.stack[:len(t.stack)-1]
+		t.onStack[top] = false
+		if t.liveLen[top] > 0 {
+			return top, true
 		}
-		return 0, false
-	case RevisitMostCorrelated:
-		bestIdx := -1
-		bestScore := -1
-		// Compact exhausted entries while scanning.
-		live := t.stack[:0]
-		for _, v := range t.stack {
-			if t.liveLen[v] == 0 {
-				t.onStack[v] = false
-				continue
-			}
-			live = append(live, v)
-			if s := t.correlate(v); s > bestScore {
-				bestScore = s
-				bestIdx = len(live) - 1
-			}
-		}
-		t.stack = live
-		if bestIdx < 0 {
-			return 0, false
-		}
-		v := t.stack[bestIdx]
-		t.stack = append(t.stack[:bestIdx], t.stack[bestIdx+1:]...)
-		t.onStack[v] = false
-		return v, true
-	default: // RevisitLIFO
-		for len(t.stack) > 0 {
-			top := t.stack[len(t.stack)-1]
-			t.stack = t.stack[:len(t.stack)-1]
-			t.onStack[top] = false
-			if t.liveLen[top] > 0 {
-				return top, true
-			}
-		}
-		return 0, false
 	}
+	return 0, false
 }
 
 // bestUnvisited returns the unvisited vertex maximising correlate(),

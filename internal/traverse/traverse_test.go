@@ -284,14 +284,14 @@ func TestRunRejectsDirectedGraph(t *testing.T) {
 }
 
 // A self loop is covered by revisiting its vertex while it is still in the
-// window. With two or more such vertices pending and ω = 1, FIFO and
-// most-correlated revisits used to alternate between them forever.
+// window; the stack pops such a vertex twice in a row. The two inputs below,
+// at ω = 1, are dense in self loops and parallel edges. The tests are named
+// after the FIFO and most-correlated revisit orders, since removed, which
+// alternated between two pending self-loop vertices forever on them; the
+// one (LIFO) traversal must cover every distinct pair on both.
 func TestSelfLoopsTerminateUnderMostCorrelated(t *testing.T) {
 	g := graph.MustNew(2, []graph.Edge{{Src: 1, Dst: 1}, {Src: 0, Dst: 0}, {Src: 1, Dst: 0}, {Src: 1, Dst: 0}}, false)
-	res := RunWithin(t, 5*time.Second, g, Options{Window: 1, EdgeCoverage: 1, Start: -1, RevisitPolicy: RevisitMostCorrelated})
-	if want := DistinctPairs(g); res.CoveredEdges != want {
-		t.Errorf("covered %d of %d distinct pairs, path %v", res.CoveredEdges, want, res.Path)
-	}
+	checkSelfLoopsCovered(t, g)
 }
 
 func TestSelfLoopsTerminateUnderFIFO(t *testing.T) {
@@ -299,7 +299,12 @@ func TestSelfLoopsTerminateUnderFIFO(t *testing.T) {
 		{Src: 0, Dst: 1}, {Src: 0, Dst: 0}, {Src: 2, Dst: 4}, {Src: 3, Dst: 3},
 		{Src: 0, Dst: 1}, {Src: 3, Dst: 3}, {Src: 0, Dst: 0}, {Src: 0, Dst: 3},
 	}, false)
-	res := RunWithin(t, 5*time.Second, g, Options{Window: 1, EdgeCoverage: 1, Start: -1, RevisitPolicy: RevisitFIFO})
+	checkSelfLoopsCovered(t, g)
+}
+
+func checkSelfLoopsCovered(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	res := RunWithin(t, 5*time.Second, g, Options{Window: 1, EdgeCoverage: 1, Start: -1})
 	if want := DistinctPairs(g); res.CoveredEdges != want {
 		t.Errorf("covered %d of %d distinct pairs, path %v", res.CoveredEdges, want, res.Path)
 	}
@@ -537,95 +542,5 @@ func TestDropStrategiesDiffer(t *testing.T) {
 func TestDropStrategyString(t *testing.T) {
 	if DropRandom.String() != "random" || DropRedundant.String() != "redundant" {
 		t.Error("drop strategy strings wrong")
-	}
-}
-
-func TestRevisitPoliciesAllValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g := graph.BarabasiAlbert(rng, 80, 3)
-	for _, p := range []RevisitPolicy{RevisitLIFO, RevisitFIFO, RevisitMostCorrelated} {
-		t.Run(p.String(), func(t *testing.T) {
-			res, err := Run(g, Options{EdgeCoverage: 1, RevisitPolicy: p, Start: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkInvariants(t, g, res, true)
-			if res.EdgeCoverageRatio() != 1 {
-				t.Errorf("%s coverage = %v, want 1", p, res.EdgeCoverageRatio())
-			}
-		})
-	}
-}
-
-func TestRevisitPolicyString(t *testing.T) {
-	if RevisitLIFO.String() != "lifo" || RevisitFIFO.String() != "fifo" || RevisitMostCorrelated.String() != "correlated" {
-		t.Error("revisit policy strings wrong")
-	}
-}
-
-// BenchmarkAblationRevisitPolicy compares revisit counts across policies on
-// a power-law graph — the DESIGN.md "LIFO stack vs FIFO queue" ablation.
-func BenchmarkAblationRevisitPolicy(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := graph.BarabasiAlbert(rng, 1000, 3)
-	for _, p := range []RevisitPolicy{RevisitLIFO, RevisitFIFO, RevisitMostCorrelated} {
-		b.Run(p.String(), func(b *testing.B) {
-			var revisits, pathLen int
-			for i := 0; i < b.N; i++ {
-				res, err := Run(g, Options{EdgeCoverage: 1, RevisitPolicy: p, Start: -1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				revisits = res.Revisits
-				pathLen = res.Len()
-			}
-			b.ReportMetric(float64(revisits), "revisits")
-			b.ReportMetric(float64(pathLen), "pathlen")
-		})
-	}
-}
-
-func TestObjectiveCoverageValidAndTighter(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := graph.BarabasiAlbert(rng, 200, 3)
-	base, err := Run(g, Options{EdgeCoverage: 1, Start: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := Run(g, Options{EdgeCoverage: 1, Objective: ObjectiveCoverage, Start: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, g, greedy, true)
-	if greedy.EdgeCoverageRatio() != 1 {
-		t.Fatalf("greedy coverage = %v", greedy.EdgeCoverageRatio())
-	}
-	t.Logf("expansion: correlate %.2f vs coverage %.2f",
-		base.Expansion(g.NumNodes()), greedy.Expansion(g.NumNodes()))
-}
-
-func TestObjectiveString(t *testing.T) {
-	if ObjectiveCorrelate.String() != "correlate" || ObjectiveCoverage.String() != "coverage" {
-		t.Error("objective strings wrong")
-	}
-}
-
-// BenchmarkAblationObjective contrasts the paper's correlation objective
-// with greedy uncovered-edge packing.
-func BenchmarkAblationObjective(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := graph.BarabasiAlbert(rng, 1000, 3)
-	for _, o := range []Objective{ObjectiveCorrelate, ObjectiveCoverage} {
-		b.Run(o.String(), func(b *testing.B) {
-			var revisits int
-			for i := 0; i < b.N; i++ {
-				res, err := Run(g, Options{EdgeCoverage: 1, Objective: o, Start: -1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				revisits = res.Revisits
-			}
-			b.ReportMetric(float64(revisits), "revisits")
-		})
 	}
 }
