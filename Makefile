@@ -57,10 +57,11 @@ shard-check:
 
 # dynamic-check runs the mutation-subsystem gates: the differential fuzz
 # corpus (maintained rep bit-identical to a from-scratch rebuild after
-# random add/remove streams, including fused batches), prediction
-# bit-identity through the monolithic and sharded engines, batch
-# atomicity, and the serve /update end-to-end tests
-# (session continuation, forking, eviction, error taxonomy). It starts
+# random add/remove streams, including fused batches, and dynamic.Apply
+# equal to ApplyBatch), prediction bit-identity through the monolithic and
+# sharded engines, batch atomicity, and the serve /update end-to-end tests
+# (chains, concurrent forks, evicted fingerprints, rejected batches and
+# bases, error taxonomy). It starts
 # with what every repair runs on: the traversal and band pinned byte for
 # byte to the recorded output of the hash-map walker they replaced, the
 # directed graph that walker never returned on, and two graphs dense in
@@ -69,9 +70,9 @@ shard-check:
 # quiesced re-run and to a fresh server's from-scratch answer.
 dynamic-check:
 	$(GO) test ./internal/traverse/ -run 'TestTraversalMatchesPinnedDigests|TestRunRejectsDirectedGraph|TestSelfLoopsTerminate' -count=1
-	$(GO) test ./internal/dynamic/ -run 'TestPredictionBitIdentity|TestAdoptedRepPredictionIdentity|TestBatchAtomicity' -count=1
+	$(GO) test ./internal/dynamic/ -run 'TestPredictionBitIdentity|TestAppliedRepPredictionIdentity|TestBatchAtomicity|TestApply' -count=1
 	$(GO) test ./internal/dynamic/ -run '^$$' -fuzz FuzzMaintainerEquivalence -fuzztime 10s
-	$(GO) test ./internal/serve/ -run 'TestUpdate|TestMutatorPool|TestMixedPredictUpdateBitIdentity' -count=1
+	$(GO) test ./internal/serve/ -run 'TestUpdate|TestMixedPredictUpdateBitIdentity' -count=1
 
 # precision-check runs the float32 fast-path gates: the SIMD kernels
 # pinned bit-for-bit against their scalar references, the matmul row

@@ -20,7 +20,6 @@
 //	          [-checkpoint-dir dir] [-queue 256] [-deadline 0]
 //	          [-max-deadline 0] [-breaker-threshold 5]
 //	          [-breaker-cooldown 500ms] [-grace 5s]
-//	          [-mutation-sessions 64]
 //	          [-sparsify f] [-sparsify-seed s]
 //
 // -checkpoint-dir serves the newest good checkpoint from a megatrain
@@ -50,8 +49,9 @@
 // of edge inserts/deletes against a cached fingerprint is applied, the
 // successor graph is preprocessed once, and its representation is published
 // under the successor fingerprint, so the next /predict of the mutated
-// graph is a cache hit. -mutation-sessions bounds the resident mutable
-// lineages.
+// graph is a cache hit. A lineage lives in the representation cache
+// (-cache): an evicted fingerprint gets 404 and is revived by re-sending
+// the graph as "base".
 package main
 
 import (
@@ -99,7 +99,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive preprocessing failures that trip the fallback circuit breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", 500*time.Millisecond, "first breaker open window before a half-open probe")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown drain grace before queued requests are failed")
-	mutationSessions := fs.Int("mutation-sessions", 64, "resident /update mutation sessions (graph lineages kept warm)")
 	sparsify := fs.Float64("sparsify", 0, "effective-resistance keep fraction in (0,1] for MEGA preprocessing (0 = off)")
 	sparsifySeed := fs.Int64("sparsify-seed", 1, "sparsifier seed")
 	if err := fs.Parse(args); err != nil {
@@ -118,7 +117,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 		ShutdownGrace:    *grace,
-		MutationSessions: *mutationSessions,
 		Precision:        *precision,
 	}.WithCacheCapacity(*cacheCap)
 	if *sparsify > 0 {

@@ -201,8 +201,8 @@ func run(args []string) error {
 	if err := getJSON(base+"/metrics", &snap); err != nil {
 		return err
 	}
-	fmt.Printf("\n/metrics: updates %d, mutations %d, sessions %d, repair p50 %.2fms\n",
-		snap.Updates, snap.MutationsApplied, snap.MutationSessions, snap.RepairLatency.P50Ms)
+	fmt.Printf("\n/metrics: updates %d, mutations %d, cached reps %d, repair p50 %.2fms\n",
+		snap.Updates, snap.MutationsApplied, snap.Cache.Size, snap.RepairLatency.P50Ms)
 	fmt.Println("reading: a batch of any size costs one re-preprocess of the mutated")
 	fmt.Println("graph, and /update publishes the result, so the serving cache stays")
 	fmt.Println("hot across the whole mutation stream.")

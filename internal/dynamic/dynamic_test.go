@@ -36,7 +36,25 @@ func canonicalMismatch(m *Maintainer) string {
 	if err != nil {
 		return "fresh preprocess failed: " + err.Error()
 	}
-	rep := m.Rep()
+	return repDiff(m.Rep(), m.Result(), fresh, freshRes)
+}
+
+// checkFresh verifies that rep/res is the from-scratch preprocess of
+// res.Graph under opts.
+func checkFresh(t *testing.T, rep *band.Rep, res *traverse.Result, opts traverse.Options) {
+	t.Helper()
+	fresh, freshRes, err := band.FromGraph(res.Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := repDiff(rep, res, fresh, freshRes); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// repDiff compares two preprocess outputs field for field and names the
+// first difference ("" when they agree).
+func repDiff(rep *band.Rep, res *traverse.Result, fresh *band.Rep, freshRes *traverse.Result) string {
 	if !reflect.DeepEqual(rep.Path, fresh.Path) {
 		return "path differs from fresh preprocess"
 	}
@@ -53,7 +71,9 @@ func canonicalMismatch(m *Maintainer) string {
 	if !reflect.DeepEqual(rep.Positions, fresh.Positions) {
 		return "positions index differs from fresh preprocess"
 	}
-	res := m.Result()
+	if !reflect.DeepEqual(res.Graph.Edges(), freshRes.Graph.Edges()) {
+		return "traversed edge list differs from fresh preprocess"
+	}
 	if !reflect.DeepEqual(res.Path, freshRes.Path) ||
 		!reflect.DeepEqual(res.Virtual, freshRes.Virtual) ||
 		!reflect.DeepEqual(res.Source, freshRes.Source) {
@@ -253,7 +273,9 @@ func TestBatchRejectsRemoveOfBatchAdd(t *testing.T) {
 	}
 }
 
-func TestAdopt(t *testing.T) {
+// Apply on a prepared rep's graph returns the successor's from-scratch
+// preprocess and leaves the base untouched, whatever the outcome.
+func TestApplyOnPreparedRep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.ErdosRenyiM(rng, 30, 60)
 	opts := traverse.DefaultOptions()
@@ -261,44 +283,51 @@ func TestAdopt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Adopt(rep, res, opts)
+	path := append([]graph.NodeID(nil), rep.Path...)
+	edges := append([]graph.Edge(nil), res.Graph.Edges()...)
+	var adds [][2]graph.NodeID
+	for v := graph.NodeID(1); len(adds) == 0; v++ {
+		if !g.HasEdge(0, v) {
+			adds = append(adds, [2]graph.NodeID{0, v})
+		}
+	}
+	e0 := g.EdgeAt(0)
+	next, nextRes, err := Apply(res.Graph, opts, [][2]graph.NodeID{{e0.Src, e0.Dst}}, adds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rep() != rep {
-		t.Error("adopt should reuse the prepared rep without re-traversing")
+	checkFresh(t, next, nextRes, opts)
+	if nextRes.Graph.NumEdges() != g.NumEdges() || nextRes.Graph.HasEdge(e0.Src, e0.Dst) {
+		t.Error("successor graph does not reflect the batch")
 	}
-	if _, err := m.AddEdge(0, 29); err != nil && !errors.Is(err, ErrEdgeExists) {
-		t.Fatal(err)
+	// A rejected batch and an empty one return nothing.
+	if r, rr, err := Apply(res.Graph, opts, nil, [][2]graph.NodeID{{e0.Src, e0.Dst}, {e0.Dst, e0.Src}}); !errors.Is(err, ErrEdgeExists) || r != nil || rr != nil {
+		t.Errorf("duplicate add: %v, %v, %v; want nil, nil, ErrEdgeExists", r, rr, err)
 	}
-	checkCanonical(t, m)
-	// The adopted structures must never be modified (copy-on-write).
-	if !reflect.DeepEqual(rep.Path, res.Path) {
-		t.Error("adopted rep mutated")
+	if r, rr, err := Apply(res.Graph, opts, nil, nil); err != nil || r != nil || rr != nil {
+		t.Errorf("empty batch: %v, %v, %v; want nil, nil, nil", r, rr, err)
+	}
+	// The base is never modified (copy-on-write).
+	if !reflect.DeepEqual(rep.Path, path) || !reflect.DeepEqual(res.Graph.Edges(), edges) {
+		t.Error("Apply mutated its base")
 	}
 }
 
-// Adopt reads no step trace: a rep whose Result carries no Source is
-// adopted as is, and the next batch rebuilds it canonically.
-func TestAdoptNeedsNoSource(t *testing.T) {
+// Apply reads only the base graph: a prepared rep whose Result carries no
+// step trace applies as is, and the successor is canonical.
+func TestApplyNeedsNoSource(t *testing.T) {
 	g := graph.Cycle(10)
 	opts := traverse.DefaultOptions()
-	rep, res, err := band.FromGraph(g, opts)
+	_, res, err := band.FromGraph(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Source = nil
-	m, err := Adopt(rep, res, opts)
+	next, nextRes, err := Apply(res.Graph, opts, nil, [][2]graph.NodeID{{0, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rep() != rep {
-		t.Error("adopt re-traversed a rep without a step trace")
-	}
-	if _, err := m.AddEdge(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	checkCanonical(t, m)
+	checkFresh(t, next, nextRes, opts)
 }
 
 func TestUnsupportedConfigurations(t *testing.T) {
@@ -307,6 +336,9 @@ func TestUnsupportedConfigurations(t *testing.T) {
 	}
 	if _, err := NewMaintainer(graph.Cycle(5), traverse.Options{SparsifyFraction: 0.5}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("sparsification: %v", err)
+	}
+	if _, _, err := Apply(graph.Cycle(5), traverse.Options{SparsifyFraction: 0.5}, nil, [][2]graph.NodeID{{0, 2}}); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("Apply under sparsification: %v", err)
 	}
 	dg, err := graph.New(3, []graph.Edge{{Src: 0, Dst: 1}}, true)
 	if err != nil {

@@ -14,8 +14,10 @@ import (
 // FuzzMaintainerEquivalence drives random AddEdge/RemoveEdge sequences and
 // fused batches — including removals of edges earlier updates inserted —
 // and asserts the maintained rep is byte-identical to a from-scratch
-// preprocess of the live graph, mid-stream and at the end. This is the
-// corpus the dynamic-check CI gate runs.
+// preprocess of the live graph, mid-stream and at the end, and that every
+// batch's Apply on the previous graph equals the maintainer's ApplyBatch
+// field for field (the same rejections included). This is the corpus the
+// dynamic-check CI gate runs.
 func FuzzMaintainerEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(int64(42), []byte{1, 1, 1, 1, 0, 0, 0, 0, 9, 9})
@@ -25,7 +27,8 @@ func FuzzMaintainerEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 10 + int(uint64(seed)%10)
 		g := graph.ErdosRenyiM(rng, n, 2*n)
-		m, err := NewMaintainer(g, traverse.DefaultOptions())
+		opts := traverse.DefaultOptions()
+		m, err := NewMaintainer(g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,11 +36,11 @@ func FuzzMaintainerEquivalence(f *testing.F) {
 			ops = ops[:64]
 		}
 		for _, b := range ops {
+			var rm, ad [][2]graph.NodeID
 			if b&16 != 0 {
 				// Fused multi-mutation batch: grow a batch greedily,
 				// keeping only mutations the batch validator accepts, then
 				// apply it through the single-repair path.
-				var rm, ad [][2]graph.NodeID
 				for j := 0; j < int(b&7)+2; j++ {
 					u := graph.NodeID(rng.Intn(n))
 					v := graph.NodeID(rng.Intn(n))
@@ -46,31 +49,40 @@ func FuzzMaintainerEquivalence(f *testing.F) {
 					}
 					e := [2]graph.NodeID{u, v}
 					if j&1 == 0 {
-						if m.ValidateBatch(rm, append(ad, e)) == nil {
+						if validateBatch(m.Graph(), rm, append(ad, e)) == nil {
 							ad = append(ad, e)
 						}
 					} else {
-						if m.ValidateBatch(append(rm, e), ad) == nil {
+						if validateBatch(m.Graph(), append(rm, e), ad) == nil {
 							rm = append(rm, e)
 						}
 					}
 				}
-				if _, err := m.ApplyBatch(rm, ad); err != nil {
-					t.Fatalf("validated batch rejected: %v", err)
-				}
 			} else {
+				// One AddEdge or RemoveEdge; duplicate/missing edges are
+				// expected misses.
 				u := graph.NodeID(rng.Intn(n))
 				v := graph.NodeID(rng.Intn(n))
 				if u == v {
 					continue
 				}
 				if b&1 == 0 {
-					_, err = m.AddEdge(u, v)
+					ad = [][2]graph.NodeID{{u, v}}
 				} else {
-					_, err = m.RemoveEdge(u, v)
+					rm = [][2]graph.NodeID{{u, v}}
 				}
-				if err != nil {
-					continue // duplicate/missing edges are expected misses
+			}
+			rep, res, applyErr := Apply(m.Graph(), opts, rm, ad)
+			_, err := m.ApplyBatch(rm, ad)
+			if (err == nil) != (applyErr == nil) || (err != nil && err.Error() != applyErr.Error()) {
+				t.Fatalf("ApplyBatch error %v, Apply error %v", err, applyErr)
+			}
+			if b&16 != 0 && err != nil {
+				t.Fatalf("validated batch rejected: %v", err)
+			}
+			if rep != nil {
+				if msg := repDiff(rep, res, m.Rep(), m.Result()); msg != "" {
+					t.Fatalf("Apply vs ApplyBatch: %s", msg)
 				}
 			}
 			if b&7 == 7 {
@@ -182,17 +194,14 @@ func TestPredictionBitIdentity(t *testing.T) {
 	assertBitsEqual(t, "sharded vs monolithic", gotSharded, want)
 }
 
-// TestAdoptedRepPredictionIdentity mirrors the serving flow: adopt a cached
-// PreparedRep, mutate, and compare against a full re-preprocess.
-func TestAdoptedRepPredictionIdentity(t *testing.T) {
+// TestAppliedRepPredictionIdentity mirrors the serving flow: PrepareMega a
+// base (the rep /update finds in the cache), Apply a batch to its graph,
+// predict on the successor, and compare against a full re-preprocess.
+func TestAppliedRepPredictionIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.BarabasiAlbert(rng, 60, 2)
 	opts := models.MegaOptions{}
 	prep, err := models.PrepareMega(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Adopt(prep.Rep, prep.Res, opts.TraverseOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,20 +214,27 @@ func TestAdoptedRepPredictionIdentity(t *testing.T) {
 		}
 	}
 	e0 := g.EdgeAt(0)
-	if _, err := m.ApplyBatch([][2]graph.NodeID{{e0.Src, e0.Dst}}, adds); err != nil {
+	rep, res, err := Apply(prep.Res.Graph, opts.TraverseOptions(), [][2]graph.NodeID{{e0.Src, e0.Dst}}, adds)
+	if err != nil {
 		t.Fatal(err)
 	}
-	checkCanonical(t, m)
+	fresh, err := models.PrepareMega(res.Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := repDiff(rep, res, fresh.Rep, fresh.Res); msg != "" {
+		t.Fatal(msg)
+	}
 
 	model := models.NewGT(models.Config{
 		Dim: 16, Layers: 1, Heads: 2, NodeTypes: 4, EdgeTypes: 4, OutDim: 1, Seed: 9,
 	})
-	inst := buildInstance(m)
-	fresh, err := models.PrepareMega(m.Graph(), opts)
-	if err != nil {
-		t.Fatal(err)
+	inst := datasets.Instance{
+		G:        res.Graph,
+		NodeFeat: make([]int32, res.Graph.NumNodes()),
+		EdgeFeat: make([]int32, res.Graph.NumEdges()),
 	}
-	got := forwardWith(t, model, inst, &models.PreparedRep{Rep: m.Rep(), Res: m.Result()})
+	got := forwardWith(t, model, inst, &models.PreparedRep{Rep: rep, Res: res})
 	want := forwardWith(t, model, inst, fresh)
-	assertBitsEqual(t, "adopted", got, want)
+	assertBitsEqual(t, "applied", got, want)
 }

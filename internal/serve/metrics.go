@@ -201,14 +201,13 @@ type Metrics struct {
 	updates          atomic.Uint64 // /update requests
 	updateErrors     atomic.Uint64 // /update requests that failed
 	mutationsApplied atomic.Uint64 // individual edge mutations committed
-	sessionAdoptions atomic.Uint64 // sessions created from snapshot/base
 
 	queue      histogram
 	preprocess histogram
 	forward    histogram
 	total      histogram
-	update     histogram // whole /update request, including session setup
-	repair     histogram // ApplyBatch alone: validation and one rebuild
+	update     histogram // whole /update request, including base resolution
+	repair     histogram // dynamic.Apply alone: validation and one rebuild
 }
 
 // NewMetrics creates a metrics registry anchored at now.
@@ -257,8 +256,6 @@ type Snapshot struct {
 	Updates          uint64 `json:"updates"`
 	UpdateErrors     uint64 `json:"update_errors"`
 	MutationsApplied uint64 `json:"mutations_applied"`
-	SessionAdoptions uint64 `json:"session_adoptions"`
-	MutationSessions int    `json:"mutation_sessions"`
 
 	Cache CacheStats `json:"cache"`
 
@@ -312,7 +309,6 @@ func (m *Metrics) Snapshot(cache CacheStats, withBuckets bool) Snapshot {
 		Updates:          m.updates.Load(),
 		UpdateErrors:     m.updateErrors.Load(),
 		MutationsApplied: m.mutationsApplied.Load(),
-		SessionAdoptions: m.sessionAdoptions.Load(),
 
 		QueueLatency:      m.queue.snapshot(withBuckets),
 		PreprocessLatency: m.preprocess.snapshot(withBuckets),

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"mega/internal/dynamic"
@@ -15,108 +13,28 @@ import (
 )
 
 // The mutation subsystem turns the server's read-only representation cache
-// into a versioned store over evolving graphs: POST /update applies an edge
-// insert/delete batch against a cached fingerprint, rebuilds the path
-// representation of the successor graph once (dynamic.Maintainer), and
-// publishes it under the successor fingerprint so the next /predict of the
-// mutated graph is a cache hit.
+// into a versioned store over evolving graphs: POST /update resolves the
+// base PreparedRep from the cache (or preprocesses an inline base), runs
+// dynamic.Apply on it — validate the edge insert/delete batch, rebuild the
+// successor graph's path representation once — and publishes the result
+// under the successor fingerprint, so the next /predict of the mutated graph
+// is a cache hit.
 //
-// Sessions are copy-on-write by construction: a dynamic.Maintainer never
-// mutates a committed rep in place, so the PreparedRep snapshots published
-// into the RepCache stay immutable and safe to share with in-flight forward
-// passes. Concurrent updates against the same base fingerprint fork — the
-// first request takes the live session, later ones re-adopt from the cached
-// snapshot — so every client observes a consistent lineage.
+// A lineage is nothing but its reps in the cache. Apply never mutates its
+// base, so published reps stay immutable and safe to share with in-flight
+// forward passes, concurrent updates against one fingerprint simply fork,
+// and no update holds state that another one could find half applied.
 
 // Mutation subsystem errors (beyond the dynamic package's own taxonomy).
 var (
-	// ErrUnknownFingerprint rejects an update whose base fingerprint is in
-	// neither the session pool nor the representation cache; HTTP maps it
-	// to 404 — the client must re-send the full graph via "base".
+	// ErrUnknownFingerprint rejects an update whose base fingerprint is not
+	// in the representation cache (never seen, or evicted); HTTP maps it to
+	// 404 — the client must re-send the full graph via "base".
 	ErrUnknownFingerprint = errors.New("serve: unknown base fingerprint")
 	// ErrMutationDisabled rejects updates on servers that cannot maintain
 	// path representations (non-MEGA engine); HTTP maps it to 501.
 	ErrMutationDisabled = errors.New("serve: mutation requires the MEGA engine")
 )
-
-// mutSession is one mutable lineage: a maintainer plus the lock that
-// serialises batches against it. The pool hands a session to at most one
-// request at a time (take removes it, put re-homes it) and its lock orders
-// those hand-overs, so the mutex is never contended: it keeps a session's
-// batches serial for any caller that holds one outside the pool.
-type mutSession struct {
-	mu sync.Mutex
-	m  *dynamic.Maintainer
-}
-
-// mutatorPool is an LRU of mutation sessions keyed by their current
-// (pre-update) fingerprint. Capacity bounds resident maintainers — each
-// holds a live graph and its representation — independently of the
-// RepCache, whose entries stay cheap immutable snapshots.
-type mutatorPool struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List
-	items    map[graph.Fingerprint]*list.Element
-}
-
-type mutEntry struct {
-	key  graph.Fingerprint
-	sess *mutSession
-}
-
-func newMutatorPool(capacity int) *mutatorPool {
-	return &mutatorPool{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[graph.Fingerprint]*list.Element),
-	}
-}
-
-// take removes and returns the session for key, if resident. Removal is the
-// fork point: a concurrent update against the same fingerprint misses here
-// and re-adopts from the immutable cache snapshot instead of racing.
-func (p *mutatorPool) take(key graph.Fingerprint) (*mutSession, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.items[key]
-	if !ok {
-		return nil, false
-	}
-	p.order.Remove(el)
-	delete(p.items, key)
-	return el.Value.(*mutEntry).sess, true
-}
-
-// put re-homes a session under its successor fingerprint, evicting the
-// least recently touched lineage beyond capacity. Evicted sessions are
-// simply dropped: their published snapshots remain in the RepCache, so the
-// lineage can be re-adopted later at the cost of one Adopt.
-func (p *mutatorPool) put(key graph.Fingerprint, sess *mutSession) {
-	if p.capacity <= 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.items[key]; ok {
-		el.Value.(*mutEntry).sess = sess
-		p.order.MoveToFront(el)
-		return
-	}
-	for p.order.Len() >= p.capacity {
-		oldest := p.order.Back()
-		p.order.Remove(oldest)
-		delete(p.items, oldest.Value.(*mutEntry).key)
-	}
-	p.items[key] = p.order.PushFront(&mutEntry{key: key, sess: sess})
-}
-
-// Len reports resident sessions (the mutation_sessions gauge).
-func (p *mutatorPool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.order.Len()
-}
 
 // UpdateRequest is the POST /update JSON body. The base representation is
 // addressed either by the fingerprint of a previously served or updated
@@ -151,10 +69,6 @@ type UpdateResponse struct {
 	// NumNodes (the paper's path-expansion diagnostic).
 	PathLen   int     `json:"path_len"`
 	Expansion float64 `json:"expansion"`
-	// Adopted reports that this update started a fresh session (from a
-	// cached snapshot or the supplied base) rather than continuing a
-	// resident one.
-	Adopted bool `json:"adopted"`
 }
 
 // Update applies one mutation batch and publishes the successor
@@ -182,113 +96,80 @@ func (s *Server) update(req UpdateRequest) (UpdateResponse, error) {
 		return UpdateResponse{}, ErrClosed
 	}
 
-	sess, adopted, err := s.resolveSession(req)
+	base, err := s.resolveBase(req)
 	if err != nil {
 		return UpdateResponse{}, err
 	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-
 	removes := pairList(req.Remove)
 	adds := pairList(req.Add)
 	t0 := time.Now()
-	_, err = sess.m.ApplyBatch(removes, adds)
+	rep, res, err := dynamic.Apply(base.Res.Graph, s.opts.Mega.TraverseOptions(), removes, adds)
 	s.metrics.repair.observe(time.Since(t0))
 	if err != nil {
-		// Validation failures leave the maintainer untouched; keep the
-		// session resident under its unchanged fingerprint so the lineage
-		// survives a bad batch. Internal failures poison the maintainer
-		// (dynamic.ErrBroken thereafter), so those sessions are dropped —
-		// the lineage re-adopts from its last published snapshot.
-		if isMutationValidationErr(err) {
-			s.mutators.put(sess.m.Fingerprint(), sess)
-		}
 		return UpdateResponse{}, err
+	}
+	next := base // an empty batch rebuilds nothing
+	if rep != nil {
+		next = &models.PreparedRep{Rep: rep, Res: res}
 	}
 	s.metrics.mutationsApplied.Add(uint64(len(removes) + len(adds)))
 
-	next := sess.m.Fingerprint()
+	g := next.Res.Graph
+	fp := g.Fingerprint()
 	resp := UpdateResponse{
-		Fingerprint: next.String(),
-		NumNodes:    sess.m.NumNodes(),
-		NumEdges:    sess.m.NumEdges(),
-		PathLen:     len(sess.m.Result().Path),
-		Adopted:     adopted,
+		Fingerprint: fp.String(),
+		NumNodes:    g.NumNodes(),
+		NumEdges:    g.NumEdges(),
+		PathLen:     len(next.Res.Path),
 	}
 	if resp.NumNodes > 0 {
 		resp.Expansion = float64(resp.PathLen) / float64(resp.NumNodes)
 	}
-
-	// Publish the successor snapshot so /predict of the mutated graph is a
-	// cache hit, then re-home the session under the new fingerprint. The
-	// snapshot shares no mutable state with the session: every batch builds
-	// a fresh rep and swaps pointers.
-	s.cache.Put(s.repKey(next), &models.PreparedRep{Rep: sess.m.Rep(), Res: sess.m.Result()})
-	s.mutators.put(next, sess)
+	// Publish the successor so /predict of the mutated graph is a cache hit
+	// and the next update of the lineage can address it.
+	s.cache.Put(s.repKey(fp), next)
 	return resp, nil
 }
 
-// resolveSession finds or creates the mutable lineage for a request's base:
-// a resident session by fingerprint, an Adopt of a cached snapshot, or a
-// fresh maintainer over the supplied base graph (whose representation is
-// published immediately, making the base itself cache-hot).
-func (s *Server) resolveSession(req UpdateRequest) (*mutSession, bool, error) {
+// resolveBase finds the representation a request's batch applies to: the
+// cached rep of its fingerprint, or of its inline base graph. A base the
+// cache does not hold is checked against dynamic's contract, preprocessed
+// and published, which makes the base itself cache-hot; a refused base
+// publishes nothing.
+func (s *Server) resolveBase(req UpdateRequest) (*models.PreparedRep, error) {
 	hasFP := req.Fingerprint != ""
 	if hasFP == (req.Base != nil) {
-		return nil, false, fmt.Errorf("%w: exactly one of fingerprint or base is required", ErrInvalidInstance)
+		return nil, fmt.Errorf("%w: exactly one of fingerprint or base is required", ErrInvalidInstance)
 	}
 	if hasFP {
 		fp, err := graph.ParseFingerprint(req.Fingerprint)
 		if err != nil {
-			return nil, false, fmt.Errorf("%w: %v", ErrInvalidInstance, err)
-		}
-		if sess, ok := s.mutators.take(fp); ok {
-			return sess, false, nil
+			return nil, fmt.Errorf("%w: %v", ErrInvalidInstance, err)
 		}
 		prep, ok := s.cache.Get(s.repKey(fp))
 		if !ok {
-			return nil, false, fmt.Errorf("%w: %s", ErrUnknownFingerprint, req.Fingerprint)
+			return nil, fmt.Errorf("%w: %s", ErrUnknownFingerprint, req.Fingerprint)
 		}
-		m, err := dynamic.Adopt(prep.Rep, prep.Res, s.opts.Mega.TraverseOptions())
-		if err != nil {
-			return nil, false, err
-		}
-		s.metrics.sessionAdoptions.Add(1)
-		return &mutSession{m: m}, true, nil
+		return prep, nil
 	}
 
 	inst, err := req.Base.Instance()
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrInvalidInstance, err)
+		return nil, fmt.Errorf("%w: %v", ErrInvalidInstance, err)
 	}
-	fp := inst.G.Fingerprint()
-	if sess, ok := s.mutators.take(fp); ok {
-		return sess, false, nil
+	key := s.repKey(inst.G.Fingerprint())
+	if prep, ok := s.cache.Get(key); ok {
+		return prep, nil
 	}
-	var m *dynamic.Maintainer
-	if prep, ok := s.cache.Get(s.repKey(fp)); ok {
-		m, err = dynamic.Adopt(prep.Rep, prep.Res, s.opts.Mega.TraverseOptions())
-	} else {
-		m, err = dynamic.NewMaintainer(inst.G, s.opts.Mega.TraverseOptions())
-		if err == nil {
-			s.cache.Put(s.repKey(fp), &models.PreparedRep{Rep: m.Rep(), Res: m.Result()})
-		}
+	if err := dynamic.Supported(inst.G, s.opts.Mega.TraverseOptions()); err != nil {
+		return nil, err
 	}
+	prep, err := models.PrepareMega(inst.G, s.opts.Mega)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	s.metrics.sessionAdoptions.Add(1)
-	return &mutSession{m: m}, true, nil
-}
-
-// isMutationValidationErr reports whether an ApplyBatch error came from
-// batch validation (maintainer state untouched) rather than a mid-repair
-// internal failure.
-func isMutationValidationErr(err error) bool {
-	return errors.Is(err, dynamic.ErrEdgeExists) ||
-		errors.Is(err, dynamic.ErrEdgeMissing) ||
-		errors.Is(err, dynamic.ErrVertexRange) ||
-		errors.Is(err, dynamic.ErrSelfLoop)
+	s.cache.Put(key, prep)
+	return prep, nil
 }
 
 func pairList(edges [][2]int32) [][2]graph.NodeID {

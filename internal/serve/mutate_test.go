@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -130,9 +131,6 @@ func TestUpdateEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/update = %d: %s", code, raw)
 	}
-	if !up.Adopted {
-		t.Error("first update should report a fresh adoption")
-	}
 
 	// Client-side reconstruction of the canonical successor graph.
 	mutated := mutatedEdges(t, base, removes, adds)
@@ -193,9 +191,6 @@ func TestUpdateEndToEnd(t *testing.T) {
 	if snap.MutationsApplied != uint64(len(removes)+len(adds)) {
 		t.Errorf("mutations_applied=%d, want %d", snap.MutationsApplied, len(removes)+len(adds))
 	}
-	if snap.MutationSessions != 1 || snap.SessionAdoptions != 1 {
-		t.Errorf("sessions=%d adoptions=%d, want 1/1", snap.MutationSessions, snap.SessionAdoptions)
-	}
 	if snap.UpdateLatency.Count != 1 || snap.RepairLatency.Count != 1 {
 		t.Errorf("update/repair latency counts %d/%d, want 1/1",
 			snap.UpdateLatency.Count, snap.RepairLatency.Count)
@@ -210,10 +205,10 @@ func graphFromPairs(n int, pairs [][2]int32) (*graph.Graph, error) {
 	return graph.New(n, edges, false)
 }
 
-// TestUpdateSessionContinuation chains updates by fingerprint: the second
-// batch must find the resident session (Adopted=false) and the lineage's
-// final state must equal applying both batches to the base.
-func TestUpdateSessionContinuation(t *testing.T) {
+// TestUpdateChainAndFork chains updates by fingerprint: the lineage's final
+// state must equal applying both batches to the base, and re-applying the
+// second batch to the superseded fingerprint must converge on it.
+func TestUpdateChainAndFork(t *testing.T) {
 	s, ds, _ := trainedServer(t, Options{MaxBatch: 1})
 	inst := ds.Val[2]
 	g := inst.G
@@ -235,9 +230,6 @@ func TestUpdateSessionContinuation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up2.Adopted {
-		t.Error("second update should continue the resident session")
-	}
 	mutated := mutatedEdges(t, base, nil, adds)
 	mg, err := graphFromPairs(g.NumNodes(), mutated)
 	if err != nil {
@@ -246,17 +238,11 @@ func TestUpdateSessionContinuation(t *testing.T) {
 	if mg.Fingerprint().String() != up2.Fingerprint {
 		t.Error("chained updates diverged from applying both batches at once")
 	}
-	if s.MetricsSnapshot(false).SessionAdoptions != 1 {
-		t.Error("continuation should not re-adopt")
-	}
 
-	// Re-addressing an older fingerprint forks from its cached snapshot.
+	// Re-addressing an older fingerprint forks from its cached rep.
 	up3, err := s.Update(UpdateRequest{Fingerprint: up1.Fingerprint, Add: adds[1:]})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !up3.Adopted {
-		t.Error("update against a superseded fingerprint should fork via adoption")
 	}
 	if up3.Fingerprint != up2.Fingerprint {
 		t.Error("fork applying the same batch must converge to the same successor")
@@ -344,44 +330,206 @@ func TestUpdateErrorMapping(t *testing.T) {
 	}
 }
 
-// TestMutatorPoolEviction bounds resident lineages and confirms evicted
-// ones remain addressable through their cached snapshots.
-func TestMutatorPoolEviction(t *testing.T) {
-	s, ds, _ := trainedServer(t, Options{MaxBatch: 1, MutationSessions: 2})
-	fps := make([]string, 0, 3)
-	for i := 0; i < 3; i++ {
-		inst := ds.Val[i]
-		g := inst.G
-		base := make([][2]int32, g.NumEdges())
-		for j := range base {
-			e := g.EdgeAt(j)
-			base[j] = [2]int32{e.Src, e.Dst}
+func edgePairs(g *graph.Graph) [][2]int32 {
+	out := make([][2]int32, g.NumEdges())
+	for i := range out {
+		e := g.EdgeAt(i)
+		out[i] = [2]int32{e.Src, e.Dst}
+	}
+	return out
+}
+
+// TestUpdateConcurrentFork sends two different batches against one
+// fingerprint at once. Both land, each forking the cached base, and each
+// successor predicts bit-equal to a fresh server that preprocessed it from
+// scratch.
+func TestUpdateConcurrentFork(t *testing.T) {
+	s, ds, _ := trainedServer(t, Options{MaxBatch: 2, Workers: 2})
+	inst := ds.Val[1]
+	g := inst.G
+	base := edgePairs(g)
+	// An empty batch publishes the base and names its fingerprint.
+	up0, err := s.Update(UpdateRequest{Base: &GraphRequest{NumNodes: g.NumNodes(), Edges: base}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up0.Fingerprint != g.Fingerprint().String() {
+		t.Fatalf("empty batch moved the lineage to %s", up0.Fingerprint)
+	}
+	_, adds := pickMutations(t, g, 0, 2)
+	reqs := []UpdateRequest{
+		{Fingerprint: up0.Fingerprint, Add: adds[:1]},
+		{Fingerprint: up0.Fingerprint, Remove: base[:1], Add: adds[1:]},
+	}
+	ups := make([]UpdateResponse, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			ups[i], errs[i] = s.Update(reqs[i])
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	fresh, err := New(s.model, s.meta, Options{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for i, req := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("fork %d: %v", i, errs[i])
 		}
-		_, adds := pickMutations(t, g, 0, 1)
-		up, err := s.Update(UpdateRequest{
-			Base: &GraphRequest{NumNodes: g.NumNodes(), Edges: base},
-			Add:  adds,
-		})
+		mg, err := graphFromPairs(g.NumNodes(), mutatedEdges(t, base, req.Remove, req.Add))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fps = append(fps, up.Fingerprint)
+		if got := mg.Fingerprint().String(); got != ups[i].Fingerprint {
+			t.Fatalf("fork %d: server successor %s, client mirror %s", i, ups[i].Fingerprint, got)
+		}
+		mi := datasets.Instance{G: mg, NodeFeat: inst.NodeFeat, EdgeFeat: make([]int32, mg.NumEdges())}
+		got, err := s.Predict(mi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.CacheHit {
+			t.Errorf("fork %d: predict missed the published successor", i)
+		}
+		want, err := fresh.Predict(mi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBits(t, fmt.Sprintf("fork %d vs fresh server", i), got.Output, want.Output)
 	}
-	if n := s.mutators.Len(); n != 2 {
-		t.Errorf("pool holds %d sessions, want capacity 2", n)
+	if ups[0].Fingerprint == ups[1].Fingerprint {
+		t.Error("different batches on one base converged")
 	}
-	// The first lineage was evicted; updating it must re-adopt from its
-	// published snapshot, not 404.
-	g0 := ds.Val[0].G
-	var rm [][2]int32
-	e := g0.EdgeAt(0)
-	rm = append(rm, [2]int32{e.Src, e.Dst})
-	up, err := s.Update(UpdateRequest{Fingerprint: fps[0], Remove: rm})
+}
+
+// TestUpdateEvictedFingerprint pins that a lineage lives in the rep cache:
+// once its fingerprint is evicted an update gets 404, and re-sending the
+// graph as "base" revives it. With caching disabled no fingerprint can be
+// continued at all.
+func TestUpdateEvictedFingerprint(t *testing.T) {
+	s, ds, _ := trainedServer(t, Options{MaxBatch: 1}.WithCacheCapacity(2))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	g := ds.Val[0].G
+	base := edgePairs(g)
+	_, adds := pickMutations(t, g, 0, 2)
+	up, err := s.Update(UpdateRequest{Base: &GraphRequest{NumNodes: g.NumNodes(), Edges: base}, Add: adds[:1]})
 	if err != nil {
-		t.Fatalf("update of evicted lineage: %v", err)
+		t.Fatal(err)
 	}
-	if !up.Adopted {
-		t.Error("evicted lineage should re-adopt")
+	// Two other graphs push the base and its successor out.
+	for _, inst := range ds.Val[1:3] {
+		if _, err := s.Predict(inst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := UpdateRequest{Fingerprint: up.Fingerprint, Add: adds[1:]}
+	if code, raw := postJSON(t, ts.URL+"/update", next, nil); code != http.StatusNotFound {
+		t.Fatalf("evicted fingerprint: HTTP %d, want 404 (%s)", code, raw)
+	}
+	mutated := mutatedEdges(t, base, nil, adds[:1])
+	revived, err := s.Update(UpdateRequest{Base: &GraphRequest{NumNodes: g.NumNodes(), Edges: mutated}, Add: adds[1:]})
+	if err != nil {
+		t.Fatalf("revive by base: %v", err)
+	}
+	mg, err := graphFromPairs(g.NumNodes(), mutatedEdges(t, mutated, nil, adds[1:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if revived.Fingerprint != mg.Fingerprint().String() {
+		t.Error("revived lineage diverged from the client mirror")
+	}
+	if _, err := s.Update(next); err != nil {
+		t.Errorf("revived fingerprint not addressable: %v", err)
+	}
+
+	uncached, err := New(s.model, s.meta, Options{MaxBatch: 1}.WithCacheCapacity(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uncached.Close()
+	up, err = uncached.Update(UpdateRequest{Base: &GraphRequest{NumNodes: g.NumNodes(), Edges: base}, Add: adds[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := uncached.Update(UpdateRequest{Fingerprint: up.Fingerprint, Add: adds[1:]}); !errors.Is(err, ErrUnknownFingerprint) {
+		t.Errorf("continuation without a cache: %v, want ErrUnknownFingerprint", err)
+	}
+}
+
+// TestUpdateRejectedBatchPublishesNothing sends batches the validator
+// refuses against a published fingerprint: none may add a cache entry, and
+// the unchanged fingerprint still takes a valid batch.
+func TestUpdateRejectedBatchPublishesNothing(t *testing.T) {
+	s, ds, _ := trainedServer(t, Options{MaxBatch: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	g := ds.Val[4].G
+	up0, err := s.Update(UpdateRequest{Base: &GraphRequest{NumNodes: g.NumNodes(), Edges: edgePairs(g)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.CacheStats().Size
+	e0 := g.EdgeAt(0)
+	_, adds := pickMutations(t, g, 0, 1)
+	n := int32(g.NumNodes())
+	cases := []struct {
+		name string
+		req  UpdateRequest
+		want int
+	}{
+		{"duplicate add", UpdateRequest{Add: [][2]int32{{e0.Src, e0.Dst}}}, http.StatusConflict},
+		{"missing remove", UpdateRequest{Remove: adds}, http.StatusConflict},
+		{"add twice", UpdateRequest{Add: [][2]int32{adds[0], adds[0]}}, http.StatusConflict},
+		{"self loop", UpdateRequest{Add: [][2]int32{adds[0], {1, 1}}}, http.StatusBadRequest},
+		{"vertex out of range", UpdateRequest{Add: [][2]int32{adds[0], {0, n}}}, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		tc.req.Fingerprint = up0.Fingerprint
+		if code, raw := postJSON(t, ts.URL+"/update", tc.req, nil); code != tc.want {
+			t.Errorf("%s: HTTP %d, want %d (%s)", tc.name, code, tc.want, raw)
+		}
+		if got := s.CacheStats().Size; got != before {
+			t.Errorf("%s: cache holds %d reps, want %d", tc.name, got, before)
+		}
+	}
+	if _, err := s.Update(UpdateRequest{Fingerprint: up0.Fingerprint, Add: adds}); err != nil {
+		t.Fatalf("valid batch after rejections: %v", err)
+	}
+	if got := s.CacheStats().Size; got != before+1 {
+		t.Errorf("cache holds %d reps after a valid batch, want %d", got, before+1)
+	}
+}
+
+// TestUpdateNonSimpleBase refuses a base with a parallel edge or a self
+// loop (501) and publishes nothing for it.
+func TestUpdateNonSimpleBase(t *testing.T) {
+	s, ds, _ := trainedServer(t, Options{MaxBatch: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	g := ds.Val[5].G
+	base := edgePairs(g)
+	_, adds := pickMutations(t, g, 0, 1)
+	for name, edges := range map[string][][2]int32{
+		"parallel edge": append(slices.Clone(base), [2]int32{base[0][1], base[0][0]}),
+		"self loop":     append(slices.Clone(base), [2]int32{0, 0}),
+	} {
+		req := UpdateRequest{Base: &GraphRequest{NumNodes: g.NumNodes(), Edges: edges}, Add: adds}
+		if code, raw := postJSON(t, ts.URL+"/update", req, nil); code != http.StatusNotImplemented {
+			t.Errorf("%s: HTTP %d, want 501 (%s)", name, code, raw)
+		}
+	}
+	if got := s.CacheStats().Size; got != 0 {
+		t.Errorf("refused bases left %d cached reps, want 0", got)
 	}
 }
 

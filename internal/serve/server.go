@@ -70,11 +70,6 @@ type Options struct {
 	// a digest of these options, so servers with different preprocessing
 	// can never alias each other's reps.
 	Mega models.MegaOptions
-	// MutationSessions bounds the POST /update session pool: how many
-	// mutable graph lineages (live maintainers, each a graph and its rep) stay
-	// resident between updates. Evicted lineages re-adopt from their last
-	// published cache snapshot on the next update (default 64).
-	MutationSessions int
 	// Precision selects the inference arithmetic: PrecisionF64 (default)
 	// runs the training-grade float64 forward; PrecisionF32 serves MEGA
 	// batches through the frozen float32 fast path (checkpoint parameters
@@ -157,9 +152,6 @@ func (o Options) withDefaults() Options {
 	if o.ShutdownGrace <= 0 {
 		o.ShutdownGrace = 5 * time.Second
 	}
-	if o.MutationSessions <= 0 {
-		o.MutationSessions = 64
-	}
 	if o.Precision == "" {
 		o.Precision = PrecisionF64
 	}
@@ -203,10 +195,9 @@ type Server struct {
 	// repOpts is the digest of the effective traverse/sparsify options,
 	// computed once; combined with each graph's topology fingerprint it
 	// forms the rep-cache key.
-	repOpts  traverse.OptionsDigest
-	metrics  *Metrics
-	breaker  *breaker
-	mutators *mutatorPool
+	repOpts traverse.OptionsDigest
+	metrics *Metrics
+	breaker *breaker
 	// queue is the bounded admission queue (Options.QueueDepth): PredictCtx
 	// sends without blocking and sheds when it is full; free workers
 	// receive from it.
@@ -272,7 +263,6 @@ func New(model models.Model, meta train.Checkpoint, opts Options) (*Server, erro
 		repOpts:      opts.Mega.TraverseOptions().Digest(),
 		metrics:      NewMetrics(),
 		queue:        make(chan *pending, opts.QueueDepth),
-		mutators:     newMutatorPool(opts.MutationSessions),
 		arena:        tensor.NewArena(),
 		shutdownDone: make(chan struct{}),
 	}
@@ -365,7 +355,6 @@ func (s *Server) MetricsSnapshot(withBuckets bool) Snapshot {
 	snap := s.metrics.Snapshot(s.cache.Stats(), withBuckets)
 	snap.Arena = s.arena.Stats()
 	snap.Precision = s.opts.Precision
-	snap.MutationSessions = s.mutators.Len()
 	snap.Breaker = string(s.breaker.State())
 	snap.QueueDepth = len(s.queue)
 	snap.QueueCapacity = cap(s.queue)

@@ -9,10 +9,11 @@
 // unit conductances; edges whose endpoints have few alternative routes
 // (bridges, tree edges) have R ≈ 1 and are structurally irreplaceable,
 // while edges inside dense clusters share current across many parallel
-// paths and score low. Sampling edge e with probability proportional to
-// R(e) and reweighting survivors by 1/pₑ preserves the graph's Laplacian
-// quadratic form in expectation (Spielman–Srivastava) — the property that
-// makes aggressive keep fractions survivable for attention quality.
+// paths and score low. Edge e is kept with probability pₑ proportional to
+// R(e), so the sampler thins clusters and spares bridges. Survivors are
+// kept unweighted: Spielman–Srivastava's 1/pₑ reweighting, which would
+// preserve the Laplacian quadratic form in expectation, is not applied,
+// because the traversal reads topology only.
 //
 // Scores are approximated with the standard random-projection sketch:
 // t random ±1/√t signed edge probes are pushed through the incidence
@@ -48,14 +49,14 @@ const (
 // ErrBadFraction rejects keep fractions outside (0, 1].
 var ErrBadFraction = errors.New("sparsify: keep fraction outside (0, 1]")
 
-// Options configures a sparsification plan.
+// Options configures a sparsification.
 type Options struct {
 	// Fraction is the target keep fraction in (0, 1]: the sampler aims to
-	// keep Fraction·m edges in expectation. 1 keeps every edge (weights
-	// all 1) — the identity plan.
+	// keep Fraction·m edges in expectation. 1 keeps every edge — the
+	// identity.
 	Fraction float64
-	// Seed drives the probe signs and the per-edge keep decisions. Plans
-	// are bit-reproducible for a fixed (graph, Options) pair.
+	// Seed drives the probe signs and the per-edge keep decisions. Keep
+	// masks are bit-reproducible for a fixed (graph, Options) pair.
 	Seed int64
 	// Probes is the number of random ±1 probe vectors (0 selects
 	// DefaultProbes). More probes sharpen the score estimates.
@@ -65,44 +66,22 @@ type Options struct {
 	Iterations int
 }
 
-// Plan is a computed sparsification: per-edge keep decisions over a
-// graph's COO edge list, with importance-sampling reweighting for the
-// survivors. Slices are indexed by the original edge order.
-type Plan struct {
-	// Keep[i] reports that edge i survives.
-	Keep []bool
-	// Weight[i] is the reweighting 1/pᵢ for kept edges (≥ 1 up to float
-	// rounding) and 0 for removed ones; pᵢ is the keep probability the
-	// sampler used, so the reweighted Laplacian matches the original in
-	// expectation.
-	Weight []float64
-	// Scores holds the approximate effective resistance of every edge.
-	Scores []float64
-	// Kept counts true entries of Keep.
-	Kept int
-}
-
 // New scores g's edges by approximate effective resistance and samples a
 // keep set of expected size Fraction·m, deterministically under the seed.
-func New(g *graph.Graph, opts Options) (*Plan, error) {
+// keep[i] reports that COO edge i survives; survivors carry no weight.
+func New(g *graph.Graph, opts Options) ([]bool, error) {
 	if opts.Fraction <= 0 || opts.Fraction > 1 {
 		return nil, fmt.Errorf("%w: %v", ErrBadFraction, opts.Fraction)
 	}
-	m := g.NumEdges()
-	p := &Plan{Keep: make([]bool, m), Weight: make([]float64, m)}
-	if m == 0 {
-		return p, nil
+	keep := make([]bool, g.NumEdges())
+	if len(keep) == 0 {
+		return keep, nil
 	}
-	p.Scores = Scores(g, opts.Probes, opts.Iterations, opts.Seed)
-	probs := keepProbabilities(p.Scores, opts.Fraction)
+	probs := keepProbabilities(Scores(g, opts.Probes, opts.Iterations, opts.Seed), opts.Fraction)
 	for i, e := range g.Edges() {
-		if edgeCoin(uint64(opts.Seed), saltSample, i, e.Src, e.Dst) < probs[i] {
-			p.Keep[i] = true
-			p.Weight[i] = 1 / probs[i]
-			p.Kept++
-		}
+		keep[i] = edgeCoin(uint64(opts.Seed), saltSample, i, e.Src, e.Dst) < probs[i]
 	}
-	return p, nil
+	return keep, nil
 }
 
 // Scores approximates the effective resistance of every edge of g with the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mega/internal/compute"
@@ -80,24 +81,29 @@ func TestScoresDeterministicAcrossThreads(t *testing.T) {
 	}
 }
 
+func countKept(keep []bool) int {
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	return n
+}
+
 func TestPlanKeepFraction(t *testing.T) {
 	g := graph.ErdosRenyiM(rand.New(rand.NewSource(5)), 60, 300)
-	p, err := New(g, Options{Fraction: 0.5, Seed: 9})
+	keep, err := New(g, Options{Fraction: 0.5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := g.NumEdges()
-	// Expected 150 kept; Bernoulli sd is < 9, so ±45 is a 5σ envelope.
-	if p.Kept < m/2-45 || p.Kept > m/2+45 {
-		t.Fatalf("kept %d of %d, want about %d", p.Kept, m, m/2)
+	if len(keep) != m {
+		t.Fatalf("keep mask covers %d of %d edges", len(keep), m)
 	}
-	for i := range p.Keep {
-		if p.Keep[i] && p.Weight[i] < 1-1e-9 {
-			t.Fatalf("kept edge %d has weight %v < 1", i, p.Weight[i])
-		}
-		if !p.Keep[i] && p.Weight[i] != 0 {
-			t.Fatalf("removed edge %d has nonzero weight %v", i, p.Weight[i])
-		}
+	// Expected 150 kept; Bernoulli sd is < 9, so ±45 is a 5σ envelope.
+	if kept := countKept(keep); kept < m/2-45 || kept > m/2+45 {
+		t.Fatalf("kept %d of %d, want about %d", kept, m, m/2)
 	}
 }
 
@@ -111,32 +117,19 @@ func TestPlanDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Kept != b.Kept {
-		t.Fatalf("kept %d vs %d across identical runs", a.Kept, b.Kept)
-	}
-	for i := range a.Keep {
-		if a.Keep[i] != b.Keep[i] {
-			t.Fatalf("keep decision %d differs across identical runs", i)
-		}
-		if math.Float64bits(a.Weight[i]) != math.Float64bits(b.Weight[i]) {
-			t.Fatalf("weight %d differs across identical runs", i)
-		}
+	if !slices.Equal(a, b) {
+		t.Fatal("keep masks differ across identical runs")
 	}
 }
 
 func TestPlanFractionOneIsIdentity(t *testing.T) {
 	g := graph.ErdosRenyiM(rand.New(rand.NewSource(4)), 20, 50)
-	p, err := New(g, Options{Fraction: 1, Seed: 1})
+	keep, err := New(g, Options{Fraction: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kept != g.NumEdges() {
-		t.Fatalf("fraction 1 kept %d of %d", p.Kept, g.NumEdges())
-	}
-	for i, w := range p.Weight {
-		if math.Abs(w-1) > 1e-9 {
-			t.Fatalf("fraction 1 edge %d weight %v, want 1", i, w)
-		}
+	if kept := countKept(keep); kept != g.NumEdges() {
+		t.Fatalf("fraction 1 kept %d of %d", kept, g.NumEdges())
 	}
 }
 

@@ -97,13 +97,13 @@ func TestSparsifyKeepsEdgeOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := sparsify.New(g, sparsify.Options{Fraction: 0.6, Seed: 5})
+	sk, err := sparsify.New(g, sparsify.Options{Fraction: 0.6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []graph.Edge
 	for i, e := range g.Edges() {
-		if plan.Keep[i] {
+		if sk[i] {
 			want = append(want, e)
 		}
 	}
@@ -172,17 +172,17 @@ func TestSparsifyDropOrderBitIdentity(t *testing.T) {
 	g := sparsTestGraph(6, 35, 180)
 	const seed = 13
 	dk := dropKeepMask(g, 0.25, DropRandom, seed)
-	plan, err := sparsify.New(g, sparsify.Options{Fraction: 0.5, Seed: seed})
+	sk, err := sparsify.New(g, sparsify.Options{Fraction: 0.5, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	edges := g.Edges()
 	var dropFirst, sparsFirst []graph.Edge
 	for i, e := range edges {
-		if dk[i] && plan.Keep[i] {
+		if dk[i] && sk[i] {
 			dropFirst = append(dropFirst, e)
 		}
-		if plan.Keep[i] && dk[i] {
+		if sk[i] && dk[i] {
 			sparsFirst = append(sparsFirst, e)
 		}
 	}

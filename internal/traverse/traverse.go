@@ -302,12 +302,12 @@ func newWalker(g *graph.Graph, opts Options) (*walker, error) {
 			}
 		}
 		if sparsOn {
-			plan, err := sparsify.New(g, sparsify.Options{Fraction: opts.SparsifyFraction, Seed: opts.SparsifySeed})
+			sk, err := sparsify.New(g, sparsify.Options{Fraction: opts.SparsifyFraction, Seed: opts.SparsifySeed})
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
 			}
 			for i := range keep {
-				if !plan.Keep[i] {
+				if !sk[i] {
 					if keep[i] {
 						sparsified++
 					}
