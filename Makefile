@@ -148,11 +148,10 @@ loc:
 	@printf '%6d  ./internal/tensor + ./internal/models\n' \
 		$$(cat $$(ls internal/tensor/*.go internal/models/*.go | grep -v '_test\.go$$') | wc -l)
 
-# Short fuzzing passes over the binary decoder, the traversal, and the
-# graph hashes.
+# Short fuzzing passes over the traversal, its band coverage, and the
+# graph fingerprint.
 fuzz:
-	$(GO) test ./internal/band/ -fuzz FuzzReadRep -fuzztime 30s
-	$(GO) test ./internal/band/ -fuzz FuzzTraverseRoundTrip -fuzztime 30s
+	$(GO) test ./internal/band/ -fuzz FuzzTraverseCoverage -fuzztime 30s
 	$(GO) test ./internal/graph/ -fuzz FuzzFingerprint -fuzztime 30s
 	$(GO) test ./internal/traverse/ -fuzz FuzzTraverse -fuzztime 30s
 	$(GO) test ./internal/traverse/ -fuzz FuzzSparsifiedTraverse -fuzztime 30s
@@ -160,8 +159,7 @@ fuzz:
 # fuzz-smoke is the CI-sized pass: a few seconds per target, enough to
 # catch regressions in the properties themselves.
 fuzz-smoke:
-	$(GO) test ./internal/band/ -fuzz FuzzReadRep -fuzztime 5s
-	$(GO) test ./internal/band/ -fuzz FuzzTraverseRoundTrip -fuzztime 5s
+	$(GO) test ./internal/band/ -fuzz FuzzTraverseCoverage -fuzztime 5s
 	$(GO) test ./internal/graph/ -fuzz FuzzFingerprint -fuzztime 5s
 	$(GO) test ./internal/traverse/ -fuzz FuzzTraverse -fuzztime 5s
 	$(GO) test ./internal/traverse/ -fuzz FuzzSparsifiedTraverse -fuzztime 5s

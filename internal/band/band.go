@@ -283,16 +283,6 @@ func (r *Rep) EdgeRefs() [][]int32 {
 	return refs
 }
 
-// GatherIndex returns, for embedding initialisation, the original vertex ID
-// behind every path position (a copy safe to mutate).
-func (r *Rep) GatherIndex() []int32 {
-	out := make([]int32, len(r.Path))
-	for i, v := range r.Path {
-		out[i] = int32(v)
-	}
-	return out
-}
-
 // FromGraph is the one-call convenience used by the public API and the
 // examples: run the traversal with the given options and build the band
 // representation at the traversal's window.

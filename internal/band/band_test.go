@@ -129,24 +129,6 @@ func TestNoSyncGroupsWithoutRevisits(t *testing.T) {
 	}
 }
 
-func TestGatherIndex(t *testing.T) {
-	g := graph.Cycle(6)
-	rep, _ := buildFor(t, g, traverse.DefaultOptions())
-	idx := rep.GatherIndex()
-	if len(idx) != rep.Len() {
-		t.Fatalf("gather index len %d, want %d", len(idx), rep.Len())
-	}
-	for i, v := range idx {
-		if graph.NodeID(v) != rep.Path[i] {
-			t.Errorf("GatherIndex[%d] = %d, want %d", i, v, rep.Path[i])
-		}
-	}
-	idx[0] = 99 // must be a copy
-	if rep.Path[0] == 99 {
-		t.Error("GatherIndex exposed internal storage")
-	}
-}
-
 func TestExpansion(t *testing.T) {
 	g := graph.Path(10)
 	rep, _ := buildFor(t, g, traverse.Options{Window: 1, EdgeCoverage: 1, Start: 0})

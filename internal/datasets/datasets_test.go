@@ -249,42 +249,6 @@ func TestTargetsVaryAndAreFinite(t *testing.T) {
 	}
 }
 
-func TestBatchInstances(t *testing.T) {
-	d := ZINC(smallCfg(9))
-	batches, err := BatchInstances(d.Train, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batches) != 3 { // 40 instances / 16 = 2 full + 1 partial
-		t.Fatalf("batches = %d, want 3", len(batches))
-	}
-	if batches[0].NumGraphs() != 16 || batches[2].NumGraphs() != 8 {
-		t.Errorf("batch sizes = %d, %d", batches[0].NumGraphs(), batches[2].NumGraphs())
-	}
-	total := 0
-	for _, b := range batches {
-		total += b.Merged.NumNodes()
-	}
-	wantTotal := 0
-	for _, inst := range d.Train {
-		wantTotal += inst.G.NumNodes()
-	}
-	if total != wantTotal {
-		t.Errorf("total batched nodes = %d, want %d", total, wantTotal)
-	}
-}
-
-func TestBatchInstancesZeroSize(t *testing.T) {
-	d := CSL(smallCfg(10))
-	batches, err := BatchInstances(d.Val, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batches) != len(d.Val) {
-		t.Errorf("batch size 0 should fall back to 1 graph per batch: %d batches", len(batches))
-	}
-}
-
 func TestDegreeHistogram(t *testing.T) {
 	d := ZINC(smallCfg(11))
 	h := DegreeHistogram(d, 6)

@@ -3,7 +3,6 @@ package datasets
 import (
 	"math/rand"
 
-	"mega/internal/graph"
 	"mega/internal/stats"
 )
 
@@ -129,29 +128,4 @@ func DegreeHistogram(d *Dataset, nBins int) []int {
 	}
 	mx, _ := stats.Max(pooled)
 	return stats.Histogram(pooled, 0, mx+1, nBins)
-}
-
-// BatchInstances groups instances into graph.Batches of the given batch
-// size, in order, the unit of work a training step consumes.
-func BatchInstances(insts []Instance, batchSize int) ([]*graph.Batch, error) {
-	if batchSize <= 0 {
-		batchSize = 1
-	}
-	var out []*graph.Batch
-	for lo := 0; lo < len(insts); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(insts) {
-			hi = len(insts)
-		}
-		members := make([]*graph.Graph, 0, hi-lo)
-		for _, inst := range insts[lo:hi] {
-			members = append(members, inst.G)
-		}
-		b, err := graph.NewBatch(members)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }

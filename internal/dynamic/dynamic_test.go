@@ -387,31 +387,18 @@ func TestNonSimpleGraphNamesFirstOffenderInEdgeOrder(t *testing.T) {
 }
 
 func TestWindowChangeTriggersRebuild(t *testing.T) {
-	// A near-complete graph where one more edge moves the adaptive window
-	// (mean degree crosses a rounding boundary).
-	var edges []graph.Edge
-	for u := graph.NodeID(0); u < 4; u++ {
-		for v := u + 1; v < 4; v++ {
-			if u == 0 && v == 1 {
-				continue
-			}
-			edges = append(edges, graph.Edge{Src: u, Dst: v})
-		}
-	}
-	g, err := graph.New(4, edges, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMaintainer(g, traverse.DefaultOptions())
+	// A 4-cycle has mean degree 2; the chord (0,2) lifts it to 2.5, which
+	// moves the adaptive window from 2 to 3.
+	m, err := NewMaintainer(graph.Cycle(4), traverse.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldWindow := m.Rep().Window
-	if _, err := m.AddEdge(0, 1); err != nil {
+	if _, err := m.AddEdge(0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if m.Rep().Window == oldWindow {
-		t.Skip("mutation did not move the adaptive window on this graph")
+		t.Fatalf("adding the chord left the adaptive window at %d", oldWindow)
 	}
 	checkCanonical(t, m)
 }

@@ -199,8 +199,6 @@ type Sim struct {
 	kernels map[string]*KernelStats
 	next    uint64 // bump allocator cursor
 	cycles  float64
-	tracing bool
-	trace   []traceEvent
 }
 
 // New returns a simulator over the given device config.
@@ -271,7 +269,6 @@ func (s *Sim) account(k *KernelStats, compute float64, loadTx, storeTx, hits, mi
 	k.StoreTransactions += storeTx
 	k.L2Hits += hits
 	k.L2Misses += misses
-	s.recordTrace(k.Name, k.Kind, s.cycles, total)
 	s.cycles += total
 }
 
@@ -557,12 +554,10 @@ func (s *Sim) KernelTimeShare() map[string]float64 {
 	return out
 }
 
-// Reset clears all counters, trace events and cache state but keeps
-// allocations.
+// Reset clears all counters and cache state but keeps allocations.
 func (s *Sim) Reset() {
 	s.kernels = make(map[string]*KernelStats)
 	s.cycles = 0
-	s.trace = s.trace[:0]
 	s.l2.reset()
 }
 

@@ -86,6 +86,5 @@ func (s *Sim) ScatterSegments(name string, base Addr, segLens []int32, rowBytes 
 		k.Cycles += tail
 		k.StallCycles += tail
 		s.cycles += tail
-		s.recordTrace(name+"-tail", KindScatter, s.cycles-tail, tail)
 	}
 }

@@ -60,8 +60,3 @@ func NewBatch(members []*Graph) (*Batch, error) {
 
 // NumGraphs returns the number of member graphs.
 func (b *Batch) NumGraphs() int { return len(b.NodeOffset) - 1 }
-
-// MemberNodes returns the merged node-ID range [lo, hi) of member i.
-func (b *Batch) MemberNodes(i int) (lo, hi int32) {
-	return b.NodeOffset[i], b.NodeOffset[i+1]
-}

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // fuzzGraph decodes a fuzzer-chosen byte string into an undirected graph
 // on n nodes: consecutive byte pairs become edges (mod n), duplicates and
@@ -23,47 +20,24 @@ func fuzzGraph(nRaw uint8, edgeData []byte) *Graph {
 	return MustNew(n, edges, false)
 }
 
-// FuzzFingerprint pins the two hashing contracts against arbitrary
-// topologies:
-//
-//   - Fingerprint is a byte-level identity: equal for an identical copy,
-//     different after any edge edit.
-//   - CanonicalHash is permutation-invariant: equal across arbitrary node
-//     relabellings of the same graph, different after an edge deletion
-//     (which changes the hashed edge count).
+// FuzzFingerprint pins Fingerprint as a byte-level identity against
+// arbitrary topologies: equal for an identical copy, different after any
+// edge deletion.
 func FuzzFingerprint(f *testing.F) {
 	f.Add(uint8(5), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 0}, int64(1))
 	f.Add(uint8(7), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6}, int64(42))
 	f.Add(uint8(3), []byte{}, int64(7))
 	f.Add(uint8(12), []byte{1, 1, 2, 2, 3, 4, 3, 4}, int64(-9))
 
-	f.Fuzz(func(t *testing.T, nRaw uint8, edgeData []byte, permSeed int64) {
+	f.Fuzz(func(t *testing.T, nRaw uint8, edgeData []byte, dropSeed int64) {
 		g := fuzzGraph(nRaw, edgeData)
 
-		// Byte-identical copy: both hashes agree.
-		cp := g.Clone()
-		if g.Fingerprint() != cp.Fingerprint() {
+		if g.Fingerprint() != g.Clone().Fingerprint() {
 			t.Fatal("identical copy changed Fingerprint")
 		}
-		if g.CanonicalHash() != cp.CanonicalHash() {
-			t.Fatal("identical copy changed CanonicalHash")
-		}
 
-		// Permuted-isomorphic graph: CanonicalHash must not move.
-		perm := RandomPermutation(rand.New(rand.NewSource(permSeed)), g.NumNodes())
-		pg, err := PermuteNodes(g, perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.CanonicalHash() != pg.CanonicalHash() {
-			t.Fatalf("CanonicalHash not permutation-invariant: n=%d edges=%v perm=%v",
-				g.NumNodes(), g.Edges(), perm)
-		}
-
-		// Edge deletion: both hashes must move (Fingerprint hashes the edge
-		// bytes; CanonicalHash covers the edge count).
 		if m := g.NumEdges(); m > 0 {
-			drop := int(permSeed) % m
+			drop := int(dropSeed) % m
 			if drop < 0 {
 				drop += m
 			}
@@ -75,55 +49,6 @@ func FuzzFingerprint(f *testing.F) {
 			if g.Fingerprint() == eg.Fingerprint() {
 				t.Fatalf("Fingerprint unchanged after deleting edge %d of %v", drop, edges)
 			}
-			if g.CanonicalHash() == eg.CanonicalHash() {
-				t.Fatalf("CanonicalHash unchanged after deleting edge %d of %v", drop, edges)
-			}
-			// And the permuted edit differs from the permuted original.
-			peg, err := PermuteNodes(eg, perm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pg.CanonicalHash() == peg.CanonicalHash() {
-				t.Fatal("CanonicalHash unchanged after permuted edge deletion")
-			}
 		}
 	})
-}
-
-// TestCanonicalHashKnownPairs pins the invariance on deterministic cases
-// (so the property is checked even in plain `go test` runs with no fuzzing
-// engine).
-func TestCanonicalHashKnownPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		n := rng.Intn(25) + 2
-		g := ErdosRenyi(rng, n, 0.3)
-		pg, err := PermuteNodes(g, RandomPermutation(rng, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.CanonicalHash() != pg.CanonicalHash() {
-			t.Fatalf("case %d: permuted hash differs", i)
-		}
-		if g.NumEdges() > 0 {
-			edges := g.Edges()
-			eg := MustNew(n, edges[:len(edges)-1], false)
-			if g.CanonicalHash() == eg.CanonicalHash() {
-				t.Fatalf("case %d: deletion left hash unchanged", i)
-			}
-		}
-	}
-	// Distinguishes structures beyond degree distributions: a 6-cycle and
-	// two triangles are both 2-regular on 6 nodes and WL-1 equivalent; the
-	// component count in the digest separates them.
-	c6 := Cycle(6)
-	tt := MustNew(6, []Edge{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}, false)
-	if c6.CanonicalHash() == tt.CanonicalHash() {
-		t.Error("C6 and 2xC3 should hash differently (component counts differ)")
-	}
-	// A path and a star on 5 nodes have the same n, m, and component count
-	// but different degree multisets; WL separates them in round zero.
-	if Path(5).CanonicalHash() == MustNew(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, false).CanonicalHash() {
-		t.Error("P5 and K1,4 should hash differently")
-	}
 }

@@ -174,49 +174,6 @@ func RandomTree(rng *rand.Rand, n int) *Graph {
 	return MustNew(n, edges, false)
 }
 
-// RandomRegular attempts to sample an r-regular graph on n vertices using
-// the pairing model with retries; it falls back to a near-regular graph if
-// a perfect matching is not found quickly. n*r must be even for exact
-// regularity.
-func RandomRegular(rng *rand.Rand, n, r int) *Graph {
-	for attempt := 0; attempt < 20; attempt++ {
-		stubs := make([]NodeID, 0, n*r)
-		for v := 0; v < n; v++ {
-			for k := 0; k < r; k++ {
-				stubs = append(stubs, NodeID(v))
-			}
-		}
-		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		seen := make(map[[2]NodeID]bool)
-		edges := make([]Edge, 0, len(stubs)/2)
-		ok := true
-		for i := 0; i+1 < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v {
-				ok = false
-				break
-			}
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			key := [2]NodeID{a, b}
-			if seen[key] {
-				ok = false
-				break
-			}
-			seen[key] = true
-			edges = append(edges, Edge{Src: a, Dst: b})
-		}
-		if ok {
-			return MustNew(n, edges, false)
-		}
-	}
-	// Fallback: ring + extra chords, near-regular.
-	g := Cycle(n)
-	return g
-}
-
 // PermuteNodes returns a copy of g with node IDs relabelled by perm
 // (perm[old] = new). Used to generate isomorphic dataset instances (e.g.
 // CSL class members differing only by labelling).

@@ -239,50 +239,3 @@ func (a *Adam) Step() {
 
 // NumParams returns the total scalar parameter count under optimisation.
 func (a *Adam) NumParams() int { return CountParams(a.params) }
-
-// SetLR updates the learning rate (used by schedulers).
-func (a *Adam) SetLR(lr float64) { a.LR = lr }
-
-// PlateauScheduler halves (by Factor) the optimiser's learning rate when
-// the monitored value stops improving for Patience epochs — the
-// benchmark-suite training protocol (Dwivedi et al., the paper's [45]).
-type PlateauScheduler struct {
-	Opt      *Adam
-	Factor   float64 // multiplier on plateau (default 0.5)
-	Patience int     // epochs without improvement before decay (default 5)
-	MinLR    float64 // stop decaying below this (default 1e-5)
-
-	best   float64
-	since  int
-	inited bool
-}
-
-// NewPlateauScheduler wraps an optimiser with the default schedule.
-func NewPlateauScheduler(opt *Adam) *PlateauScheduler {
-	return &PlateauScheduler{Opt: opt, Factor: 0.5, Patience: 5, MinLR: 1e-5}
-}
-
-// Step observes one epoch's monitored value (typically validation loss)
-// and returns true if it decayed the learning rate.
-func (s *PlateauScheduler) Step(value float64) bool {
-	if !s.inited || value < s.best {
-		s.best = value
-		s.inited = true
-		s.since = 0
-		return false
-	}
-	s.since++
-	if s.since < s.Patience {
-		return false
-	}
-	s.since = 0
-	next := s.Opt.LR * s.Factor
-	if next < s.MinLR {
-		next = s.MinLR
-	}
-	if next == s.Opt.LR {
-		return false
-	}
-	s.Opt.SetLR(next)
-	return true
-}

@@ -199,40 +199,3 @@ func BenchmarkLinearForwardBackward(b *testing.B) {
 		opt.Step()
 	}
 }
-
-func TestPlateauScheduler(t *testing.T) {
-	x := tensor.Zeros(1, 1).RequireGrad()
-	opt := NewAdam([]*tensor.Tensor{x}, 0.1)
-	s := NewPlateauScheduler(opt)
-	s.Patience = 2
-
-	// Improving values never decay.
-	for _, v := range []float64{1.0, 0.9, 0.8} {
-		if s.Step(v) {
-			t.Error("decayed while improving")
-		}
-	}
-	if opt.LR != 0.1 {
-		t.Errorf("LR changed to %v", opt.LR)
-	}
-	// Two flat epochs trip the decay.
-	s.Step(0.8)
-	if !s.Step(0.8) {
-		t.Error("expected decay after patience exhausted")
-	}
-	if opt.LR != 0.05 {
-		t.Errorf("LR = %v, want 0.05", opt.LR)
-	}
-	// Floor at MinLR.
-	s.MinLR = 0.04
-	s.Step(0.8)
-	s.Step(0.8) // decays to MinLR (0.04 floor beats 0.025)
-	if opt.LR != 0.04 {
-		t.Errorf("LR = %v, want MinLR 0.04", opt.LR)
-	}
-	// At the floor, no further decay is reported.
-	s.Step(0.8)
-	if s.Step(0.8) {
-		t.Error("decay reported at MinLR floor")
-	}
-}

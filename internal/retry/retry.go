@@ -81,12 +81,6 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err carries the Permanent marker.
-func IsPermanent(err error) bool {
-	var p *permanentError
-	return errors.As(err, &p)
-}
-
 // Backoff returns the sleep before retry number attempt (attempt 1 is the
 // sleep after the first failure): exponential from cfg.Base, capped at
 // cfg.Max, with deterministic jitter from cfg.Seed. Exported for callers

@@ -56,12 +56,6 @@ func TestPermanentStopsImmediately(t *testing.T) {
 	if err != deep || calls != 1 {
 		t.Fatalf("err=%v calls=%d", err, calls)
 	}
-	if IsPermanent(err) {
-		t.Error("Do should unwrap the Permanent marker")
-	}
-	if !IsPermanent(Permanent(deep)) {
-		t.Error("IsPermanent(Permanent(err)) = false")
-	}
 	if Permanent(nil) != nil {
 		t.Error("Permanent(nil) != nil")
 	}

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
+	"mega/internal/compute"
 	"mega/internal/datasets"
 	"mega/internal/models"
 	"mega/internal/train"
@@ -72,6 +74,31 @@ func TestNewRejectsBadOptions(t *testing.T) {
 		if s != nil {
 			s.Close()
 			t.Fatalf("New(%+v) returned a live server alongside the error", opts)
+		}
+	}
+}
+
+// TestNewCapsComputePool pins the compute worker cap New sets,
+// max(1, NumCPU − Workers + 1), so the request workers and their
+// intra-op helpers together never oversubscribe the machine.
+func TestNewCapsComputePool(t *testing.T) {
+	cfg := models.Config{Dim: 16, Layers: 1, Heads: 2, NodeTypes: 4, EdgeTypes: 1, OutDim: 1, Seed: 3}
+	model, err := train.NewModel("GT", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := train.Checkpoint{Model: "GT", Config: cfg, Task: datasets.TaskRegression, Dataset: "ZINC"}
+	defer compute.SetMaxThreads(compute.MaxThreads())
+
+	n := runtime.NumCPU()
+	for _, workers := range []int{1, n, n + 3} {
+		s, err := New(model, meta, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if got, want := compute.MaxThreads(), max(1, n-workers+1); got != want {
+			t.Errorf("Workers %d: compute budget %d, want %d", workers, got, want)
 		}
 	}
 }

@@ -32,15 +32,6 @@ type Options struct {
 	MaxBatch int
 	// Workers sizes the forward-pass worker pool (default GOMAXPROCS).
 	Workers int
-	// ComputeBudget caps the compute worker pool (internal/compute) while
-	// this server runs, so intra-op parallelism composes with the
-	// request-level Workers without oversubscribing the machine. The
-	// default is max(1, NumCPU − Workers + 1): each forward pass runs on
-	// its worker goroutine plus up to ComputeBudget−1 helpers, keeping
-	// Workers + ComputeBudget − 1 ≤ NumCPU. The budget is process-global
-	// (it calls compute.SetMaxThreads), so with multiple servers in one
-	// process the last one constructed wins.
-	ComputeBudget int
 	// CacheCapacity bounds the path-representation LRU in entries
 	// (default 4096; <=0 after explicit set disables caching).
 	CacheCapacity int
@@ -130,12 +121,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.ComputeBudget <= 0 {
-		o.ComputeBudget = runtime.NumCPU() - o.Workers + 1
-		if o.ComputeBudget < 1 {
-			o.ComputeBudget = 1
-		}
 	}
 	if o.CacheCapacity == 0 && !o.cacheSet {
 		o.CacheCapacity = 4096
@@ -253,7 +238,13 @@ func New(model models.Model, meta train.Checkpoint, opts Options) (*Server, erro
 			return nil, fmt.Errorf("%w: %v", ErrBadOptions, err)
 		}
 	}
-	compute.SetMaxThreads(opts.ComputeBudget)
+	// Cap the compute worker pool (internal/compute) at
+	// max(1, NumCPU − Workers + 1) so intra-op parallelism composes with
+	// the request-level Workers without oversubscribing the machine: each
+	// forward pass runs on its worker goroutine plus up to NumCPU − Workers
+	// helpers. The cap is process-global, so with several servers in one
+	// process the last one constructed wins.
+	compute.SetMaxThreads(max(1, runtime.NumCPU()-opts.Workers+1))
 	s := &Server{
 		model:        model,
 		modelF32:     modelF32,

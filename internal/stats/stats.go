@@ -71,28 +71,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmptySample
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0], nil
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
 // KSStatistic returns the two-sample Kolmogorov–Smirnov statistic
 // D = sup_x |F1(x) - F2(x)| between the empirical CDFs of a and b.
 func KSStatistic(a, b []float64) (float64, error) {
@@ -158,31 +136,6 @@ func KSPValue(d float64, n, m int) float64 {
 		return 1
 	}
 	return p
-}
-
-// Summary bundles the basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmptySample
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    mn,
-		Max:    mx,
-	}, nil
 }
 
 // Histogram counts xs into nBins equal-width bins over [lo, hi]; values

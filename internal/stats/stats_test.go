@@ -54,28 +54,6 @@ func TestMinMaxErrors(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {-0.5, 1}, {1.5, 4},
-	}
-	for _, tt := range tests {
-		got, err := Quantile(xs, tt.q)
-		if err != nil {
-			t.Fatalf("Quantile(%v): %v", tt.q, err)
-		}
-		if !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("Quantile(nil) should error")
-	}
-}
-
 func TestKSStatisticIdenticalSamples(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	d, err := KSStatistic(xs, xs)
@@ -162,19 +140,6 @@ func TestKSPValueDifferentDistributionLow(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if _, err := Summarize(nil); err == nil {
-		t.Error("Summarize(nil) should error")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	xs := []float64{0, 0.1, 0.5, 0.9, 1.0, -5, 5}
 	h := Histogram(xs, 0, 1, 2)
@@ -222,29 +187,6 @@ func TestKSSymmetryProperty(t *testing.T) {
 		return almostEqual(d1, d2, 1e-12) && d1 >= 0 && d1 <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: quantile is monotone in q.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]float64, int(n%30)+1)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v, err := Quantile(xs, q)
-			if err != nil || v < prev-1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -64,7 +64,7 @@ func benchElementwise(b *testing.B, threads int) {
 	y := randT(1006, 1024, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Add(Mul(x, y), Tanh(x))
+		Add(Mul(x, y), Sigmoid(x))
 	}
 }
 

@@ -63,15 +63,6 @@ func Downcast(x *Tensor) *F32 {
 	return out
 }
 
-// DowncastSlice rounds src into a fresh float32 slice.
-func DowncastSlice(src []float64) []float32 {
-	out := make([]float32, len(src))
-	for i, v := range src {
-		out[i] = float32(v)
-	}
-	return out
-}
-
 // Upcast widens t back to a plain (no-grad) float64 Tensor — the serve
 // boundary conversion from the f32 fast path to the float64 wire format.
 func (t *F32) Upcast() *Tensor {

@@ -118,7 +118,7 @@ func TestKernels32MatchF64(t *testing.T) {
 	for i := 0; i < 65; i++ {
 		eye.Data[i*65+i] = 1
 	}
-	lnEp := Epilogue32{Gamma: DowncastSlice(g64.Data), Beta: DowncastSlice(be64.Data)}
+	lnEp := Epilogue32{Gamma: Downcast(g64).Data, Beta: Downcast(be64).Data}
 	ln := MeasureDivergence(
 		MatMulEpilogue32(a32, eye, lnEp, arena).Data,
 		LayerNorm(a64, g64, be64).Data, 1e-3)
@@ -127,7 +127,7 @@ func TestKernels32MatchF64(t *testing.T) {
 	}
 
 	bn := MeasureDivergence(
-		BatchNorm32(a32, DowncastSlice(g64.Data), DowncastSlice(be64.Data), arena).Data,
+		BatchNorm32(a32, Downcast(g64).Data, Downcast(be64).Data, arena).Data,
 		BatchNorm(a64, g64, be64).Data, 1e-3)
 	if err := bn.Within(4096, 1e-4); err != nil {
 		t.Errorf("batchnorm32 diverged: %v (%+v)", err, bn)
@@ -226,7 +226,7 @@ func TestFusedAdditiveAttention32MatchesF64(t *testing.T) {
 	_, wh := randF32Pair(rng, rows, d)
 	aL64 := Randn(rng, 1, d, 0.1)
 	aR64 := Randn(rng, 1, d, 0.1)
-	aL, aR := DowncastSlice(aL64.Data), DowncastSlice(aR64.Data)
+	aL, aR := Downcast(aL64).Data, Downcast(aR64).Data
 	got := FusedAdditiveAttention32(wh, aL, aR, recv, send, byRecv, heads, arena)
 
 	// Rebuild the f64 attention vectors from the rounded f32 values so the

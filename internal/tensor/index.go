@@ -8,8 +8,7 @@ import (
 
 // Indexed and shifted-row operations: the graph side of the models. In the
 // DGL-style engine these back the gather/scatter aggregation; in the MEGA
-// engine Narrow/PadRows implement the banded diagonal sweeps and
-// SegmentMean implements duplicate synchronisation and graph readout.
+// engine SegmentMean implements duplicate synchronisation and graph readout.
 //
 // Gather directions split rows (each output row is owned by one chunk);
 // scatter directions split columns, because arbitrary index lists may send
@@ -94,51 +93,6 @@ func SegmentMean(x *Tensor, seg []int32, numSeg int) *Tensor {
 					for j := 0; j < cols; j++ {
 						x.Grad[i*cols+j] += out.Grad[int(seg[i])*cols+j] * inv
 					}
-				}
-			})
-		}
-	}
-	return out
-}
-
-// Narrow returns rows [start, start+n) of x as a new tensor; gradients add
-// back into the corresponding rows. This is the "shifted view" primitive of
-// banded attention.
-func Narrow(x *Tensor, start, n int) *Tensor {
-	if start < 0 || n < 0 || start+n > x.rows {
-		panic(fmt.Sprintf("tensor: narrow [%d,%d) of %d rows", start, start+n, x.rows))
-	}
-	out := newResultRaw(n, x.cols, x)
-	copy(out.Data, x.Data[start*x.cols:(start+n)*x.cols])
-	if out.requiresGrad {
-		out.backFn = func() {
-			x.ensureGrad()
-			base := start * x.cols
-			compute.ParallelGrain(n*x.cols, elemGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					x.Grad[base+i] += out.Grad[i]
-				}
-			})
-		}
-	}
-	return out
-}
-
-// PadRows returns x padded with `before` zero rows above and `after` zero
-// rows below; gradients flow back to the unpadded region.
-func PadRows(x *Tensor, before, after int) *Tensor {
-	if before < 0 || after < 0 {
-		panic(fmt.Sprintf("tensor: negative padding %d,%d", before, after))
-	}
-	out := newResult(before+x.rows+after, x.cols, x)
-	copy(out.Data[before*x.cols:], x.Data)
-	if out.requiresGrad {
-		out.backFn = func() {
-			x.ensureGrad()
-			base := before * x.cols
-			compute.ParallelGrain(len(x.Data), elemGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					x.Grad[i] += out.Grad[base+i]
 				}
 			})
 		}

@@ -93,7 +93,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 
 				var wantOut, wantDB [2][]float64
 				wantDA := append([]float64(nil), seedA...)
-				// BackwardFrom(out0, out1) runs out1's backward first.
+				// The backward runs out1's matmul first, then out0's.
 				for _, x := range []int{1, 0} {
 					wantOut[x] = make([]float64, m*n)
 					naiveMatMulForward(wantOut[x], a.Data, b[x].Data, m, k, n)
@@ -117,7 +117,8 @@ func TestMatMulMatchesNaive(t *testing.T) {
 						out[x] = MatMul(av, bv[x])
 						out[x].Grad = append([]float64(nil), g[x].Data...)
 					}
-					BackwardFrom(out[0], out[1])
+					out[1].backFn()
+					out[0].backFn()
 					got32 := MatMul32(a32, b32, arena)
 					compute.SetMaxThreads(prev)
 

@@ -210,122 +210,6 @@ func ReLU(a *Tensor) *Tensor {
 		})
 }
 
-// Tanh returns tanh(a) elementwise.
-func Tanh(a *Tensor) *Tensor {
-	return unary(a, math.Tanh, func(_, y float64) float64 { return 1 - y*y })
-}
-
-// RowSoftmax returns softmax over each row. Row-parallel: every row is
-// normalised entirely within one chunk.
-func RowSoftmax(a *Tensor) *Tensor {
-	out := newResultRaw(a.rows, a.cols, a)
-	cols := a.cols
-	compute.ParallelGrain(a.rows, rowGrain(cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a.Data[i*cols : (i+1)*cols]
-			orow := out.Data[i*cols : (i+1)*cols]
-			mx := math.Inf(-1)
-			for _, v := range row {
-				if v > mx {
-					mx = v
-				}
-			}
-			sum := 0.0
-			for j, v := range row {
-				e := math.Exp(v - mx)
-				orow[j] = e
-				sum += e
-			}
-			for j := range orow {
-				orow[j] /= sum
-			}
-		}
-	})
-	if out.requiresGrad {
-		out.backFn = func() {
-			a.ensureGrad()
-			compute.ParallelGrain(a.rows, rowGrain(cols), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					orow := out.Data[i*cols : (i+1)*cols]
-					grow := out.Grad[i*cols : (i+1)*cols]
-					dot := 0.0
-					for j := range orow {
-						dot += orow[j] * grow[j]
-					}
-					for j := range orow {
-						a.Grad[i*cols+j] += orow[j] * (grow[j] - dot)
-					}
-				}
-			})
-		}
-	}
-	return out
-}
-
-// MaskedRowSoftmax computes softmax over each row restricted to positions
-// where mask is true; masked-out outputs are 0. Rows with no unmasked
-// entries produce all zeros.
-func MaskedRowSoftmax(a *Tensor, mask []bool) *Tensor {
-	if len(mask) != len(a.Data) {
-		panic(fmt.Sprintf("tensor: masked softmax mask len %d != %d", len(mask), len(a.Data)))
-	}
-	out := newResult(a.rows, a.cols, a)
-	cols := a.cols
-	compute.ParallelGrain(a.rows, rowGrain(cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := a.Data[i*cols : (i+1)*cols]
-			mrow := mask[i*cols : (i+1)*cols]
-			orow := out.Data[i*cols : (i+1)*cols]
-			mx := math.Inf(-1)
-			any := false
-			for j, v := range row {
-				if mrow[j] && v > mx {
-					mx = v
-					any = true
-				}
-			}
-			if !any {
-				continue
-			}
-			sum := 0.0
-			for j, v := range row {
-				if mrow[j] {
-					e := math.Exp(v - mx)
-					orow[j] = e
-					sum += e
-				}
-			}
-			for j := range orow {
-				orow[j] /= sum
-			}
-		}
-	})
-	if out.requiresGrad {
-		out.backFn = func() {
-			a.ensureGrad()
-			compute.ParallelGrain(a.rows, rowGrain(cols), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					orow := out.Data[i*cols : (i+1)*cols]
-					grow := out.Grad[i*cols : (i+1)*cols]
-					mrow := mask[i*cols : (i+1)*cols]
-					dot := 0.0
-					for j := range orow {
-						if mrow[j] {
-							dot += orow[j] * grow[j]
-						}
-					}
-					for j := range orow {
-						if mrow[j] {
-							a.Grad[i*cols+j] += orow[j] * (grow[j] - dot)
-						}
-					}
-				}
-			})
-		}
-	}
-	return out
-}
-
 // Sum returns the 1×1 sum of all elements. The reduction uses the fixed
 // partition of compute.ReduceSum, so its value is independent of the
 // thread count.

@@ -97,31 +97,3 @@ func NarrowCols(x *Tensor, start, n int) *Tensor {
 	}
 	return out
 }
-
-// MulMask returns a with masked-out elements zeroed; mask is a constant.
-func MulMask(a *Tensor, mask []bool) *Tensor {
-	if len(mask) != len(a.Data) {
-		panic(fmt.Sprintf("tensor: mask len %d != %d", len(mask), len(a.Data)))
-	}
-	out := newResult(a.rows, a.cols, a)
-	compute.ParallelGrain(len(out.Data), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if mask[i] {
-				out.Data[i] = a.Data[i]
-			}
-		}
-	})
-	if out.requiresGrad {
-		out.backFn = func() {
-			a.ensureGrad()
-			compute.ParallelGrain(len(out.Grad), elemGrain, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if mask[i] {
-						a.Grad[i] += out.Grad[i]
-					}
-				}
-			})
-		}
-	}
-	return out
-}

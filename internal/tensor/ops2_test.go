@@ -32,10 +32,6 @@ func TestOps2Values(t *testing.T) {
 	if nc.At(0, 0) != 2 || nc.At(1, 1) != 6 {
 		t.Errorf("NarrowCols = %v", nc.Data)
 	}
-	m := MulMask(x, []bool{true, false, true, false, true, false})
-	if m.At(0, 1) != 0 || m.At(0, 0) != 1 || m.At(1, 1) != 5 {
-		t.Errorf("MulMask = %v", m.Data)
-	}
 }
 
 func TestOps2GradChecks(t *testing.T) {
@@ -65,9 +61,6 @@ func TestOps2GradChecks(t *testing.T) {
 
 	w2 := randTensor(rng, 3, 2)
 	gradCheck(t, "narrowcols", []*Tensor{a}, func() *Tensor { return Sum(Mul(NarrowCols(a, 1, 2), w2)) })
-
-	mask := []bool{true, false, true, true, false, true, true, true, false, true, false, true}
-	gradCheck(t, "mulmask", []*Tensor{a}, func() *Tensor { return Sum(Mul(MulMask(a, mask), w)) })
 }
 
 func TestNarrowColsPanic(t *testing.T) {

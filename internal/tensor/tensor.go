@@ -67,9 +67,6 @@ func Randn(rng *rand.Rand, rows, cols int, std float64) *Tensor {
 	return t
 }
 
-// Scalar creates a 1×1 tensor.
-func Scalar(v float64) *Tensor { return New(1, 1, []float64{v}) }
-
 // Rows returns the row count.
 func (t *Tensor) Rows() int { return t.rows }
 
@@ -98,9 +95,6 @@ func (t *Tensor) RequireGrad() *Tensor {
 	t.requiresGrad = true
 	return t
 }
-
-// RequiresGrad reports whether gradients flow into t.
-func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
 
 // ensureGrad allocates the gradient buffer on demand, on t's tape.
 func (t *Tensor) ensureGrad() {
@@ -200,59 +194,6 @@ func (t *Tensor) Backward() {
 	// first); reverse iteration runs parents last.
 	t.ensureGrad()
 	t.Grad[0] = 1
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		if n.backFn != nil {
-			n.backFn()
-		}
-	}
-}
-
-// BackwardFrom runs reverse-mode differentiation from one or more output
-// tensors whose .Grad buffers the caller has already seeded (allocating
-// them if nil). Unlike Backward it does not require a scalar root: it is
-// the engine-to-engine composition primitive — a downstream consumer
-// hands back ∂loss/∂out for each tape output, and BackwardFrom pushes
-// those seeds through this tape into its leaves.
-//
-// All roots share one traversal, so a tensor reachable from several
-// roots runs its backFn exactly once, after every contribution to its
-// own gradient has accumulated. Calling BackwardFrom twice on
-// overlapping graphs double-counts, exactly like calling Backward twice.
-func BackwardFrom(outs ...*Tensor) {
-	var order []*Tensor
-	visited := make(map[*Tensor]bool)
-	type frame struct {
-		t    *Tensor
-		next int
-	}
-	var stack []frame
-	for _, out := range outs {
-		if out == nil || !out.requiresGrad || visited[out] {
-			continue
-		}
-		out.ensureGrad()
-		visited[out] = true
-		stack = append(stack, frame{t: out})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(f.t.parents) {
-				p := f.t.parents[f.next]
-				f.next++
-				if !visited[p] && p.requiresGrad {
-					visited[p] = true
-					stack = append(stack, frame{t: p})
-				}
-				continue
-			}
-			order = append(order, f.t)
-			stack = stack[:len(stack)-1]
-		}
-	}
-	// Each DFS appends children before parents, and a later root's
-	// subgraph only appends nodes no earlier root reached — nodes shared
-	// with an earlier root already sit deeper in order. Reverse iteration
-	// therefore runs every node after all nodes that feed gradient into it.
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.backFn != nil {

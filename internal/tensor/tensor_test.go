@@ -106,11 +106,11 @@ func TestMatMulShapePanic(t *testing.T) {
 func TestDetachAndClone(t *testing.T) {
 	x := New(1, 2, []float64{1, 2}).RequireGrad()
 	d := x.Detach()
-	if d.RequiresGrad() {
+	if d.requiresGrad {
 		t.Error("detach should drop grad requirement")
 	}
 	c := x.Clone()
-	if !c.RequiresGrad() {
+	if !c.requiresGrad {
 		t.Error("clone should preserve grad requirement")
 	}
 	c.Data[0] = 99
@@ -160,7 +160,6 @@ func TestGradCheckActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randTensor(rng, 2, 5)
 	gradCheck(t, "sigmoid", []*Tensor{a}, func() *Tensor { return Sum(Sigmoid(a)) })
-	gradCheck(t, "tanh", []*Tensor{a}, func() *Tensor { return Sum(Tanh(a)) })
 	// Keep ReLU inputs away from the kink.
 	for i := range a.Data {
 		if math.Abs(a.Data[i]) < 0.1 {
@@ -177,56 +176,6 @@ func TestGradCheckBroadcasts(t *testing.T) {
 	c := randTensor(rng, 4, 1)
 	gradCheck(t, "addrowvec", []*Tensor{a, v}, func() *Tensor { return Sum(AddRowVec(a, v)) })
 	gradCheck(t, "mulcolvec", []*Tensor{a, c}, func() *Tensor { return Sum(MulColVec(a, c)) })
-}
-
-func TestGradCheckSoftmax(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randTensor(rng, 3, 4)
-	// Weighted sum so the softmax grad isn't trivially zero.
-	w := randTensor(rng, 3, 4)
-	gradCheck(t, "rowsoftmax", []*Tensor{a}, func() *Tensor { return Sum(Mul(RowSoftmax(a), w)) })
-}
-
-func TestRowSoftmaxRowsSumToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randTensor(rng, 5, 7)
-	s := RowSoftmax(a)
-	for i := 0; i < 5; i++ {
-		sum := 0.0
-		for j := 0; j < 7; j++ {
-			sum += s.At(i, j)
-		}
-		if math.Abs(sum-1) > 1e-12 {
-			t.Errorf("row %d sums to %v", i, sum)
-		}
-	}
-}
-
-func TestMaskedRowSoftmax(t *testing.T) {
-	a := New(2, 3, []float64{1, 2, 3, 1, 1, 1})
-	mask := []bool{true, false, true, false, false, false}
-	s := MaskedRowSoftmax(a, mask)
-	if s.At(0, 1) != 0 {
-		t.Error("masked position should be zero")
-	}
-	if math.Abs(s.At(0, 0)+s.At(0, 2)-1) > 1e-12 {
-		t.Error("unmasked positions should sum to 1")
-	}
-	for j := 0; j < 3; j++ {
-		if s.At(1, j) != 0 {
-			t.Error("fully masked row should be zero")
-		}
-	}
-}
-
-func TestGradCheckMaskedSoftmax(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randTensor(rng, 3, 4)
-	w := randTensor(rng, 3, 4)
-	mask := []bool{true, true, false, true, false, true, true, true, true, true, true, false}
-	gradCheck(t, "maskedsoftmax", []*Tensor{a}, func() *Tensor {
-		return Sum(Mul(MaskedRowSoftmax(a, mask), w))
-	})
 }
 
 func TestGradCheckIndexOps(t *testing.T) {
@@ -258,30 +207,6 @@ func TestSegmentMeanValues(t *testing.T) {
 	for i, w := range want {
 		if out.Data[i] != w {
 			t.Errorf("segmentmean[%d] = %v, want %v", i, out.Data[i], w)
-		}
-	}
-}
-
-func TestGradCheckNarrowPad(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x := randTensor(rng, 6, 2)
-	w := randTensor(rng, 3, 2)
-	gradCheck(t, "narrow", []*Tensor{x}, func() *Tensor { return Sum(Mul(Narrow(x, 2, 3), w)) })
-	w2 := randTensor(rng, 8, 2)
-	gradCheck(t, "padrows", []*Tensor{x}, func() *Tensor { return Sum(Mul(PadRows(x, 1, 1), w2)) })
-}
-
-func TestNarrowPadValues(t *testing.T) {
-	x := New(3, 1, []float64{1, 2, 3})
-	n := Narrow(x, 1, 2)
-	if n.At(0, 0) != 2 || n.At(1, 0) != 3 {
-		t.Errorf("narrow = %v", n.Data)
-	}
-	p := PadRows(x, 1, 2)
-	want := []float64{0, 1, 2, 3, 0, 0}
-	for i, w := range want {
-		if p.Data[i] != w {
-			t.Errorf("pad[%d] = %v, want %v", i, p.Data[i], w)
 		}
 	}
 }
@@ -383,12 +308,12 @@ func TestEmbedRows(t *testing.T) {
 }
 
 func TestDiamondGraphGradient(t *testing.T) {
-	// x feeds two branches that rejoin: y = sum(sigmoid(x) ⊙ tanh(x)).
+	// x feeds two branches that rejoin: y = sum(sigmoid(x) ⊙ exp(x)).
 	// Verifies the topological sweep handles shared subexpressions.
 	rng := rand.New(rand.NewSource(14))
 	x := randTensor(rng, 2, 3)
 	gradCheck(t, "diamond", []*Tensor{x}, func() *Tensor {
-		return Sum(Mul(Sigmoid(x), Tanh(x)))
+		return Sum(Mul(Sigmoid(x), Exp(x)))
 	})
 }
 

@@ -43,13 +43,6 @@ type Options struct {
 	Profile bool
 	// Mega configures MEGA preprocessing (Engine == EngineMega only).
 	Mega models.MegaOptions
-	// MaxTrain/MaxVal cap the instances used (0 = all), for fast tests.
-	MaxTrain int
-	MaxVal   int
-	// LRPlateau enables the benchmark suite's reduce-on-plateau schedule:
-	// halve the learning rate after 5 epochs without validation-loss
-	// improvement.
-	LRPlateau bool
 	// Threads caps the compute worker pool for the duration of the run
 	// (0 = leave the process-wide budget alone; see internal/compute).
 	// Results are identical at any setting — the kernels partition work
@@ -223,18 +216,16 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 		sim = gpusim.New(gpusim.GTX1080())
 	}
 
-	trainInsts := capInstances(ds.Train, opts.MaxTrain)
-	valInsts := capInstances(ds.Val, opts.MaxVal)
 	// One arena for the whole run: every batch reuses the same scratch
 	// buffers, so the steady-state fused-attention path allocates nothing.
 	// One tape likewise holds each step's graph, released after the step.
 	arena := tensor.NewArena()
 	tape := tensor.NewTape()
-	trainCtxs, err := buildContexts(trainInsts, opts, sim, arena, tape)
+	trainCtxs, err := buildContexts(ds.Train, opts, sim, arena, tape)
 	if err != nil {
 		return nil, err
 	}
-	valCtxs, err := buildContexts(valInsts, opts, sim, arena, tape)
+	valCtxs, err := buildContexts(ds.Val, opts, sim, arena, tape)
 	if err != nil {
 		return nil, err
 	}
@@ -246,10 +237,6 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	}
 	if startEpoch > 1 {
 		res.ResumedEpoch = startEpoch - 1
-	}
-	var sched *nn.PlateauScheduler
-	if opts.LRPlateau {
-		sched = nn.NewPlateauScheduler(opt)
 	}
 
 	start := time.Now()
@@ -270,9 +257,6 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 		}
 
 		valLoss, valMetric := evaluate(ds.Task, model, valCtxs)
-		if sched != nil {
-			sched.Step(valLoss)
-		}
 
 		stat := EpochStat{
 			Epoch:     epoch,
@@ -392,11 +376,4 @@ func buildContexts(insts []datasets.Instance, opts Options, sim *gpusim.Sim, are
 		out = append(out, ctx)
 	}
 	return out, nil
-}
-
-func capInstances(insts []datasets.Instance, max int) []datasets.Instance {
-	if max > 0 && len(insts) > max {
-		return insts[:max]
-	}
-	return insts
 }

@@ -139,21 +139,6 @@ func TestTimeToLoss(t *testing.T) {
 	}
 }
 
-func TestMaxTrainCaps(t *testing.T) {
-	d := tinyDataset(t, "ZINC")
-	opts := tinyOpts(models.EngineDGL)
-	opts.MaxTrain = 8
-	opts.BatchSize = 8
-	opts.Epochs = 1
-	res, err := Run(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stats) != 1 {
-		t.Fatal("expected 1 epoch")
-	}
-}
-
 func TestEdgeDroppingTrains(t *testing.T) {
 	d := tinyDataset(t, "AQSOL")
 	opts := tinyOpts(models.EngineMega)

@@ -131,25 +131,3 @@ func BarChart(title string, width int, bars []Bar) string {
 	}
 	return b.String()
 }
-
-// Sparkline compresses a series into a single line of block glyphs.
-func Sparkline(ys []float64) string {
-	if len(ys) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	minY, maxY := ys[0], ys[0]
-	for _, y := range ys[1:] {
-		minY = math.Min(minY, y)
-		maxY = math.Max(maxY, y)
-	}
-	var b strings.Builder
-	for _, y := range ys {
-		idx := 0
-		if maxY > minY {
-			idx = int((y - minY) / (maxY - minY) * float64(len(blocks)-1))
-		}
-		b.WriteRune(blocks[idx])
-	}
-	return b.String()
-}

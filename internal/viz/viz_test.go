@@ -86,19 +86,3 @@ func TestBarChartEmpty(t *testing.T) {
 		t.Error("empty bar chart should say so")
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]float64{0, 1, 2, 3})
-	if len([]rune(s)) != 4 {
-		t.Errorf("sparkline rune count = %d, want 4", len([]rune(s)))
-	}
-	if Sparkline(nil) != "" {
-		t.Error("empty sparkline should be empty")
-	}
-	flat := Sparkline([]float64{5, 5, 5})
-	for _, r := range flat {
-		if r != '▁' {
-			t.Errorf("flat sparkline should use the lowest block, got %q", flat)
-		}
-	}
-}
