@@ -81,13 +81,13 @@ dynamic-check:
 # precisions, in both layouts and at every thread count, checkpoint
 # downcast round-trips, the f32 forward pinned to its recorded output
 # bits, the f32-vs-f64 differential suite under the ULP envelope, and the
-# serve-side -precision f32 end-to-end tests (including degraded-mode
-# fallback to float64).
+# serve-side -precision f32 end-to-end tests (including the options
+# validation that rejects f32 on the DGL engine).
 precision-check:
 	$(GO) test ./internal/tensor/ -run 'TestSIMDKernelsMatchReference|TestMatMulEpilogue32MatchesUnfused|TestLinearEpilogueMatchesUnfused|TestGradients|TestTapeReleaseRewindsWithoutClearing|TestULPDistance32|TestMeasureDivergence|TestKernels32MatchF64|TestFusedSegmentAttention32MatchesF64|TestFusedAdditiveAttention32MatchesF64|TestFusedAttentionForwardMatchesReference' -count=1
 	$(GO) test ./internal/models/ -run 'F32' -count=1
 	$(GO) test ./internal/train/ -run 'TestCheckpointDowncast' -count=1
-	$(GO) test ./internal/serve/ -run 'TestOptionsPrecisionValidate|TestPrecision' -count=1
+	$(GO) test ./internal/serve/ -run 'TestOptionsPrecisionValidate|TestOptionsValidate|TestPrecision' -count=1
 
 # portable-check covers what no amd64 build compiles: `go vet` of the tree
 # for arm64 (the !amd64 files), and the arm64 compiler listing of the
@@ -118,14 +118,14 @@ fmt-check:
 # scorer/sampler unit suite (bridge dominance, determinism across thread
 # counts, salt independence of the drop and sparsify streams), traversal
 # composition (drop+sparsify order bit-identity, independent streams,
-# two-sided revisit bound, band shrinkage, options digest), the composite
-# rep-cache key regression tests, the sharded-forward bit-identity suite
+# two-sided revisit bound, band shrinkage, options digest and bounds), the
+# composite rep-cache key regression tests, the sharded-forward bit-identity suite
 # over sparsified reps, the dynamic-package rejection, and the acceptance
 # bar at Quick() scale (keep 0.5: band no wider and strictly fewer gpusim
 # cycles on ZINC, AQSOL and CSL; the measurement bit-reproducible).
 sparsify-check:
 	$(GO) test ./internal/sparsify/ -count=1
-	$(GO) test ./internal/traverse/ -run 'Sparsif|TestOptionsDigest' -count=1
+	$(GO) test ./internal/traverse/ -run 'Sparsif|TestOptionsDigest|TestOptionsValidate' -count=1
 	$(GO) test ./internal/serve/ -run 'TestRepCacheKeyCoversOptions|TestServerRepKeyIncludesSparsify|TestRepCache' -count=1
 	$(GO) test ./internal/models/ -run 'Sparsified' -count=1
 	$(GO) test ./internal/dynamic/ -run 'TestUnsupportedConfigurations' -count=1

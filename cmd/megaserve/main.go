@@ -18,8 +18,7 @@
 //	          [-max-batch 16] [-workers 0]
 //	          [-cache 4096] [-log-every 30s]
 //	          [-checkpoint-dir dir] [-queue 256] [-deadline 0]
-//	          [-max-deadline 0] [-breaker-threshold 5]
-//	          [-breaker-cooldown 500ms] [-grace 5s]
+//	          [-max-deadline 0] [-grace 5s]
 //	          [-sparsify f] [-sparsify-seed s]
 //
 // -checkpoint-dir serves the newest good checkpoint from a megatrain
@@ -27,15 +26,15 @@
 // of a single -checkpoint file. The remaining flags tune the
 // fault-tolerance layer: bounded admission queue (full → 429), per-request
 // deadlines (server default plus a cap on the wire's timeout_ms override),
-// the circuit breaker that falls back to the DGL engine when MEGA
-// preprocessing keeps failing, and the shutdown drain grace.
+// and the shutdown drain grace. A request whose MEGA preprocessing fails
+// gets a 500; an option the traversal rejects stops megaserve at start.
 //
 // -precision f32 serves MEGA batches through the float32 fast path: the
 // checkpoint's parameters are downcast once at load and the forward pass
 // runs tape-free float32 kernels in the head-major attention layout.
 // Answers carry "precision":"f32" and stay within a measured ULP envelope
-// of the float64 forward (the f32 serve workloads of benchmark/ check it);
-// degraded fallback answers always run float64. Only GT and GAT checkpoints qualify.
+// of the float64 forward (the f32 serve workloads of benchmark/ check it).
+// Only GT and GAT checkpoints on the mega engine qualify.
 //
 // -sparsify serves every MEGA representation from an effective-resistance
 // sparsified copy of each posted graph: about that fraction of edges
@@ -96,8 +95,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	queue := fs.Int("queue", 256, "admission queue depth; a full queue sheds requests with HTTP 429")
 	deadline := fs.Duration("deadline", 0, "default per-request deadline (0 disables)")
 	maxDeadline := fs.Duration("max-deadline", 0, "cap on any request deadline, including timeout_ms overrides (0 = uncapped)")
-	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive preprocessing failures that trip the fallback circuit breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", 500*time.Millisecond, "first breaker open window before a half-open probe")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown drain grace before queued requests are failed")
 	sparsify := fs.Float64("sparsify", 0, "effective-resistance keep fraction in (0,1] for MEGA preprocessing (0 = off)")
 	sparsifySeed := fs.Int64("sparsify-seed", 1, "sparsifier seed")
@@ -109,22 +106,17 @@ func run(args []string, stdout io.Writer, ready chan<- string, stop <-chan struc
 	}
 
 	opts := serve.Options{
-		MaxBatch:         *maxBatch,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		DefaultTimeout:   *deadline,
-		MaxTimeout:       *maxDeadline,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		ShutdownGrace:    *grace,
-		Precision:        *precision,
-	}.WithCacheCapacity(*cacheCap)
-	if *sparsify > 0 {
-		opts.Mega = models.MegaOptions{Traverse: traverse.Options{
-			EdgeCoverage: 1, Start: -1,
+		MaxBatch:       *maxBatch,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		DefaultTimeout: *deadline,
+		MaxTimeout:     *maxDeadline,
+		ShutdownGrace:  *grace,
+		Precision:      *precision,
+		Mega: models.MegaOptions{Traverse: traverse.Options{
 			SparsifyFraction: *sparsify, SparsifySeed: *sparsifySeed,
-		}}
-	}
+		}},
+	}.WithCacheCapacity(*cacheCap)
 	switch *engine {
 	case "dgl":
 		opts.Engine = models.EngineDGL

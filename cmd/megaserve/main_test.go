@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -120,6 +121,24 @@ func TestRunRejectsUnknownEngine(t *testing.T) {
 	err := run([]string{"-checkpoint", "x.ckpt", "-engine", "cuda"}, io.Discard, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown engine") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestRunRejectsBadSparsify: options serve.New rejects stop megaserve at
+// start — a keep fraction outside [0, 1], which a negative value once
+// slipped past as "off", and f32 on the dgl engine, which has no float32
+// path.
+func TestRunRejectsBadSparsify(t *testing.T) {
+	path := writeCheckpoint(t)
+	for _, args := range [][]string{
+		{"-sparsify", "-0.5"},
+		{"-sparsify", "1.5"},
+		{"-engine", "dgl", "-precision", "f32"},
+	} {
+		err := run(append([]string{"-checkpoint", path, "-log-every", "0"}, args...), io.Discard, nil, nil)
+		if !errors.Is(err, serve.ErrBadOptions) {
+			t.Errorf("%v: err = %v, want serve.ErrBadOptions", args, err)
+		}
 	}
 }
 

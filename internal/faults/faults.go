@@ -35,7 +35,8 @@ const (
 	// insert (the entry is recomputed next time).
 	ServeCachePut = "serve.cache.put"
 	// ServePrepare fires inside MEGA preprocessing on the serving path;
-	// errors count against the preprocessing circuit breaker.
+	// an injected error fails that request and counts in
+	// prepare_failures.
 	ServePrepare = "serve.prepare"
 	// ServeDispatch fires at batch dispatch on the worker, outside the
 	// forward recover — a panic here exercises worker replacement.

@@ -81,33 +81,39 @@ func TestDoRespectsContext(t *testing.T) {
 }
 
 func TestBackoffCurve(t *testing.T) {
-	cfg := Config{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: 0, Seed: 1}
+	base := 100 * time.Millisecond
 	want := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		80 * time.Millisecond, 80 * time.Millisecond,
+		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
+		800 * time.Millisecond, maxSleep, maxSleep,
 	}
 	for i, w := range want {
-		if got := Backoff(i+1, cfg); got != w {
-			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
+		if got := backoff(i+1, base); got != w {
+			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
 }
 
-func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
-	cfg := Config{Base: 100 * time.Millisecond, Max: time.Second, Jitter: 0.2, Seed: 9}
-	for attempt := 1; attempt <= 4; attempt++ {
-		a, b := Backoff(attempt, cfg), Backoff(attempt, cfg)
-		if a != b {
-			t.Fatalf("attempt %d: jitter not deterministic (%v vs %v)", attempt, a, b)
+// TestDoSleepsTheBackoffCurve pins the sleeps Do hands its sleeper to the
+// backoff curve at the configured base, and the zero Base to 10ms.
+func TestDoSleepsTheBackoffCurve(t *testing.T) {
+	for _, tc := range []struct {
+		base time.Duration
+		want []time.Duration
+	}{
+		{5 * time.Millisecond, []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}},
+		{0, []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}},
+	} {
+		var sleeps []time.Duration
+		cfg := Config{Attempts: 4, Base: tc.base, Sleep: fakeSleep(&sleeps)}
+		Do(context.Background(), cfg, func() error { return errors.New("transient") })
+		if len(sleeps) != len(tc.want) {
+			t.Fatalf("base %v: slept %v, want %v", tc.base, sleeps, tc.want)
 		}
-		base := Backoff(attempt, Config{Base: cfg.Base, Max: cfg.Max, Jitter: 0, Seed: cfg.Seed})
-		lo := time.Duration(float64(base) * 0.8)
-		hi := time.Duration(float64(base) * 1.2)
-		if a < lo || a > hi {
-			t.Errorf("attempt %d: %v outside [%v, %v]", attempt, a, lo, hi)
+		for i := range sleeps {
+			if sleeps[i] != tc.want[i] {
+				t.Errorf("base %v: slept %v, want %v", tc.base, sleeps, tc.want)
+				break
+			}
 		}
-	}
-	if Backoff(3, cfg) == Backoff(3, Config{Base: cfg.Base, Max: cfg.Max, Jitter: 0.2, Seed: 10}) {
-		t.Error("different seeds produced identical jitter")
 	}
 }

@@ -17,11 +17,8 @@ type pending struct {
 	// before they burn a forward pass.
 	ctx      context.Context
 	inst     datasets.Instance
-	prep     *models.PreparedRep // MEGA engine only; nil under DGL or degraded
+	prep     *models.PreparedRep // MEGA engine only; nil under DGL
 	cacheHit bool
-	// degraded marks a request served by the fallback engine because MEGA
-	// preprocessing failed or the circuit breaker is open.
-	degraded bool
 	// enqueued is stamped at the admission send, after validation and
 	// preprocessing, so the queue stage times only the wait for a worker.
 	enqueued time.Time

@@ -28,10 +28,10 @@ import (
 //  2. No lost responses: every request resolves to a prediction or a
 //     typed error drawn from the service's declared failure vocabulary,
 //     and the metrics account for every one of them.
-//  3. Bit-identical successes: normal predictions equal the MEGA-engine
-//     reference forward exactly; degraded predictions equal the fallback
-//     (DGL-engine) reference exactly. Faults may slow or fail requests,
-//     never silently change an answer.
+//  3. Bit-identical successes: every prediction equals the MEGA-engine
+//     reference forward exactly. Faults may slow or fail requests, never
+//     silently change an answer; a failed preprocess fails its request
+//     and is counted in prepare_failures.
 //
 // `go test -run Chaos -short` is the CI variant (make chaos runs the full
 // size). Set CHAOS_REPORT=<path> to write the fault-point coverage log.
@@ -78,7 +78,6 @@ func TestChaosEndToEnd(t *testing.T) {
 	}
 	s, err := NewFromCheckpointDir(dir, Options{
 		MaxBatch: 4, Workers: 2, QueueDepth: 8,
-		BreakerThreshold: 3, BreakerCooldown: 10 * time.Millisecond,
 		MaxTimeout: 2 * time.Second, ShutdownGrace: 5 * time.Second,
 	})
 	if err != nil {
@@ -90,13 +89,11 @@ func TestChaosEndToEnd(t *testing.T) {
 	}
 
 	// References come from the actually-served model (the fallback epoch),
-	// one per instance per engine, computed outside the service.
+	// one per instance, computed outside the service.
 	insts := ds.Val
 	refMega := make([][]float64, len(insts))
-	refDGL := make([][]float64, len(insts))
 	for i, inst := range insts {
 		refMega[i] = directForward(t, s.model, models.EngineMega, inst, s.meta.Config.Dim)
-		refDGL[i] = directForward(t, s.model, models.EngineDGL, inst, s.meta.Config.Dim)
 	}
 
 	// --- Phase 3: concurrent clients against every serve fault point.
@@ -110,7 +107,7 @@ func TestChaosEndToEnd(t *testing.T) {
 		{Name: faults.ServeForward, Prob: 0.15, Action: faults.ActDelay, Delay: 2 * time.Millisecond},
 	}})
 
-	var ok, degradedOK, failed atomic.Uint64
+	var ok, prepareFailed, failed atomic.Uint64
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -131,20 +128,19 @@ func TestChaosEndToEnd(t *testing.T) {
 					if !chaosErrorExpected(err) {
 						t.Errorf("client %d req %d: unexpected error class: %v", c, i, err)
 					}
+					var fe *faults.Error
+					if errors.As(err, &fe) && fe.Point == faults.ServePrepare {
+						prepareFailed.Add(1)
+					}
 					failed.Add(1)
 					continue
 				}
+				ok.Add(1)
 				want := refMega[idx]
-				if pred.Degraded {
-					want = refDGL[idx]
-					degradedOK.Add(1)
-				} else {
-					ok.Add(1)
-				}
 				for j := range want {
 					if math.Float64bits(pred.Output[j]) != math.Float64bits(want[j]) {
-						t.Errorf("client %d req %d (degraded=%v): output[%d] = %x, want %x",
-							c, i, pred.Degraded, j, pred.Output[j], want[j])
+						t.Errorf("client %d req %d: output[%d] = %x, want %x",
+							c, i, j, pred.Output[j], want[j])
 						break
 					}
 				}
@@ -163,7 +159,7 @@ func TestChaosEndToEnd(t *testing.T) {
 
 	// --- Phase 4: accounting. Every request resolved exactly once.
 	total := uint64(clients * perClient)
-	if got := ok.Load() + degradedOK.Load() + failed.Load(); got != total {
+	if got := ok.Load() + failed.Load(); got != total {
 		t.Fatalf("lost responses: %d resolved of %d issued", got, total)
 	}
 	snap := s.MetricsSnapshot(false)
@@ -171,19 +167,25 @@ func TestChaosEndToEnd(t *testing.T) {
 		t.Fatalf("metrics disagree with clients: requests %d/%d, errors %d/%d",
 			snap.Requests, total, snap.Errors, failed.Load())
 	}
-	if ok.Load() == 0 || degradedOK.Load() == 0 {
-		t.Fatalf("chaos too one-sided: %d normal, %d degraded successes (want both paths exercised)",
-			ok.Load(), degradedOK.Load())
+	if ok.Load() == 0 || prepareFailed.Load() == 0 {
+		t.Fatalf("chaos too one-sided: %d successes, %d injected prepare failures (want both)",
+			ok.Load(), prepareFailed.Load())
 	}
-	t.Logf("chaos: %d ok, %d degraded, %d failed; breaker=%s opens=%d restarts=%d shed=%d deadline=%d",
-		ok.Load(), degradedOK.Load(), failed.Load(),
-		snap.Breaker, snap.BreakerOpens, snap.WorkerRestarts, snap.Shed, snap.DeadlineExceeded)
+	// Each fired serve.prepare fault fails exactly one request, and that
+	// request counts in prepare_failures: nothing answers in its place.
+	if fired := uint64(faultReport(t, faults.ServePrepare).Fired); snap.PrepareFailures != fired || prepareFailed.Load() != fired {
+		t.Fatalf("serve.prepare fired %d times; prepare_failures = %d, clients saw %d",
+			fired, snap.PrepareFailures, prepareFailed.Load())
+	}
+	t.Logf("chaos: %d ok, %d failed (%d at prepare); restarts=%d shed=%d deadline=%d",
+		ok.Load(), failed.Load(), prepareFailed.Load(),
+		snap.WorkerRestarts, snap.Shed, snap.DeadlineExceeded)
 	writeChaosReport(t)
 
 	// --- Phase 5: faults off, service recovers to clean exact answers.
 	faults.Disable()
 	pred, err := s.Predict(insts[0])
-	if err != nil || pred.Degraded {
+	if err != nil {
 		t.Fatalf("post-chaos predict: pred = %+v, err = %v", pred, err)
 	}
 	for j := range refMega[0] {

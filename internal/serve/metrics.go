@@ -189,10 +189,7 @@ type Metrics struct {
 	shed                 atomic.Uint64 // admission queue full → ErrOverloaded
 	deadlineExceeded     atomic.Uint64 // caller deadline fired before the answer
 	canceled             atomic.Uint64 // caller context canceled
-	degraded             atomic.Uint64 // served by the fallback engine
 	prepareFailures      atomic.Uint64 // MEGA preprocessing attempts that failed
-	breakerTransitions   atomic.Uint64 // every breaker state change
-	breakerOpens         atomic.Uint64 // transitions into open specifically
 	workerRestarts       atomic.Uint64 // panicked workers replaced
 	checkpointRecoveries atomic.Uint64 // corrupt checkpoints quarantined at load
 
@@ -241,16 +238,16 @@ type Snapshot struct {
 	Shed                 uint64 `json:"shed"`
 	DeadlineExceeded     uint64 `json:"deadline_exceeded"`
 	Canceled             uint64 `json:"canceled"`
-	Degraded             uint64 `json:"degraded"`
 	PrepareFailures      uint64 `json:"prepare_failures"`
-	BreakerTransitions   uint64 `json:"breaker_transitions"`
-	BreakerOpens         uint64 `json:"breaker_opens"`
 	WorkerRestarts       uint64 `json:"worker_restarts"`
 	CheckpointRecoveries uint64 `json:"checkpoint_recoveries"`
-	Breaker              string `json:"breaker"`
 	QueueDepth           int    `json:"queue_depth"`
 	QueueCapacity        int    `json:"queue_capacity"`
 	Workers              int    `json:"workers"`
+	// Degraded is always 0: no answer comes from a fallback engine. It
+	// stays only because the benchmark still reads it; ROADMAP item 1(f)
+	// deletes it.
+	Degraded uint64 `json:"degraded"`
 
 	// Mutation-subsystem counters (zero unless /update is exercised).
 	Updates          uint64 `json:"updates"`
@@ -299,10 +296,7 @@ func (m *Metrics) Snapshot(cache CacheStats, withBuckets bool) Snapshot {
 		Shed:                 m.shed.Load(),
 		DeadlineExceeded:     m.deadlineExceeded.Load(),
 		Canceled:             m.canceled.Load(),
-		Degraded:             m.degraded.Load(),
 		PrepareFailures:      m.prepareFailures.Load(),
-		BreakerTransitions:   m.breakerTransitions.Load(),
-		BreakerOpens:         m.breakerOpens.Load(),
 		WorkerRestarts:       m.workerRestarts.Load(),
 		CheckpointRecoveries: m.checkpointRecoveries.Load(),
 

@@ -13,20 +13,6 @@ import (
 	"mega/internal/train"
 )
 
-func TestOptionsPrecisionValidate(t *testing.T) {
-	for _, ok := range []string{"", PrecisionF64, PrecisionF32} {
-		if err := (Options{Precision: ok}).Validate(); err != nil {
-			t.Errorf("Precision %q rejected: %v", ok, err)
-		}
-	}
-	for _, bad := range []string{"f16", "double", "F32", "fp32"} {
-		err := (Options{Precision: bad}).Validate()
-		if !errors.Is(err, ErrBadOptions) {
-			t.Errorf("Precision %q: err = %v, want ErrBadOptions", bad, err)
-		}
-	}
-}
-
 func TestPrecisionDefaultsToF64(t *testing.T) {
 	s, _, _ := trainedServer(t, Options{MaxBatch: 1})
 	if got := s.EffectiveOptions().Precision; got != PrecisionF64 {
@@ -193,33 +179,6 @@ func TestPrecisionF32WithUpdate(t *testing.T) {
 	for _, want := range []string{`"arena"`, `"bucket_hits"`, `"precision": "f32"`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %s", want)
-		}
-	}
-}
-
-// TestPrecisionF32DegradedFallsBackToF64 pins the degraded contract:
-// answers served by the fallback engine run float64 even on an f32 server.
-func TestPrecisionF32DegradedFallsBackToF64(t *testing.T) {
-	s64, ds, model := trainedServer(t, Options{MaxBatch: 1})
-	s, err := New(model, s64.Meta(), Options{MaxBatch: 1, Precision: PrecisionF32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	inst := ds.Val[1]
-	// Degraded requests route through runGroup(…, EngineDGL); the forward
-	// there must not take the f32 path.
-	preds, err := s.forward([]*pending{{inst: inst, degraded: true, ctx: nil}}, models.EngineDGL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if preds[0].Precision != "" {
-		t.Fatalf("degraded answer precision %q, want f64 (empty)", preds[0].Precision)
-	}
-	want := directForward(t, model, models.EngineDGL, inst, s.meta.Config.Dim)
-	for j := range want {
-		if math.Abs(preds[0].Output[j]-want[j]) > 1e-12 {
-			t.Fatalf("degraded output[%d] = %v, want exact f64 %v", j, preds[0].Output[j], want[j])
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -15,13 +14,15 @@ import (
 
 	"mega/internal/datasets"
 	"mega/internal/faults"
+	"mega/internal/graph"
 	"mega/internal/models"
+	"mega/internal/traverse"
 )
 
 // Robustness tests for the serving failure domains (PR 4): deadlines and
-// cancellation, load shedding, degraded fallback behind the circuit
-// breaker, worker crash replacement, bounded shutdown drain, and the
-// metrics that account for each. Faults are process-global, so none of
+// cancellation, load shedding, failed preprocessing, worker crash
+// replacement, bounded shutdown drain, and the metrics that account for
+// each. Faults are process-global, so none of
 // these tests run in parallel; each disables injection on exit.
 
 func enableFaults(t *testing.T, points ...faults.PointConfig) {
@@ -102,73 +103,105 @@ func TestOverloadSheds(t *testing.T) {
 	wg.Wait()
 }
 
-func TestDegradedFallbackOnPrepareFailure(t *testing.T) {
+// TestPrepareFailureFailsTheRequest: a failed MEGA preprocess fails its
+// own request — with the injected error in process, with a 500 over HTTP —
+// and is counted in prepare_failures. Nothing answers in its place, and
+// the next request is answered bit-equal to a fresh server's.
+func TestPrepareFailureFailsTheRequest(t *testing.T) {
 	s, ds, model := trainedServer(t, Options{MaxBatch: 1})
+	fresh, err := New(model, s.Meta(), Options{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+
 	enableFaults(t, faults.PointConfig{
-		Name: faults.ServePrepare, Prob: 1, Budget: 1, Action: faults.ActError,
+		Name: faults.ServePrepare, Prob: 1, Budget: 2, Action: faults.ActError,
 	})
 	inst := ds.Val[0]
-	pred, err := s.Predict(inst)
-	if err != nil {
-		t.Fatalf("predict: %v", err)
+	if pred, err := s.Predict(inst); !faults.IsInjected(err) {
+		t.Fatalf("predict under a prepare fault: pred = %+v, err = %v, want the injected error", pred, err)
 	}
-	if !pred.Degraded {
-		t.Fatal("prepare failure should yield a degraded prediction")
-	}
-	// Degraded answers are exact for the fallback engine.
-	want := directForward(t, model, models.EngineDGL, inst, s.Meta().Config.Dim)
-	for i := range want {
-		if math.Abs(pred.Output[i]-want[i]) > 1e-12 {
-			t.Fatalf("degraded output[%d] = %v, DGL direct = %v", i, pred.Output[i], want[i])
-		}
+	req := GraphRequest{NumNodes: inst.G.NumNodes(), Edges: edgePairs(inst.G), NodeFeats: inst.NodeFeat, EdgeFeats: inst.EdgeFeat}
+	if code, body := postJSON(t, hs.URL+"/predict", req, nil); code != http.StatusInternalServerError {
+		t.Fatalf("POST /predict under a prepare fault: %d %s, want 500", code, body)
 	}
 	snap := s.MetricsSnapshot(false)
-	if snap.Degraded != 1 || snap.PrepareFailures != 1 {
-		t.Fatalf("degraded = %d, prepare_failures = %d, want 1, 1", snap.Degraded, snap.PrepareFailures)
+	if snap.PrepareFailures != 2 || snap.Errors != 2 || snap.Batches != 0 {
+		t.Fatalf("prepare_failures = %d, errors = %d, batches = %d, want 2, 2, 0",
+			snap.PrepareFailures, snap.Errors, snap.Batches)
 	}
-	// Budget exhausted: the next request preprocesses normally and, with a
-	// sub-threshold failure count, the breaker stays closed.
-	pred, err = s.Predict(inst)
-	if err != nil || pred.Degraded {
-		t.Fatalf("after budget: pred = %+v, err = %v", pred, err)
+
+	faults.Disable()
+	got, err := s.Predict(inst)
+	if err != nil || got.CacheHit {
+		t.Fatalf("predict after the faults: pred = %+v, err = %v, want a clean miss", got, err)
 	}
-	if st := s.BreakerState(); st != BreakerClosed {
-		t.Fatalf("breaker = %s, want closed below threshold", st)
+	want, err := fresh.Predict(inst)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertSameBits(t, "after a failed prepare", got.Output, want.Output)
 }
 
-func TestBreakerOpensAndShortCircuits(t *testing.T) {
-	s, ds, _ := trainedServer(t, Options{
-		MaxBatch: 1, BreakerThreshold: 2, BreakerCooldown: time.Hour,
-	}.WithCacheCapacity(0))
+// TestRepeatedPrepareFailuresNeverShortCircuit: failures do not pile up
+// into a state. Under a prepare fault that never runs out, every request
+// still reaches preprocessing and fails on its own, and /healthz stays ok.
+func TestRepeatedPrepareFailuresNeverShortCircuit(t *testing.T) {
+	s, ds, _ := trainedServer(t, Options{MaxBatch: 1}.WithCacheCapacity(0))
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
 	enableFaults(t, faults.PointConfig{
 		Name: faults.ServePrepare, Prob: 1, Action: faults.ActError,
 	})
-	for i := 0; i < 2; i++ {
-		if pred, err := s.Predict(ds.Val[0]); err != nil || !pred.Degraded {
-			t.Fatalf("request %d: pred = %+v, err = %v", i, pred, err)
+	const n = 4
+	for i := 0; i < n; i++ {
+		if pred, err := s.Predict(ds.Val[0]); !faults.IsInjected(err) {
+			t.Fatalf("request %d: pred = %+v, err = %v, want the injected error", i, pred, err)
 		}
 	}
-	if st := s.BreakerState(); st != BreakerOpen {
-		t.Fatalf("breaker = %s, want open at threshold", st)
+	if got := faultReport(t, faults.ServePrepare).Hits; got != n {
+		t.Fatalf("prepare consulted %d times for %d requests", got, n)
 	}
-	hitsBefore := faultReport(t, faults.ServePrepare).Hits
-	// Open breaker: requests skip preprocessing entirely.
-	if pred, err := s.Predict(ds.Val[0]); err != nil || !pred.Degraded {
-		t.Fatalf("open-breaker request: pred = %+v, err = %v", pred, err)
+	if snap := s.MetricsSnapshot(false); snap.PrepareFailures != n || snap.Errors != n {
+		t.Fatalf("prepare_failures = %d, errors = %d, want %d, %d", snap.PrepareFailures, snap.Errors, n, n)
 	}
-	if got := faultReport(t, faults.ServePrepare).Hits; got != hitsBefore {
-		t.Fatalf("open breaker still consulted prepare: hits %d -> %d", hitsBefore, got)
+	if h := s.HealthSnapshot(); h.Status != "ok" {
+		t.Fatalf("health = %+v, want ok", h)
 	}
-	snap := s.MetricsSnapshot(false)
-	if snap.BreakerOpens != 1 || snap.BreakerTransitions == 0 || snap.Breaker != string(BreakerOpen) {
-		t.Fatalf("snapshot breaker fields = opens %d, transitions %d, state %q",
-			snap.BreakerOpens, snap.BreakerTransitions, snap.Breaker)
+	resp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// /healthz reflects the degradation.
-	h := s.HealthSnapshot()
-	if h.Status != "degraded" || h.Breaker != string(BreakerOpen) {
-		t.Fatalf("health = %+v, want degraded/open", h)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestPrepareFailureWithoutInjection is the same failure from a real
+// cause: a server whose traversal starts at vertex 50 fails, and counts,
+// each graph of 50 vertices or fewer, and still answers a larger one.
+func TestPrepareFailureWithoutInjection(t *testing.T) {
+	s, ds, _ := trainedServer(t, Options{
+		MaxBatch: 1, Mega: models.MegaOptions{Traverse: traverse.Options{Start: 50}},
+	})
+	small := ds.Val[0]
+	if n := small.G.NumNodes(); n >= 50 {
+		t.Fatalf("ZINC graph has %d vertices, want fewer than 50", n)
+	}
+	if _, err := s.Predict(small); !errors.Is(err, traverse.ErrBadOptions) {
+		t.Fatalf("predict on a %d-vertex graph: err = %v, want traverse.ErrBadOptions", small.G.NumNodes(), err)
+	}
+	g := graph.Cycle(64)
+	large := datasets.Instance{G: g, NodeFeat: make([]int32, g.NumNodes()), EdgeFeat: make([]int32, g.NumEdges())}
+	if _, err := s.Predict(large); err != nil {
+		t.Fatalf("predict on a 64-vertex graph: %v", err)
+	}
+	if snap := s.MetricsSnapshot(false); snap.PrepareFailures != 1 || snap.Errors != 1 {
+		t.Fatalf("prepare_failures = %d, errors = %d, want 1, 1", snap.PrepareFailures, snap.Errors)
 	}
 }
 
@@ -193,7 +226,7 @@ func TestFaultyCacheDegradesToMisses(t *testing.T) {
 	// A broken cache must cost only latency, never correctness.
 	for i := 0; i < 2; i++ {
 		pred, err := s.Predict(ds.Val[0])
-		if err != nil || pred.CacheHit || pred.Degraded {
+		if err != nil || pred.CacheHit {
 			t.Fatalf("request %d: pred = %+v, err = %v, want clean miss", i, pred, err)
 		}
 	}
@@ -344,7 +377,7 @@ func TestHTTPTimeoutAndHealth(t *testing.T) {
 		t.Fatalf("metrics decode: %v", err)
 	}
 	resp.Body.Close()
-	if snap.DeadlineExceeded != 1 || snap.Breaker == "" {
+	if snap.DeadlineExceeded != 1 || snap.QueueCapacity == 0 {
 		t.Fatalf("metrics snapshot = %+v", snap)
 	}
 }
@@ -367,7 +400,6 @@ func TestMetricsReconcileWithClients(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ds, _ := trainedServer(t, Options{
 				MaxBatch: 4, Workers: 2, QueueDepth: 2,
-				BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond,
 			})
 			predict := func(inst datasets.Instance, timeout time.Duration) error {
 				ctx := context.Background()

@@ -45,12 +45,6 @@ type Options struct {
 	// MaxTimeout caps every request deadline, including per-request
 	// overrides from the wire (0 = uncapped).
 	MaxTimeout time.Duration
-	// BreakerThreshold is the consecutive MEGA-preprocessing failures
-	// that trip the circuit breaker to the fallback engine (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is the first open window before a half-open probe;
-	// successive trips back off exponentially from it (default 500ms).
-	BreakerCooldown time.Duration
 	// ShutdownGrace bounds how long Close/Shutdown drains queued and
 	// in-flight requests before failing the rest with ErrShuttingDown
 	// (default 5s).
@@ -59,14 +53,15 @@ type Options struct {
 	// effective-resistance sparsification via SparsifyFraction). Options
 	// are per-server, not per-request; cache keys cover both topology and
 	// a digest of these options, so servers with different preprocessing
-	// can never alias each other's reps.
+	// can never alias each other's reps. New rejects options the
+	// traversal would reject (traverse.Options.Validate).
 	Mega models.MegaOptions
 	// Precision selects the inference arithmetic: PrecisionF64 (default)
 	// runs the training-grade float64 forward; PrecisionF32 serves MEGA
 	// batches through the frozen float32 fast path (checkpoint parameters
 	// downcast once at load, head-major fused kernels, no autograd tape).
-	// Degraded (fallback-engine) answers always run float64 regardless.
-	// Only models with a float32 path (GT, GAT) accept PrecisionF32.
+	// Only the MEGA engine and models with a float32 path (GT, GAT)
+	// accept PrecisionF32.
 	Precision string
 
 	// cacheSet marks CacheCapacity as deliberately chosen, letting 0 mean
@@ -90,16 +85,20 @@ const (
 var ErrBadOptions = errors.New("serve: invalid options")
 
 // Validate checks the knobs that have no sensible default to fall back
-// to: Precision must name one of the two arithmetics, and the
-// sparsification fraction must lie in [0, 1].
+// to: Precision must name one of the two arithmetics, float32 needs the
+// MEGA engine, and the traversal options must pass the traversal's own
+// checks.
 func (o Options) Validate() error {
 	switch o.Precision {
 	case "", PrecisionF64, PrecisionF32:
 	default:
 		return fmt.Errorf("%w: Precision %q (want %q or %q)", ErrBadOptions, o.Precision, PrecisionF64, PrecisionF32)
 	}
-	if f := o.Mega.TraverseOptions().SparsifyFraction; f < 0 || f > 1 {
-		return fmt.Errorf("%w: SparsifyFraction %v outside [0, 1]", ErrBadOptions, f)
+	if o.Precision == PrecisionF32 && o.Engine == models.EngineDGL {
+		return fmt.Errorf("%w: Precision %q needs the MEGA engine", ErrBadOptions, PrecisionF32)
+	}
+	if err := o.Mega.TraverseOptions().Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
 	return nil
 }
@@ -128,12 +127,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 500 * time.Millisecond
-	}
 	if o.ShutdownGrace <= 0 {
 		o.ShutdownGrace = 5 * time.Second
 	}
@@ -153,14 +146,12 @@ type Prediction struct {
 	// CacheHit reports whether preprocessing was served from the
 	// path-representation cache.
 	CacheHit bool `json:"cache_hit"`
-	// Degraded reports that MEGA preprocessing was unavailable (failure
-	// or open circuit breaker) and the prediction came from the fallback
-	// engine instead. Degraded answers are exact for that engine — a
-	// different attention layout, not an approximation — but may differ
-	// numerically from the MEGA-engine answer on graphs with revisits.
+	// Degraded is always false: no answer comes from a fallback engine.
+	// It stays only because the benchmark still reads it; ROADMAP item
+	// 1(f) deletes it.
 	Degraded bool `json:"degraded,omitempty"`
 	// Precision is "f32" when the answer came from the float32 fast path;
-	// omitted for float64 answers (including every degraded answer).
+	// omitted for float64 answers.
 	Precision string `json:"precision,omitempty"`
 }
 
@@ -170,9 +161,8 @@ type Prediction struct {
 type Server struct {
 	model models.Model
 	// modelF32 is the frozen float32 twin of model, non-nil only under
-	// Options.Precision == PrecisionF32. Non-degraded MEGA batches run
-	// through it; everything else (degraded fallback, non-MEGA engines)
-	// stays on the float64 model.
+	// Options.Precision == PrecisionF32 (which Validate allows only on the
+	// MEGA engine). Every batch runs through it when it is set.
 	modelF32 models.ModelF32
 	meta     train.Checkpoint
 	opts     Options
@@ -182,7 +172,6 @@ type Server struct {
 	// forms the rep-cache key.
 	repOpts traverse.OptionsDigest
 	metrics *Metrics
-	breaker *breaker
 	// queue is the bounded admission queue (Options.QueueDepth): PredictCtx
 	// sends without blocking and sheds when it is full; free workers
 	// receive from it.
@@ -257,12 +246,6 @@ func New(model models.Model, meta train.Checkpoint, opts Options) (*Server, erro
 		arena:        tensor.NewArena(),
 		shutdownDone: make(chan struct{}),
 	}
-	s.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(from, to BreakerState) {
-		s.metrics.breakerTransitions.Add(1)
-		if to == BreakerOpen {
-			s.metrics.breakerOpens.Add(1)
-		}
-	})
 	for i := 0; i < opts.Workers; i++ {
 		s.startWorker()
 	}
@@ -338,15 +321,11 @@ func (s *Server) Meta() train.Checkpoint { return s.meta }
 // CacheStats snapshots the path-representation cache counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
-// BreakerState reports the preprocessing circuit breaker's position.
-func (s *Server) BreakerState() BreakerState { return s.breaker.State() }
-
 // MetricsSnapshot freezes the service counters and latency histograms.
 func (s *Server) MetricsSnapshot(withBuckets bool) Snapshot {
 	snap := s.metrics.Snapshot(s.cache.Stats(), withBuckets)
 	snap.Arena = s.arena.Stats()
 	snap.Precision = s.opts.Precision
-	snap.Breaker = string(s.breaker.State())
 	snap.QueueDepth = len(s.queue)
 	snap.QueueCapacity = cap(s.queue)
 	snap.Workers = s.opts.Workers
@@ -409,9 +388,10 @@ func (s *Server) Predict(inst datasets.Instance) (Prediction, error) {
 }
 
 // PredictCtx runs one graph through the service: validate, apply the
-// request deadline, preprocess (cache hit, fresh traversal, or degraded
-// fallback), enqueue into the admission queue with load shedding, and wait
-// for the batched forward pass or the context, whichever finishes first.
+// request deadline, preprocess (cache hit or fresh traversal; a failed
+// traversal fails the request), enqueue into the admission queue with
+// load shedding, and wait for the batched forward pass or the context,
+// whichever finishes first.
 func (s *Server) PredictCtx(ctx context.Context, inst datasets.Instance) (Prediction, error) {
 	s.metrics.requests.Add(1)
 	start := time.Now()
@@ -423,7 +403,9 @@ func (s *Server) PredictCtx(ctx context.Context, inst datasets.Instance) (Predic
 
 	p := &pending{ctx: ctx, inst: inst, done: make(chan outcome, 1)}
 	if s.opts.Engine == models.EngineMega {
-		s.prepare(p)
+		if err := s.prepare(p); err != nil {
+			return Prediction{}, s.failed(err)
+		}
 	}
 
 	// Admission: never block on a full queue — shed with a typed error
@@ -492,22 +474,16 @@ func (s *Server) requestContext(ctx context.Context) (context.Context, context.C
 	return context.WithTimeout(ctx, limit)
 }
 
-// prepare resolves the MEGA path representation for one request: cache
-// hit, fresh traversal behind the circuit breaker, or — when
-// preprocessing fails or the breaker is open — the degraded fallback
-// (served by the GAT-free engine without a path representation). The
-// request always proceeds; degradation is visible in the Prediction.
-func (s *Server) prepare(p *pending) {
+// prepare resolves the MEGA path representation for one request: a cache
+// hit or a fresh traversal. A failed traversal is counted in
+// prepare_failures and returned; nothing answers in its place.
+func (s *Server) prepare(p *pending) error {
 	key := s.repKey(p.inst.G.Fingerprint())
 	if faults.Inject(faults.ServeCacheGet) == nil {
 		if prep, ok := s.cache.Get(key); ok {
 			p.prep, p.cacheHit = prep, true
-			return
+			return nil
 		}
-	}
-	if !s.breaker.allow() {
-		s.degrade(p)
-		return
 	}
 	t0 := time.Now()
 	err := faults.Inject(faults.ServePrepare)
@@ -517,21 +493,14 @@ func (s *Server) prepare(p *pending) {
 	}
 	s.metrics.preprocess.observe(time.Since(t0))
 	if err != nil {
-		s.breaker.failure()
 		s.metrics.prepareFailures.Add(1)
-		s.degrade(p)
-		return
+		return err
 	}
-	s.breaker.success()
 	if faults.Inject(faults.ServeCachePut) == nil {
 		s.cache.Put(key, prep)
 	}
 	p.prep = prep
-}
-
-func (s *Server) degrade(p *pending) {
-	p.degraded = true
-	s.metrics.degraded.Add(1)
+	return nil
 }
 
 // validate rejects instances the embedding tables cannot index — an
@@ -564,10 +533,10 @@ func (s *Server) validate(inst datasets.Instance) error {
 	return nil
 }
 
-// runBatch triages a taken batch — shutdown abort, expired requests,
-// degraded split — then runs the forward pass(es) and scatters per-graph
-// output rows back to their callers. Every pending in the batch is
-// finished exactly once on every path.
+// runBatch triages a taken batch — shutdown abort, expired requests —
+// then runs the forward pass and scatters per-graph output rows back to
+// their callers. Every pending in the batch is finished exactly once on
+// every path.
 func (s *Server) runBatch(batch []*pending) {
 	// The dispatch injection point sits outside the guarded forward on
 	// purpose: a panic here escapes to the worker wrapper and exercises
@@ -585,7 +554,7 @@ func (s *Server) runBatch(batch []*pending) {
 		return
 	}
 	now := time.Now()
-	var normal, degraded []*pending
+	live := make([]*pending, 0, len(batch))
 	for _, p := range batch {
 		if err := p.ctx.Err(); err != nil {
 			// Abandoned while queued: answer the (already departed)
@@ -594,32 +563,20 @@ func (s *Server) runBatch(batch []*pending) {
 			continue
 		}
 		s.metrics.queue.observe(now.Sub(p.enqueued))
-		if p.degraded {
-			degraded = append(degraded, p)
-		} else {
-			normal = append(normal, p)
-		}
+		live = append(live, p)
 	}
-	s.runGroup(normal, s.opts.Engine)
-	s.runGroup(degraded, models.EngineDGL)
-}
-
-// runGroup forwards one engine-homogeneous group and answers it.
-func (s *Server) runGroup(group []*pending, engine models.EngineKind) {
-	if len(group) == 0 {
+	if len(live) == 0 {
 		return
 	}
 	start := time.Now()
-	preds, err := s.forward(group, engine)
-	s.metrics.observeBatch(len(group), time.Since(start))
-	if err != nil {
-		for _, p := range group {
+	preds, err := s.forward(live)
+	s.metrics.observeBatch(len(live), time.Since(start))
+	for i, p := range live {
+		if err != nil {
 			p.finish(outcome{err: err})
+		} else {
+			p.finish(outcome{pred: preds[i]})
 		}
-		return
-	}
-	for i, p := range group {
-		p.finish(outcome{pred: preds[i]})
 	}
 }
 
@@ -628,7 +585,7 @@ func (s *Server) runGroup(group []*pending, engine models.EngineKind) {
 // cannot take the worker down. Panics raised on compute-pool helper
 // goroutines arrive here as compute.PanicError re-raised on this
 // goroutine, so the recover genuinely covers the whole forward pass.
-func (s *Server) forward(batch []*pending, engine models.EngineKind) (preds []Prediction, err error) {
+func (s *Server) forward(batch []*pending) (preds []Prediction, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			preds, err = nil, fmt.Errorf("serve: forward pass panicked: %v", r)
@@ -642,7 +599,7 @@ func (s *Server) forward(batch []*pending, engine models.EngineKind) (preds []Pr
 		insts[i] = p.inst
 	}
 	var ctx *models.Context
-	if engine == models.EngineMega {
+	if s.opts.Engine == models.EngineMega {
 		preps := make([]*models.PreparedRep, len(batch))
 		for i, p := range batch {
 			preps[i] = p.prep
@@ -655,12 +612,11 @@ func (s *Server) forward(batch []*pending, engine models.EngineKind) (preds []Pr
 		return nil, err
 	}
 	ctx.Scratch = s.arena
-	// Two arms: a MEGA batch on a PrecisionF32 server runs the frozen
-	// float32 model; every other batch, degraded ones included, runs the
-	// float64 model.
+	// A PrecisionF32 server runs the frozen float32 model; any other runs
+	// the float64 model.
 	var out *tensor.Tensor
 	precision := ""
-	if engine == models.EngineMega && s.modelF32 != nil {
+	if s.modelF32 != nil {
 		f32out := s.modelF32.Forward(ctx, s.arena)
 		out = f32out.Upcast()
 		s.arena.PutF32(f32out)
@@ -673,7 +629,7 @@ func (s *Server) forward(batch []*pending, engine models.EngineKind) (preds []Pr
 	for i, p := range batch {
 		row := make([]float64, cols)
 		copy(row, out.Data[i*cols:(i+1)*cols])
-		pred := Prediction{Output: row, CacheHit: p.cacheHit, Degraded: p.degraded, Precision: precision}
+		pred := Prediction{Output: row, CacheHit: p.cacheHit, Precision: precision}
 		if s.meta.Task == datasets.TaskClassification {
 			best := 0
 			for j := 1; j < cols; j++ {
@@ -726,13 +682,11 @@ func (r *GraphRequest) Instance() (datasets.Instance, error) {
 
 const maxRequestBody = 8 << 20
 
-// Health is the /healthz document: liveness plus the failure-domain state
-// an operator (or load balancer) needs to interpret degraded service.
+// Health is the /healthz document: liveness plus the admission and
+// worker-pool state an operator (or load balancer) reads.
 type Health struct {
-	// Status is "ok", "degraded" (breaker not closed), or "stopping".
+	// Status is "ok", or "stopping" once shutdown has begun.
 	Status string `json:"status"`
-	// Breaker is the preprocessing circuit breaker state.
-	Breaker string `json:"breaker"`
 	// QueueDepth/QueueCapacity describe admission headroom.
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
@@ -745,23 +699,17 @@ type Health struct {
 // HealthSnapshot builds the /healthz document.
 func (s *Server) HealthSnapshot() Health {
 	h := Health{
-		Breaker:        string(s.breaker.State()),
 		QueueDepth:     len(s.queue),
 		QueueCapacity:  cap(s.queue),
 		Workers:        s.opts.Workers,
 		WorkerRestarts: s.metrics.workerRestarts.Load(),
 	}
 	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	switch {
-	case closed:
+	h.Status = "ok"
+	if s.closed {
 		h.Status = "stopping"
-	case h.Breaker != string(BreakerClosed):
-		h.Status = "degraded"
-	default:
-		h.Status = "ok"
 	}
+	s.mu.RUnlock()
 	return h
 }
 

@@ -1,7 +1,6 @@
 package traverse
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -35,15 +34,6 @@ func edgesEqual(a, b []graph.Edge) bool {
 		}
 	}
 	return true
-}
-
-func TestSparsifyValidation(t *testing.T) {
-	g := sparsTestGraph(1, 10, 20)
-	for _, f := range []float64{-0.1, 1.5} {
-		if _, err := Run(g, Options{EdgeCoverage: 1, Start: -1, SparsifyFraction: f}); !errors.Is(err, ErrBadOptions) {
-			t.Errorf("fraction %v: got %v, want ErrBadOptions", f, err)
-		}
-	}
 }
 
 func TestSparsifyFractionOneIsNoOp(t *testing.T) {

@@ -223,6 +223,27 @@ func RevisitLowerBound(degrees []int, omega int) int {
 	return total - len(degrees)
 }
 
+// Validate checks the options that do not depend on the graph: edge
+// coverage in [0, 1] (0 selects full coverage), drop fraction in [0, 1),
+// sparsify fraction in [0, 1], and a DropStrategy that names one of the
+// two strategies. NaN fails every range. Run additionally rejects a
+// directed graph and a start vertex outside it.
+func (o Options) Validate() error {
+	if !(o.EdgeCoverage >= 0 && o.EdgeCoverage <= 1) {
+		return fmt.Errorf("%w: edge coverage %v outside [0, 1]", ErrBadOptions, o.EdgeCoverage)
+	}
+	if !(o.DropEdges >= 0 && o.DropEdges < 1) {
+		return fmt.Errorf("%w: drop fraction %v outside [0, 1)", ErrBadOptions, o.DropEdges)
+	}
+	if !(o.SparsifyFraction >= 0 && o.SparsifyFraction <= 1) {
+		return fmt.Errorf("%w: sparsify fraction %v outside [0, 1]", ErrBadOptions, o.SparsifyFraction)
+	}
+	if o.DropStrategy != DropRandom && o.DropStrategy != DropRedundant {
+		return fmt.Errorf("%w: unknown drop strategy %d", ErrBadOptions, int(o.DropStrategy))
+	}
+	return nil
+}
+
 // Run executes the objective traversal on g and returns the path
 // representation.
 func Run(g *graph.Graph, opts Options) (*Result, error) {
@@ -263,19 +284,11 @@ func newWalker(g *graph.Graph, opts Options) (*walker, error) {
 		// with no reverse would stay uncovered on one side forever.
 		return nil, fmt.Errorf("%w: directed graph (the traversal needs symmetric adjacency)", ErrBadOptions)
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if opts.EdgeCoverage == 0 {
 		opts.EdgeCoverage = 1.0
-	}
-	if opts.EdgeCoverage < 0 || opts.EdgeCoverage > 1 {
-		return nil, fmt.Errorf("%w: edge coverage %v", ErrBadOptions, opts.EdgeCoverage)
-	}
-	if opts.DropEdges < 0 || opts.DropEdges >= 1 {
-		if opts.DropEdges != 0 {
-			return nil, fmt.Errorf("%w: drop fraction %v", ErrBadOptions, opts.DropEdges)
-		}
-	}
-	if opts.SparsifyFraction < 0 || opts.SparsifyFraction > 1 {
-		return nil, fmt.Errorf("%w: sparsify fraction %v", ErrBadOptions, opts.SparsifyFraction)
 	}
 
 	work := g
@@ -728,7 +741,7 @@ func dropKeepMask(g *graph.Graph, frac float64, strategy DropStrategy, seed int6
 		for _, s := range ranked[target:] {
 			keep[s.idx] = true
 		}
-	default:
+	default: // DropRandom; Validate rejects every other value
 		for i := range edges {
 			if rng.Float64() >= frac {
 				keep[i] = true

@@ -2,6 +2,7 @@ package traverse
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -267,8 +268,56 @@ func TestInvalidOptions(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(g, tt.opts); err == nil {
-				t.Errorf("Run(%+v) should error", tt.opts)
+			if _, err := Run(g, tt.opts); !errors.Is(err, ErrBadOptions) {
+				t.Errorf("Run(%+v) = %v, want ErrBadOptions", tt.opts, err)
+			}
+		})
+	}
+}
+
+// TestOptionsValidate pins each graph-independent bound Validate checks,
+// at and just past its edge, and that Run on a valid graph answers the
+// same: nil for options Validate accepts, ErrBadOptions for the rest.
+func TestOptionsValidate(t *testing.T) {
+	g := graph.ErdosRenyiM(rand.New(rand.NewSource(1)), 10, 20)
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		opts Options
+		ok   bool
+	}{
+		{"zero value", Options{}, true},
+		{"defaults", DefaultOptions(), true},
+		{"coverage 1", Options{EdgeCoverage: 1}, true},
+		{"coverage half", Options{EdgeCoverage: 0.5}, true},
+		{"coverage negative", Options{EdgeCoverage: -0.1}, false},
+		{"coverage above 1", Options{EdgeCoverage: 1.5}, false},
+		{"coverage NaN", Options{EdgeCoverage: nan}, false},
+		{"drop 0.9", Options{DropEdges: 0.9}, true},
+		{"drop negative", Options{DropEdges: -0.2}, false},
+		{"drop 1", Options{DropEdges: 1}, false},
+		{"drop NaN", Options{DropEdges: nan}, false},
+		{"sparsify 1", Options{SparsifyFraction: 1}, true},
+		{"sparsify negative", Options{SparsifyFraction: -0.1}, false},
+		{"sparsify above 1", Options{SparsifyFraction: 1.5}, false},
+		{"sparsify NaN", Options{SparsifyFraction: nan}, false},
+		{"strategy redundant", Options{DropEdges: 0.2, DropStrategy: DropRedundant}, true},
+		{"strategy unknown", Options{DropEdges: 0.2, DropStrategy: DropRedundant + 1}, false},
+		{"strategy negative", Options{DropStrategy: -1}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Start = -1
+			verr := tc.opts.Validate()
+			_, rerr := Run(g, tc.opts)
+			if tc.ok {
+				if verr != nil || rerr != nil {
+					t.Fatalf("Validate() = %v, Run = %v, want nil", verr, rerr)
+				}
+				return
+			}
+			if !errors.Is(verr, ErrBadOptions) || !errors.Is(rerr, ErrBadOptions) {
+				t.Fatalf("Validate() = %v, Run = %v, want ErrBadOptions from both", verr, rerr)
 			}
 		})
 	}
